@@ -27,7 +27,6 @@ from .profiles import (
     GaussianProfile,
     PiecewisePolynomial,
     Profile1D,
-    TensorProfile,
     bspline_profile,
     box_profile,
     profile_from_json_dict,
@@ -53,9 +52,7 @@ from .synthesis import (
     GeneratorFamily,
     ModulusBound,
     SynthesisStabilityReport,
-    amalgam_norm,
     discretize_synthesis,
-    modulus_of_continuity,
     project_Pn,
     synthesis_stability,
     synthesize,

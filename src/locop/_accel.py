@@ -1,134 +1,17 @@
-"""Backend selection for the numeric hot loops.
+"""Multistart projected subgradient descent for the lower stability constant.
 
-Two interchangeable implementations of each kernel are provided: a
-numba ``@njit`` version and a pure-numpy fallback.  The environment
-variable ``LOCOP_BACKEND`` picks one at import time:
-
-* ``auto`` (default) -- numba when importable, numpy otherwise
-* ``numba``          -- force numba, raise if unavailable
-* ``numpy``          -- force the pure-numpy path
-
-Both paths implement the same algorithms; ``benchmarks/bench_backends.py``
-compares them head to head.
+minimize ||A c||_p over the lp unit sphere, from many starts at once.
+Normalized-subgradient steps with lp-sphere retraction; the step halves on
+failure, grows modestly on success, and a start terminates when the step
+drops below ``tmin``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_requested = os.environ.get("LOCOP_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(f"LOCOP_BACKEND must be auto|numba|numpy, got {_requested!r}")
-
-_HAVE_NUMBA = False
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-# Sentinel used to pass p = infinity into nopython code.
-_P_INF = -1.0
-
-
-def _encode_p(p: float) -> float:
-    return _P_INF if np.isinf(p) else float(p)
-
-
-# ----------------------------------------------------------------------
-# offset-profile reduction: given integer cell labels (one row per stored
-# entry) and entry magnitudes, find the per-cell maximum.  Cells are packed
-# into a single int64 key so both backends share the grouping logic.
-
-_PACK_OFFSET = 1 << 20
-_PACK_SHIFT = 21
-
-
-def pack_cells(cells: np.ndarray) -> np.ndarray:
-    """Pack integer offset cells (n, d) into sortable int64 keys."""
-    cells = np.asarray(cells, dtype=np.int64)
-    if cells.ndim == 1:
-        cells = cells[:, None]
-    d = cells.shape[1]
-    if d * _PACK_SHIFT > 62:
-        raise ValueError(f"cell packing supports dim <= {62 // _PACK_SHIFT}, got {d}")
-    if cells.size and (np.abs(cells) >= _PACK_OFFSET).any():
-        raise ValueError("offset cell coordinate out of packable range (|k| < 2^20)")
-    keys = np.zeros(cells.shape[0], dtype=np.int64)
-    for axis in range(d):
-        keys = (keys << _PACK_SHIFT) | (cells[:, axis] + _PACK_OFFSET)
-    return keys
-
-
-def unpack_cells(keys: np.ndarray, dim: int) -> np.ndarray:
-    keys = np.asarray(keys, dtype=np.int64)
-    out = np.empty((keys.shape[0], dim), dtype=np.int64)
-    for axis in range(dim - 1, -1, -1):
-        out[:, axis] = (keys & (2 * _PACK_OFFSET - 1)) - _PACK_OFFSET
-        keys = keys >> _PACK_SHIFT
-    return out
-
-
-def _group_max_numpy(keys: np.ndarray, values: np.ndarray):
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    vs = values[order]
-    if ks.size == 0:
-        return ks, vs
-    boundaries = np.flatnonzero(np.diff(ks)) + 1
-    starts = np.concatenate(([0], boundaries))
-    return ks[starts], np.maximum.reduceat(vs, starts)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _group_max_sorted_nb(ks, vs):  # pragma: no cover - jitted
-        n = ks.shape[0]
-        out_k = np.empty(n, dtype=np.int64)
-        out_v = np.empty(n, dtype=np.float64)
-        m = 0
-        i = 0
-        while i < n:
-            k = ks[i]
-            best = vs[i]
-            i += 1
-            while i < n and ks[i] == k:
-                if vs[i] > best:
-                    best = vs[i]
-                i += 1
-            out_k[m] = k
-            out_v[m] = best
-            m += 1
-        return out_k[:m], out_v[:m]
-
-    def _group_max_numba(keys: np.ndarray, values: np.ndarray):
-        order = np.argsort(keys, kind="stable")
-        return _group_max_sorted_nb(keys[order], values[order])
-
-
-def group_max(keys: np.ndarray, values: np.ndarray):
-    """Per-key maximum of ``values``; keys returned sorted ascending."""
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if BACKEND == "numba":
-        return _group_max_numba(keys, values)
-    return _group_max_numpy(keys, values)
-
-
-# ----------------------------------------------------------------------
-# multistart projected subgradient descent for the lower stability constant
-#
-# minimize ||A c||_p over the lp unit sphere.  Normalized-subgradient steps
-# with lp-sphere retraction; the step halves on failure, grows modestly on
-# success, and a start terminates when the step drops below ``tmin``.
+# Name of the implementation, kept for run metadata; numpy is the only one.
+BACKEND = "numpy"
 
 
 def _pnorm_rows(Y: np.ndarray, p: float) -> np.ndarray:
@@ -141,15 +24,27 @@ def _pnorm_rows(Y: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(Y) ** p).sum(axis=1) ** (1.0 / p)
 
 
-def _descend_numpy(csr, starts, p, t0, tmin, max_iter):
+def descend_lp(csr, starts: np.ndarray, p: float, t0: float = 0.25,
+               tmin: float = 1e-10, max_iter: int = 5000):
+    """Run projected subgradient descent from each start.
+
+    Parameters
+    ----------
+    csr : scipy.sparse.csr_matrix (n x m)
+    starts : (n_starts, m) array of initial coefficient vectors
+    p : norm exponent in [1, inf]
+
+    Returns (objective values, final vectors), one row per start.
+    """
     A = csr
-    C = starts.copy()
+    p, t0 = float(p), float(t0)
+    C = np.array(starts, dtype=np.float64, order="C")
     C /= _pnorm_rows(C, p)[:, None]
     Y = (A @ C.T).T
     F = _pnorm_rows(Y, p)
     T = np.full(C.shape[0], t0)
     active = np.ones(C.shape[0], dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(int(max_iter)):
         if not active.any():
             break
         idx = np.flatnonzero(active)
@@ -186,176 +81,3 @@ def _descend_numpy(csr, starts, p, t0, tmin, max_iter):
         T[irej] *= 0.5
         active[T < tmin] = False
     return F, C
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _descend_one_nb(data, indices, indptr, n_rows, m, c0, p, t0, tmin, max_iter):  # pragma: no cover
-        c = c0.copy()
-        # lp normalize
-        if p == _P_INF:
-            nrm = 0.0
-            for j in range(m):
-                a = abs(c[j])
-                if a > nrm:
-                    nrm = a
-        elif p == 1.0:
-            nrm = 0.0
-            for j in range(m):
-                nrm += abs(c[j])
-        else:
-            nrm = 0.0
-            for j in range(m):
-                nrm += abs(c[j]) ** p
-            nrm = nrm ** (1.0 / p)
-        for j in range(m):
-            c[j] /= nrm
-
-        y = np.zeros(n_rows)
-        for i in range(n_rows):
-            acc = 0.0
-            for t in range(indptr[i], indptr[i + 1]):
-                acc += data[t] * c[indices[t]]
-            y[i] = acc
-
-        def _pn(v):
-            if p == _P_INF:
-                best = 0.0
-                for i in range(v.shape[0]):
-                    a = abs(v[i])
-                    if a > best:
-                        best = a
-                return best
-            if p == 1.0:
-                s = 0.0
-                for i in range(v.shape[0]):
-                    s += abs(v[i])
-                return s
-            s = 0.0
-            for i in range(v.shape[0]):
-                s += abs(v[i]) ** p
-            return s ** (1.0 / p)
-
-        f = _pn(y)
-        t = t0
-        g = np.zeros(m)
-        ct = np.zeros(m)
-        yt = np.zeros(n_rows)
-        for _ in range(max_iter):
-            # subgradient of ||y||_p pulled back through A
-            for j in range(m):
-                g[j] = 0.0
-            if p == _P_INF:
-                istar = 0
-                best = -1.0
-                for i in range(n_rows):
-                    a = abs(y[i])
-                    if a > best:
-                        best = a
-                        istar = i
-                s = 1.0 if y[istar] >= 0 else -1.0
-                for tt in range(indptr[istar], indptr[istar + 1]):
-                    g[indices[tt]] += s * data[tt]
-            elif p == 1.0:
-                for i in range(n_rows):
-                    s = 1.0 if y[i] > 0 else (-1.0 if y[i] < 0 else 0.0)
-                    if s != 0.0:
-                        for tt in range(indptr[i], indptr[i + 1]):
-                            g[indices[tt]] += s * data[tt]
-            else:
-                for i in range(n_rows):
-                    yi = y[i]
-                    if yi != 0.0:
-                        w = abs(yi) ** (p - 1.0) * (1.0 if yi > 0 else -1.0)
-                        for tt in range(indptr[i], indptr[i + 1]):
-                            g[indices[tt]] += w * data[tt]
-            gn = 0.0
-            for j in range(m):
-                gn += g[j] * g[j]
-            gn = np.sqrt(gn)
-            if gn <= 0.0:
-                break
-            for j in range(m):
-                ct[j] = c[j] - t * g[j] / gn
-            if p == _P_INF:
-                nrm = 0.0
-                for j in range(m):
-                    a = abs(ct[j])
-                    if a > nrm:
-                        nrm = a
-            elif p == 1.0:
-                nrm = 0.0
-                for j in range(m):
-                    nrm += abs(ct[j])
-            else:
-                nrm = 0.0
-                for j in range(m):
-                    nrm += abs(ct[j]) ** p
-                nrm = nrm ** (1.0 / p)
-            if nrm <= 0.0:
-                t *= 0.5
-                if t < tmin:
-                    break
-                continue
-            for j in range(m):
-                ct[j] /= nrm
-            for i in range(n_rows):
-                acc = 0.0
-                for tt in range(indptr[i], indptr[i + 1]):
-                    acc += data[tt] * ct[indices[tt]]
-                yt[i] = acc
-            ft = _pn(yt)
-            if ft < f:
-                for j in range(m):
-                    c[j] = ct[j]
-                for i in range(n_rows):
-                    y[i] = yt[i]
-                f = ft
-                t = min(t * 1.3, t0)
-            else:
-                t *= 0.5
-            if t < tmin:
-                break
-        return f, c
-
-    @njit(cache=True)
-    def _descend_many_nb(data, indices, indptr, n_rows, starts, p, t0, tmin, max_iter):  # pragma: no cover
-        n_starts, m = starts.shape
-        F = np.empty(n_starts)
-        C = np.empty((n_starts, m))
-        for s in range(n_starts):
-            f, c = _descend_one_nb(
-                data, indices, indptr, n_rows, m, starts[s], p, t0, tmin, max_iter
-            )
-            F[s] = f
-            C[s] = c
-        return F, C
-
-
-def descend_lp(csr, starts: np.ndarray, p: float, t0: float = 0.25,
-               tmin: float = 1e-10, max_iter: int = 5000):
-    """Run projected subgradient descent from each start.
-
-    Parameters
-    ----------
-    csr : scipy.sparse.csr_matrix (n x m)
-    starts : (n_starts, m) array of initial coefficient vectors
-    p : norm exponent in [1, inf]
-
-    Returns (objective values, final vectors), one row per start.
-    """
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
-    if BACKEND == "numba":
-        return _descend_many_nb(
-            np.ascontiguousarray(csr.data, dtype=np.float64),
-            np.ascontiguousarray(csr.indices, dtype=np.int64),
-            np.ascontiguousarray(csr.indptr, dtype=np.int64),
-            csr.shape[0],
-            starts,
-            _encode_p(p),
-            float(t0),
-            float(tmin),
-            int(max_iter),
-        )
-    return _descend_numpy(csr, starts, float(p), float(t0), float(tmin), int(max_iter))

@@ -324,9 +324,7 @@ def _add_out(sp):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="locop",
-        description="Finite-section stability toolkit for localized operators.",
-        epilog="LOCOP_THREADS caps worker threads (0 = serial); "
-               "LOCOP_BACKEND=numpy disables the jit kernels.")
+        description="Finite-section stability toolkit for localized operators.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a test corpus from a spec")

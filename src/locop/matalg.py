@@ -16,7 +16,6 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from . import _accel
 from .lattice import IndexSet, CutoffOperator, separation_constant
 
 ENTRY_DROP_TOL = 1e-300
@@ -230,6 +229,52 @@ class LocalizedMatrix:
 
 
 # ----------------------------------------------------------------------
+# offset cells: integer cell labels (one row per stored entry) are packed
+# into single int64 keys, so per-cell maxima are one sort and one reduceat.
+
+_PACK_OFFSET = 1 << 20
+_PACK_SHIFT = 21
+
+
+def pack_cells(cells: np.ndarray) -> np.ndarray:
+    """Pack integer offset cells (n, d) into sortable int64 keys."""
+    cells = np.asarray(cells, dtype=np.int64)
+    if cells.ndim == 1:
+        cells = cells[:, None]
+    d = cells.shape[1]
+    if d * _PACK_SHIFT > 62:
+        raise ValueError(f"cell packing supports dim <= {62 // _PACK_SHIFT}, got {d}")
+    if cells.size and (np.abs(cells) >= _PACK_OFFSET).any():
+        raise ValueError("offset cell coordinate out of packable range (|k| < 2^20)")
+    keys = np.zeros(cells.shape[0], dtype=np.int64)
+    for axis in range(d):
+        keys = (keys << _PACK_SHIFT) | (cells[:, axis] + _PACK_OFFSET)
+    return keys
+
+
+def unpack_cells(keys: np.ndarray, dim: int) -> np.ndarray:
+    keys = np.asarray(keys, dtype=np.int64)
+    out = np.empty((keys.shape[0], dim), dtype=np.int64)
+    for axis in range(dim - 1, -1, -1):
+        out[:, axis] = (keys & (2 * _PACK_OFFSET - 1)) - _PACK_OFFSET
+        keys = keys >> _PACK_SHIFT
+    return out
+
+
+def group_max(keys: np.ndarray, values: np.ndarray):
+    """Per-key maximum of ``values``; keys returned sorted ascending."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    vs = values[order]
+    if ks.size == 0:
+        return ks, vs
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ks)) + 1))
+    return ks[starts], np.maximum.reduceat(vs, starts)
+
+
+# ----------------------------------------------------------------------
 # norms
 
 
@@ -237,9 +282,9 @@ def offset_profile(A: LocalizedMatrix) -> OffsetProfile:
     prof = A._cache.get("profile")
     if prof is None:
         cells = np.floor(A.offsets()).astype(np.int64)
-        keys = _accel.pack_cells(cells) if A.nnz else np.empty(0, dtype=np.int64)
-        uk, sups = _accel.group_max(keys, np.abs(A.values))
-        prof = OffsetProfile(A.dim, _accel.unpack_cells(uk, A.dim), sups)
+        keys = pack_cells(cells) if A.nnz else np.empty(0, dtype=np.int64)
+        uk, sups = group_max(keys, np.abs(A.values))
+        prof = OffsetProfile(A.dim, unpack_cells(uk, A.dim), sups)
         A._cache["profile"] = prof
     return prof
 
@@ -277,8 +322,8 @@ def slant_norm(A: LocalizedMatrix, alpha: float, weight: Weight | None = None) -
         return 0.0
     off = A.cols.points[A.j] - alpha * A.rows.points[A.i]
     cells = np.floor(off).astype(np.int64)
-    uk, sups = _accel.group_max(_accel.pack_cells(cells), np.abs(A.values))
-    ks = _accel.unpack_cells(uk, A.dim)
+    uk, sups = group_max(pack_cells(cells), np.abs(A.values))
+    ks = unpack_cells(uk, A.dim)
     if weight is None:
         return float(np.sum(sups))
     w = np.asarray([weight(k) for k in ks.astype(float)])
@@ -307,7 +352,7 @@ def truncation_tail(A: LocalizedMatrix, s_values: Iterable[float]) -> list[tuple
     if A.nnz:
         dist = np.abs(A.offsets()).max(axis=1)
         cells = np.floor(A.offsets()).astype(np.int64)
-        keys = _accel.pack_cells(cells)
+        keys = pack_cells(cells)
         absv = np.abs(A.values)
     out = []
     for s in s_list:
@@ -318,7 +363,7 @@ def truncation_tail(A: LocalizedMatrix, s_values: Iterable[float]) -> list[tuple
         if not mask.any():
             out.append((s, 0.0))
             continue
-        _, sups = _accel.group_max(keys[mask], absv[mask])
+        _, sups = group_max(keys[mask], absv[mask])
         out.append((s, float(np.sum(sups))))
     return out
 

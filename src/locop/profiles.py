@@ -250,14 +250,6 @@ class GaussianProfile(Profile1D):
 
         return self.amplitude * self.sigma * _SQRT_PI / 2.0 * erf(arr / self.sigma)
 
-    def second_antiderivative_at(self, x):
-        arr = np.asarray(x, dtype=float)
-        from scipy.special import erf
-
-        u = arr / self.sigma
-        return (self.amplitude * self.sigma * _SQRT_PI / 2.0
-                * (arr * erf(u) + self.sigma / _SQRT_PI * np.exp(-(u ** 2))))
-
     def interval_extrema(self, a: float, b: float) -> tuple[float, float]:
         cand = [a, b]
         if a < 0.0 < b:
@@ -311,11 +303,6 @@ class ExponentialProfile(Profile1D):
         arr = np.asarray(x, dtype=float)
         # odd antiderivative: sign(x) * (1 - exp(-rate|x|))/rate
         return self.amplitude * np.sign(arr) * (1.0 - np.exp(-self.rate * np.abs(arr))) / self.rate
-
-    def second_antiderivative_at(self, x):
-        arr = np.asarray(x, dtype=float)
-        a = np.abs(arr)
-        return self.amplitude * (a / self.rate + (np.exp(-self.rate * a) - 1.0) / self.rate ** 2)
 
     def interval_extrema(self, a: float, b: float) -> tuple[float, float]:
         cand = [a, b]
@@ -386,40 +373,6 @@ def trapezoid_profile(plateau_lo: float, plateau_hi: float, ramp: float = 1.0,
     return PiecewisePolynomial(br, (np.array([0.0, s]),
                                     np.array([height]),
                                     np.array([height, -s])))
-
-
-@dataclass(frozen=True)
-class TensorProfile:
-    """Product of one axis profile per dimension (for d > 1 envelopes).
-
-    Intended for nonnegative factors, where per-cell suprema and
-    integrals factor across axes.
-    """
-
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-    @property
-    def dim(self) -> int:
-        return len(self.factors)
-
-    def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        out = np.ones(arr.shape[0])
-        for ax, f in enumerate(self.factors):
-            out = out * np.asarray(f(arr[:, ax]))
-        return out
-
-    def cell_sup(self, k) -> float:
-        return float(np.prod([f.cell_sup(int(ki)) for f, ki in zip(self.factors, k)]))
-
-    def definite_integral(self, lo, hi) -> float:
-        return float(np.prod([f.definite_integral(a, b)
-                              for f, (a, b) in zip(self.factors, zip(lo, hi))]))
 
 
 def profile_from_json_dict(obj: dict) -> Profile1D:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +107,8 @@ def _gram_smallest(G, return_vector: bool = False):
                                         select_range=(0, 0))
         return float(w[0]), None
     try:
-        w, V = spla.eigsh(G, k=1, sigma=0.0, which="LM", maxiter=2000)
+        w, V = spla.eigsh(G, k=1, sigma=0.0, which="LM", maxiter=2000,
+                          v0=_arpack_start(G.shape[0]))
         return float(w[0]), V[:, 0]
     except Exception as exc:
         n = G.shape[0]
@@ -118,9 +118,16 @@ def _gram_smallest(G, return_vector: bool = False):
         raise NumericalError(f"iterative eigensolve failed: {exc}") from exc
 
 
+def _arpack_start(n: int) -> np.ndarray:
+    """Fixed ARPACK start vector: without one ARPACK draws from numpy's
+    global random state, and reruns can differ in the last digit."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _iterative_singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
     csr = A.csr().astype(np.float64)
-    smax = float(spla.svds(csr, k=1, which="LM", return_singular_vectors=False)[0])
+    smax = float(spla.svds(csr, k=1, which="LM", return_singular_vectors=False,
+                           v0=_arpack_start(min(csr.shape)))[0])
     lam, _ = _gram_smallest((csr.T @ csr).tocsr())
     return float(math.sqrt(max(lam, 0.0))), smax
 
@@ -386,16 +393,6 @@ class EquivalenceReport:
         }
 
 
-def _thread_map(fn, items):
-    workers = int(os.environ.get("LOCOP_THREADS", "0") or 0)
-    if workers <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 def stability_ladder(ladder: list[LocalizedMatrix], p, seed=None, *,
                      stab_tol: float = 0.05, pos_threshold: float = 0.1,
                      degen_drop: float = 0.30,
@@ -404,13 +401,9 @@ def stability_ladder(ladder: list[LocalizedMatrix], p, seed=None, *,
     p = normalize_p(p)
     _check_nested(ladder)
 
-    def one(A: LocalizedMatrix):
-        lo = lower_constant(A, p, seed=seed)
-        hi = upper_constant(A, p)
-        inner = lower_constant_interior(A, p, seed=seed) if interior else None
-        return lo, hi, inner
-
-    results = _thread_map(one, ladder)
+    results = [(lower_constant(A, p, seed=seed), upper_constant(A, p),
+                lower_constant_interior(A, p, seed=seed) if interior else None)
+               for A in ladder]
     lowers = [r[0].value for r in results]
     return StabilityReport(
         p=p,

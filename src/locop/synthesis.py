@@ -70,25 +70,12 @@ class ModulusBound:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModulusBound":
-        form = obj.get("form", obj.get("kind"))
+        form = obj.get("form")
         if form == "power":
             return cls("power", c=float(obj["C"]), alpha=float(obj["alpha"]))
-        return cls("table", entries=tuple((float(d), float(b)) for d, b in obj["entries"]))
-
-
-# ----------------------------------------------------------------------
-# OP surface for profile functionals
-
-
-def amalgam_norm(f: Profile1D, tol: float = 1e-14) -> float:
-    """Sum over integer cells of sup |f|; tails below tol are truncated
-    with a dominating bound folded in by the profile."""
-    return f.amalgam_norm(tol)
-
-
-def modulus_of_continuity(f: Profile1D, delta: float, x: float) -> float:
-    """sup over |y| <= delta of |f(x + y) - f(x)|."""
-    return f.modulus_of_continuity(delta, x)
+        if form == "table":
+            return cls("table", entries=tuple((float(d), float(b)) for d, b in obj["entries"]))
+        raise ValueError(f"unknown modulus form {form!r} (expected 'power' or 'table')")
 
 
 # ----------------------------------------------------------------------

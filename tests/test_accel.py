@@ -1,117 +1,22 @@
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from locop import _accel, corpus
-from locop._accel import group_max, pack_cells, unpack_cells
-from locop.stability import lower_constant
-
-# ----------------------------------------------------------------------
-# cell packing
 
 
-def test_pack_unpack_round_trip(rng):
-    for dim in (1, 2):
-        cells = rng.integers(-(1 << 19), 1 << 19, size=(200, dim))
-        keys = pack_cells(cells)
-        assert np.array_equal(unpack_cells(keys, dim), cells)
-        # equal cells collapse to equal keys
-        assert np.array_equal(pack_cells(cells[:1].repeat(3, axis=0)),
-                              np.repeat(keys[:1], 3))
-
-
-def test_pack_rejects_out_of_range():
-    with pytest.raises(ValueError, match="packable range"):
-        pack_cells(np.array([[1 << 20]]))
-    with pytest.raises(ValueError, match="dim"):
-        pack_cells(np.zeros((1, 3), dtype=np.int64))
-
-
-# ----------------------------------------------------------------------
-# grouped maxima
-
-
-def test_group_max_matches_dict_oracle(rng):
-    keys = rng.integers(0, 40, size=500)
-    values = rng.standard_normal(500)
-    expect = {}
-    for k, v in zip(keys.tolist(), values.tolist()):
-        expect[k] = max(expect.get(k, -math.inf), v)
-    out_k, out_v = group_max(keys, values)
-    assert out_k.tolist() == sorted(expect)
-    assert out_v.tolist() == [expect[k] for k in sorted(expect)]
-
-
-def test_group_max_empty():
-    out_k, out_v = group_max(np.array([], dtype=np.int64),
-                             np.array([], dtype=np.float64))
-    assert out_k.size == 0 and out_v.size == 0
-
-
-@pytest.mark.skipif(_accel.BACKEND != "numba", reason="needs the jit backend")
-def test_group_max_backends_agree(rng):
-    keys = rng.integers(-100, 100, size=2000)
-    values = rng.standard_normal(2000)
-    k_nb, v_nb = _accel._group_max_numba(keys.astype(np.int64), values)
-    k_np, v_np = _accel._group_max_numpy(keys.astype(np.int64), values)
-    assert np.array_equal(k_nb, k_np)
-    assert np.array_equal(v_nb, v_np)
-
-
-# ----------------------------------------------------------------------
-# descent backends
-
-
-@pytest.mark.skipif(_accel.BACKEND != "numba", reason="needs the jit backend")
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-def test_descend_backends_find_the_same_minimum(p, rng):
+def test_descend_returns_unit_vectors_and_their_objectives(p, rng):
     A = corpus.banded_random(20, band=2, seed=4)
     csr = A.csr()
     starts = rng.standard_normal((8, 20))
-    f_nb, c_nb = _accel._descend_many_nb(
-        np.ascontiguousarray(csr.data, dtype=np.float64),
-        np.ascontiguousarray(csr.indices, dtype=np.int64),
-        np.ascontiguousarray(csr.indptr, dtype=np.int64),
-        csr.shape[0], np.ascontiguousarray(starts),
-        _accel._encode_p(p), 0.25, 1e-10, 5000)
-    f_np, c_np = _accel._descend_numpy(csr, starts, p, 0.25, 1e-10, 5000)
-    # identical algorithm, different float summation order: the winning
-    # objective must agree tightly even if individual paths wander
-    assert f_nb.min() == pytest.approx(f_np.min(), rel=1e-6)
-    q = p if not math.isinf(p) else math.inf
-    for C in (c_nb, c_np):
-        norms = np.linalg.norm(C, q, axis=1)
-        assert np.allclose(norms, 1.0, atol=1e-9)
-
-
-@pytest.mark.skipif(_accel.BACKEND != "numba", reason="needs the jit backend")
-def test_numpy_backend_env_flag_matches(tmp_path):
-    A = corpus.banded_random(16, band=2, seed=1)
-    here = lower_constant(A, 1.0, seed=77)
-    script = (
-        "import json, numpy as np\n"
-        "from locop import _accel, corpus\n"
-        "from locop.stability import lower_constant\n"
-        "A = corpus.banded_random(16, band=2, seed=1)\n"
-        "r = lower_constant(A, 1.0, seed=77)\n"
-        "print(json.dumps({'backend': _accel.BACKEND, 'value': r.value}))\n"
-    )
-    env = dict(os.environ, LOCOP_BACKEND="numpy")
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    got = json.loads(out.stdout)
-    assert got["backend"] == "numpy"
-    assert got["value"] == pytest.approx(here.value, rel=1e-6)
-
-
-def test_invalid_backend_is_rejected():
-    env = dict(os.environ, LOCOP_BACKEND="bogus")
-    out = subprocess.run([sys.executable, "-c", "import locop"], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "LOCOP_BACKEND" in out.stderr
+    F, C = _accel.descend_lp(csr, starts, p)
+    assert F.shape == (8,) and C.shape == (8, 20)
+    assert np.allclose(np.linalg.norm(C, p, axis=1), 1.0, rtol=0.0, atol=1e-9)
+    for f, c in zip(F, C):
+        assert f == pytest.approx(np.linalg.norm(csr @ c, p), rel=1e-12)
+    # descent only accepts improving steps: no start ends above where it began
+    initial = (np.linalg.norm((csr @ starts.T).T, p, axis=1)
+               / np.linalg.norm(starts, p, axis=1))
+    assert np.all(F <= initial * (1.0 + 1e-12))

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from locop import corpus
 from locop.lattice import CutoffOperator, IndexSet
 from locop.matalg import (LocalizedMatrix, Weight, apply,
-                          commutator_with_cutoff, offset_profile, schur_norm,
-                          sjostrand_norm, slant_norm, truncate,
-                          truncation_tail, vector_pnorm)
+                          commutator_with_cutoff, group_max, offset_profile,
+                          pack_cells, schur_norm, sjostrand_norm, slant_norm,
+                          truncate, truncation_tail, unpack_cells,
+                          vector_pnorm)
 
 
 def small(sequence=(1, 3, 1), window=8):
@@ -174,3 +175,41 @@ def test_commutator_bound_on_random_banded(scale):
     op = CutoffOperator(center=[float(scale)], scale=scale, target=A.cols)
     assert sjostrand_norm(commutator_with_cutoff(A, op)) <= \
         (A.band() / scale) * sjostrand_norm(A) + 1e-12
+
+
+# ----------------------------------------------------------------------
+# cell packing and grouped maxima
+
+
+def test_pack_unpack_round_trip(rng):
+    for dim in (1, 2):
+        cells = rng.integers(-(1 << 19), 1 << 19, size=(200, dim))
+        keys = pack_cells(cells)
+        assert np.array_equal(unpack_cells(keys, dim), cells)
+        # equal cells collapse to equal keys
+        assert np.array_equal(pack_cells(cells[:1].repeat(3, axis=0)),
+                              np.repeat(keys[:1], 3))
+
+
+def test_pack_rejects_out_of_range():
+    with pytest.raises(ValueError, match="packable range"):
+        pack_cells(np.array([[1 << 20]]))
+    with pytest.raises(ValueError, match="dim"):
+        pack_cells(np.zeros((1, 3), dtype=np.int64))
+
+
+def test_group_max_matches_dict_oracle(rng):
+    keys = rng.integers(0, 40, size=500)
+    values = rng.standard_normal(500)
+    expect = {}
+    for k, v in zip(keys.tolist(), values.tolist()):
+        expect[k] = max(expect.get(k, -math.inf), v)
+    out_k, out_v = group_max(keys, values)
+    assert out_k.tolist() == sorted(expect)
+    assert out_v.tolist() == [expect[k] for k in sorted(expect)]
+
+
+def test_group_max_empty():
+    out_k, out_v = group_max(np.array([], dtype=np.int64),
+                             np.array([], dtype=np.float64))
+    assert out_k.size == 0 and out_v.size == 0

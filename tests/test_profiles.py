@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locop.profiles import (ExponentialProfile, GaussianProfile,
-                            PiecewisePolynomial, TensorProfile,
-                            bspline_profile, box_profile,
+                            PiecewisePolynomial, bspline_profile, box_profile,
                             gauss_legendre_integral, pp_inner_product,
                             profile_from_json_dict, trapezoid_profile)
 
@@ -161,12 +160,6 @@ def test_pp_inner_product_matches_quadrature(shift):
     quad = gauss_legendre_integral(lambda x: p(x) * q(x + shift), -1.0, 4.0,
                                    order=10, splits=kinks)
     assert exact == pytest.approx(quad, abs=1e-12)
-
-
-def test_tensor_profile_factorizes():
-    t = TensorProfile((hat(), GaussianProfile(1.0, 2.0)))
-    pt = np.array([0.5, 0.3])
-    assert t(pt) == pytest.approx(hat()(0.5) * GaussianProfile(1.0, 2.0)(0.3), rel=1e-15)
 
 
 def test_profile_json_round_trips():

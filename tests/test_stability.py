@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locop import corpus
 from locop.lattice import IndexSet
 from locop.matalg import LocalizedMatrix, vector_pnorm
-from locop.stability import (_gram_smallest, _multistart_lower,
+from locop.stability import (_gram_smallest, _iterative_singular_extremes,
+                             _multistart_lower,
                              convolution_stability, density_check,
                              equivalence_report, inverse_decay_profile,
                              ladder_verdict, lower_constant,
@@ -56,6 +58,31 @@ def test_gram_smallest_banded_vs_dense(rng):
     assert lam2 == pytest.approx(ref, rel=1e-12, abs=1e-12)
     resid = np.linalg.norm(G @ vec - lam2 * vec)
     assert resid <= 1e-8 * max(1.0, abs(lam2))
+
+
+def test_iterative_singular_extremes_ignore_global_random_state():
+    # ARPACK draws its start vector from numpy's global state unless given one
+    A = corpus.banded_random(1280, band=1, seed=2)
+    results = set()
+    for s in range(1, 7):
+        np.random.seed(s)
+        results.add(_iterative_singular_extremes(A))
+    assert len(results) == 1
+
+
+def test_gram_smallest_wide_band_ignores_global_random_state():
+    # bandwidth above BANDED_EIG_MAX_BAND takes the shift-invert eigsh path
+    n = 1300
+    G = sp.diags(np.arange(1.0, n + 1.0)).tolil()
+    G[0, n - 1] = G[n - 1, 0] = 0.5
+    G = G.tocsr()
+    results = set()
+    for s in range(1, 4):
+        np.random.seed(s)
+        lam, vec = _gram_smallest(G, return_vector=True)
+        results.add((lam, vec.tobytes()))
+    assert len(results) == 1
+    assert lam == pytest.approx(scipy.linalg.eigvalsh(G.toarray())[0], rel=1e-12)
 
 
 def test_lower_constant_requires_tall_matrices():

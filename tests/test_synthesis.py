@@ -12,8 +12,8 @@ from locop.errors import InvariantViolation
 from locop.lattice import IndexSet
 from locop.profiles import GaussianProfile, bspline_profile, trapezoid_profile
 from locop.synthesis import (DyadicFunction, GeneratorFamily, ModulusBound,
-                             discretize_synthesis, modulus_of_continuity,
-                             project_Pn, synthesize, synthesis_stability)
+                             discretize_synthesis, project_Pn, synthesize,
+                             synthesis_stability)
 
 
 def hat():
@@ -40,9 +40,13 @@ def test_table_modulus_rounds_up():
         m(2.0)
 
 
-def test_modulus_json_accepts_legacy_kind_key():
-    m = ModulusBound.from_json_dict({"kind": "power", "C": 1.0, "alpha": 1.0})
-    assert m(0.5) == 0.5
+def test_modulus_json_rejects_unknown_form():
+    # the legacy "kind" key, a misspelled form and a missing form
+    for obj in ({"kind": "power", "C": 1.0, "alpha": 1.0},
+                {"form": "Power", "C": 1.0, "alpha": 1.0},
+                {"entries": [[1.0, 1.0]]}):
+        with pytest.raises(ValueError, match="modulus form"):
+            ModulusBound.from_json_dict(obj)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +256,3 @@ def test_synthesis_ladder_verdict_stabilizes():
     assert rep.verdict == "stabilized"
     assert rep.sjostrand_bound_ratio <= 1.0 + 1e-12
 
-
-def test_modulus_of_continuity_wrapper_matches_method():
-    h = hat()
-    assert modulus_of_continuity(h, 0.25, 1.0) == h.modulus_of_continuity(0.25, 1.0)
