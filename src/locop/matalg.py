@@ -16,6 +16,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import InvariantViolation
 from .lattice import IndexSet, CutoffOperator, separation_constant
 
 ENTRY_DROP_TOL = 1e-300
@@ -106,6 +107,9 @@ class LocalizedMatrix:
                 raise ValueError("row index out of range")
             if j.min(initial=0) < 0 or j.max(initial=-1) >= len(cols):
                 raise ValueError("column index out of range")
+        if not np.isfinite(v).all():
+            t = int(np.flatnonzero(~np.isfinite(v))[0])
+            raise InvariantViolation(f"non-finite entry {v[t]!r} at ({i[t]}, {j[t]})")
         keep = np.abs(v) >= ENTRY_DROP_TOL
         i, j, v = i[keep], j[keep], v[keep]
         order = np.lexsort((j, i))

@@ -255,8 +255,6 @@ class GaussianProfile(Profile1D):
         if a < 0.0 < b:
             cand.append(0.0)
         vals = self(np.asarray(cand))
-        if self.amplitude >= 0:
-            return float(vals.min()), float(vals.max())
         return float(vals.min()), float(vals.max())
 
     def decay_radius(self, tol: float = 1e-10) -> float:

@@ -1,11 +1,13 @@
 """Stability-constant estimation on finite windows.
 
 Lower constants (inf ||Ac||_p / ||c||_p) come from an exact eigensolve at
-p = 2, exhaustive sign-orthant / face linear programs at p in {1, inf}
-for small column counts, and seeded multistart projected descent
-otherwise.  Upper constants are closed-form at p in {1, inf}, spectral at
-p = 2, and interpolation bounds in between.  Window ladders aggregate the
-per-window constants into stabilization / degeneration verdicts.
+p = 2 and from the exact inverse norm 1 / ||A^-1||_p on square windows at
+p in {1, inf}.  Tall windows at p in {1, inf} with few columns use
+exhaustive sign-orthant / face linear programs; intermediate p and larger
+tall windows use seeded multistart projected descent.  Upper constants are
+closed-form at p in {1, inf}, spectral at p = 2, and interpolation bounds
+in between.  Window ladders aggregate the per-window constants into
+stabilization / degeneration verdicts.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ BANDED_EIG_MAX_BAND = 1200
 MULTISTART_COUNT = 64
 MULTISTART_MAX_ITER = 5000
 MULTISTART_STEP_MIN = 1e-10
+INVERSE_BLOCK_COLS = 128
 
 
 def normalize_p(p) -> float:
@@ -147,7 +150,38 @@ def _min_singular_vector(A: LocalizedMatrix) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# exact small-window enumeration at p = 1 and p = inf
+# exact square windows at p = 1 and p = inf
+
+
+def _inverse_norm_lower(A: LocalizedMatrix, p: float) -> float:
+    """Exact lower constant 1 / ||A^-1||_p of a square matrix, p in {1, inf}.
+
+    ||A^-1||_1 is the largest absolute column sum of A^-1 and ||A^-1||_inf
+    the largest absolute row sum, i.e. the largest column sum of A^-T.  One
+    sparse LU factorization is solved against blocks of identity columns,
+    so no dense n x n inverse is ever held.  An exactly singular factor
+    gives 0.
+    """
+    n = A.shape[0]
+    try:
+        lu = spla.splu(A.csr().tocsc())
+    except RuntimeError as exc:
+        if "singular" in str(exc):
+            return 0.0
+        raise NumericalError(f"inverse-norm factorization failed: {exc}") from exc
+    trans = "N" if p == 1.0 else "T"
+    worst = 0.0
+    for lo in range(0, n, INVERSE_BLOCK_COLS):
+        hi = min(lo + INVERSE_BLOCK_COLS, n)
+        X = lu.solve(np.eye(n, hi - lo, k=-lo), trans=trans)
+        if not np.isfinite(X).all():
+            raise NumericalError("inverse-norm solve produced non-finite values")
+        worst = max(worst, float(np.abs(X).sum(axis=0).max()))
+    return 1.0 / worst
+
+
+# ----------------------------------------------------------------------
+# exact small tall windows at p = 1 and p = inf
 
 
 def _orthant_lp_min_l1(A: LocalizedMatrix) -> float:
@@ -228,9 +262,11 @@ def lower_constant(A: LocalizedMatrix, p, seed=None, *,
                    max_iter: int = MULTISTART_MAX_ITER) -> ConstantEstimate:
     """inf ||Ac||_p / ||c||_p over nonzero coefficient vectors.
 
-    p = 2 and small-window p in {1, inf} are certified; other cases use
-    seeded multistart descent and report an uncertified upper bound on
-    the infimum.
+    Certified: p = 2 (singular values), square windows at p in {1, inf}
+    (``inverse-norm``) and tall windows at p in {1, inf} with at most
+    ORTHANT_LP_MAX_COLS columns (``orthant-lp`` / ``face-lp``).  Other
+    cases (intermediate p, larger tall windows) use seeded multistart
+    descent and report an uncertified upper bound on the infimum.
     """
     p = normalize_p(p)
     n, m = A.shape
@@ -243,6 +279,8 @@ def lower_constant(A: LocalizedMatrix, p, seed=None, *,
     if p == 2.0:
         smin, _ = _dense_singular_extremes(A)
         return ConstantEstimate(smin, True, "singular-value")
+    if p in (1.0, math.inf) and n == m:
+        return ConstantEstimate(_inverse_norm_lower(A, p), True, "inverse-norm")
     if p in (1.0, math.inf) and m <= ORTHANT_LP_MAX_COLS:
         if p == 1.0:
             return ConstantEstimate(_orthant_lp_min_l1(A), True, "orthant-lp")

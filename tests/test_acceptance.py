@@ -3,15 +3,13 @@
 Every check recomputes its target through the public API, compares against
 an independently derived value (closed forms, dense eigensolves, exact
 counting), and records one PASS/FAIL line that the terminal summary hook
-in conftest echoes after the run.  Stated runtime budgets are asserted
-after a jit warmup.
+in conftest echoes after the run.  Stated runtime budgets are asserted.
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 
 from locop import corpus
 from locop.lattice import CutoffOperator, IndexSet
@@ -31,12 +29,6 @@ def _check(record, num: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     record("acceptance", f"criterion {num:02d}: {status}  {detail}")
     assert ok, f"criterion {num:02d}: {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_jit():
-    # compile the descent kernels before anything is timed
-    lower_constant(corpus.banded_random(16, band=2, seed=0), 1.0, seed=0)
 
 
 def _corpus(window: int) -> dict:

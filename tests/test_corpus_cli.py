@@ -223,6 +223,22 @@ def test_cli_exit_code_two_on_bad_input(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_cli_rejects_non_finite_matrix_entry(tmp_path, capsys, bad):
+    obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()
+    obj["entries"][4][2] = bad
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))   # writes NaN / Infinity literals
+    out = tmp_path / "stab.json"
+    rc = cli.main(["stab", "--matrix", str(path), "--p", "2",
+                   "--windows", "8", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["type"] == "InvariantViolation"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_cli_exit_code_three_on_numerical_failure(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_bytes(dump_json_bytes(

@@ -7,11 +7,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locop import corpus
+from locop import _accel, corpus, stability
+from locop.errors import NumericalError
 from locop.lattice import IndexSet
 from locop.matalg import LocalizedMatrix, vector_pnorm
-from locop.stability import (_gram_smallest, _iterative_singular_extremes,
-                             _multistart_lower,
+from locop.stability import (DENSE_EIG_CUTOFF, INVERSE_BLOCK_COLS,
+                             ConstantEstimate,
+                             _face_lp_min_linf, _gram_smallest,
+                             _inverse_norm_lower,
+                             _iterative_singular_extremes, _multistart_lower,
+                             _orthant_lp_min_l1,
                              convolution_stability, density_check,
                              equivalence_report, inverse_decay_profile,
                              ladder_verdict, lower_constant,
@@ -93,14 +98,90 @@ def test_lower_constant_requires_tall_matrices():
 
 
 # ----------------------------------------------------------------------
-# exact small-window enumeration at p = 1 and p = inf
+# exact square windows at p = 1 and p = inf (inverse norms)
+
+
+def _dense_inverse_lower(A, p):
+    B = np.linalg.inv(A.dense())
+    return 1.0 / np.abs(B).sum(axis=0 if p == 1.0 else 1).max()
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_inverse_norm_matches_exact_enumeration(p):
+    A = corpus.banded_random(12, band=1, seed=4)
+    est = lower_constant(A, p)
+    assert est.certified and est.method == "inverse-norm"
+    lp = _orthant_lp_min_l1(A) if p == 1.0 else _face_lp_min_linf(A)
+    assert est.value == pytest.approx(lp, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_inverse_norm_matches_dense_inverse_on_large_window(p):
+    n = 1300
+    assert n > DENSE_EIG_CUTOFF and n > 2 * INVERSE_BLOCK_COLS
+    A = corpus.banded_random(n, band=2, seed=5)
+    assert _inverse_norm_lower(A, p) == pytest.approx(
+        _dense_inverse_lower(A, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_inverse_norm_of_singular_matrix_is_zero(p):
+    A = corpus.banded_random(10, band=2, seed=9)
+    dense = A.dense()
+    dense[:, 3] = 0.0
+    Z = LocalizedMatrix.from_dense(A.rows, A.cols, dense)
+    est = lower_constant(Z, p)
+    assert est == ConstantEstimate(0.0, True, "inverse-norm")
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_inverse_norm_overflow_is_numerical_error(p):
+    # unit lower bidiagonal with subdiagonal 1e160: A^-1 holds 1e320
+    s = IndexSet.integer_range(0, 2)
+    A = LocalizedMatrix(s, s, [0, 1, 2, 1, 2], [0, 1, 2, 0, 1],
+                        [1.0, 1.0, 1.0, 1e160, 1e160])
+    with pytest.raises(NumericalError, match="inverse-norm solve"):
+        lower_constant(A, p)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_square_windows_never_reach_descent_or_lps(p, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("square p in {1, inf} must not search")
+
+    monkeypatch.setattr(_accel, "descend_lp", forbidden)
+    monkeypatch.setattr(stability, "linprog", forbidden)
+    for A in (corpus.banded_random(10, band=2, seed=9), toeplitz([1, 3, 1], 40),
+              corpus.permuted_rows(toeplitz([1, 3, 1], 64), seed=11)):
+        est = lower_constant(A, p, seed=1)
+        assert est.certified and est.method == "inverse-norm"
+        assert est.value == pytest.approx(_dense_inverse_lower(A, p), rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# exact small tall windows at p = 1 and p = inf (linear programs)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_small_window_lp_constant_is_certified_lower_bound(p, rng):
+    # square, so this takes the inverse norm; the tall variant below
+    # reaches the linear programs
     A = corpus.banded_random(10, band=2, seed=9)
     est = lower_constant(A, p)
     assert est.certified
+    # no vector may beat a certified enumeration
+    for _ in range(300):
+        c = rng.standard_normal(10)
+        ratio = vector_pnorm(A.dense() @ c, p) / vector_pnorm(c, p)
+        assert ratio >= est.value - 1e-10
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_small_tall_window_lp_constant_is_certified_lower_bound(p, rng):
+    A = corpus.banded_random(12, band=2, seed=9).window_prefix(12, 10)
+    est = lower_constant(A, p)
+    assert est.certified
+    assert est.method == ("orthant-lp" if p == 1.0 else "face-lp")
     # no vector may beat a certified enumeration
     for _ in range(300):
         c = rng.standard_normal(10)
@@ -121,13 +202,13 @@ def test_multistart_agrees_with_exact_enumeration(p):
 def test_multistart_requires_seed():
     A = toeplitz([1, 3, 1], 40)
     with pytest.raises(ValueError, match="seed"):
-        lower_constant(A, 1.0)
+        lower_constant(A, 1.5)
 
 
 def test_multistart_is_deterministic_given_seed():
     A = toeplitz([1, 3, 1], 40)
-    a = lower_constant(A, 1.0, seed=7)
-    b = lower_constant(A, 1.0, seed=7)
+    a = lower_constant(A, 1.5, seed=7)
+    b = lower_constant(A, 1.5, seed=7)
     assert a.value == b.value
     assert not a.certified and a.method == "multistart"
 
