@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 DISTINCT_TOL = 1e-12
 
 
@@ -48,6 +50,8 @@ class IndexSet:
         win = np.asarray(self.window, dtype=np.float64)
         if win.shape != (self.dim, 2):
             raise ValueError(f"window must have shape ({self.dim}, 2)")
+        if not (np.isfinite(pts).all() and np.isfinite(win).all()):
+            raise InvariantViolation("points and window bounds must be finite")
         if (win[:, 1] < win[:, 0]).any():
             raise ValueError("window upper bounds must not be below lower bounds")
         if pts.size:

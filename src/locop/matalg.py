@@ -91,14 +91,27 @@ class OffsetProfile:
                    np.asarray(sups, dtype=float))
 
 
+def _index_array(idx, axis: str) -> np.ndarray:
+    """Entry indices as int64; a fractional or non-finite index is an error,
+    not something to truncate."""
+    arr = np.asarray(idx).reshape(-1)
+    if arr.dtype.kind not in "iub":
+        f = np.asarray(arr, dtype=np.float64)
+        bad = ~np.isfinite(f) | (f != np.trunc(f))
+        if bad.any():
+            t = int(np.flatnonzero(bad)[0])
+            raise InvariantViolation(f"{axis} index {f[t]!r} is not an integer")
+    return arr.astype(np.int64)
+
+
 class LocalizedMatrix:
     """Sparse matrix between two index sets with cached localization data."""
 
     def __init__(self, rows: IndexSet, cols: IndexSet, i, j, values):
         if rows.dim != cols.dim:
             raise ValueError("row and column index sets must share a dimension")
-        i = np.asarray(i, dtype=np.int64).reshape(-1)
-        j = np.asarray(j, dtype=np.int64).reshape(-1)
+        i = _index_array(i, "row")
+        j = _index_array(j, "column")
         v = np.asarray(values, dtype=np.float64).reshape(-1)
         if not (i.shape == j.shape == v.shape):
             raise ValueError("entry arrays must have matching lengths")
@@ -212,7 +225,7 @@ class LocalizedMatrix:
         entries = obj.get("entries", [])
         if entries:
             arr = np.asarray(entries, dtype=float)
-            i, j, v = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+            i, j, v = arr[:, 0], arr[:, 1], arr[:, 2]
         else:
             i = j = np.empty(0, dtype=np.int64)
             v = np.empty(0)

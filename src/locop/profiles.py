@@ -33,6 +33,13 @@ class Profile1D:
         """(min, max) of f over [a, b], exact."""
         raise NotImplementedError
 
+    def interval_extrema_array(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """(min array, max array) of f over [a[i], b[i]], exact, per i."""
+        pairs = [self.interval_extrema(float(s), float(e))
+                 for s, e in zip(np.ravel(a), np.ravel(b))]
+        out = np.array(pairs, dtype=float).reshape(-1, 2)
+        return out[:, 0], out[:, 1]
+
     def sup_abs_halfopen(self, a: float, b: float) -> float:
         """sup |f| over [a, b); equals the closed-interval value when f is continuous."""
         mn, mx = self.interval_extrema(a, b)
@@ -98,6 +105,23 @@ class Profile1D:
 
 
 # ----------------------------------------------------------------------
+
+
+def _even_peak_extrema(prof: Profile1D, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Array interval extrema of a profile monotone on each side of 0.
+
+    The candidates are those of the scalar ``interval_extrema``: both end
+    points, and 0 when it lies strictly inside the interval.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    fa, fb = prof(a), prof(b)
+    mn, mx = np.minimum(fa, fb), np.maximum(fa, fb)
+    peak = (a < 0.0) & (0.0 < b)
+    f0 = float(prof(0.0))
+    mn = np.where(peak, np.minimum(mn, f0), mn)
+    mx = np.where(peak, np.maximum(mx, f0), mx)
+    return mn, mx
 
 
 def _poly_eval(coeffs: np.ndarray, u):
@@ -257,6 +281,9 @@ class GaussianProfile(Profile1D):
         vals = self(np.asarray(cand))
         return float(vals.min()), float(vals.max())
 
+    def interval_extrema_array(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        return _even_peak_extrema(self, a, b)
+
     def decay_radius(self, tol: float = 1e-10) -> float:
         amp = abs(self.amplitude)
         if amp == 0 or tol >= amp:
@@ -308,6 +335,9 @@ class ExponentialProfile(Profile1D):
             cand.append(0.0)
         vals = self(np.asarray(cand))
         return float(vals.min()), float(vals.max())
+
+    def interval_extrema_array(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        return _even_peak_extrema(self, a, b)
 
     def smooth_breakpoints(self) -> np.ndarray:
         return np.array([0.0])
@@ -393,7 +423,8 @@ def profile_from_json_dict(obj: dict) -> Profile1D:
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _gl_rule(order: int):
+def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the order-point Gauss-Legendre rule on [-1, 1], cached."""
     rule = _GL_CACHE.get(order)
     if rule is None:
         rule = np.polynomial.legendre.leggauss(order)
@@ -408,7 +439,7 @@ def gauss_legendre_integral(fn, a: float, b: float, order: int = 8,
         return 0.0
     pts = [a, b] + [s for s in splits if a < s < b]
     pts = np.unique(np.asarray(pts, dtype=float))
-    nodes, weights = _gl_rule(order)
+    nodes, weights = gauss_legendre_rule(order)
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -59,18 +59,30 @@ class ConstantEstimate:
 
 
 def _dense_singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of A, computed once per matrix.
+
+    The pair is kept in ``A._cache`` next to ``"csr"`` and ``"band"``: the
+    entry arrays of a LocalizedMatrix are write-protected, so it cannot go
+    stale, and the lower and upper constants at p = 2 share one solve.
+    """
     n, m = A.shape
     if m > n:
         raise ValueError("lower constant needs rows >= cols")
+    ext = A._cache.get("singular_extremes")
+    if ext is not None:
+        return ext
     if m <= DENSE_EIG_CUTOFF and n <= 4 * DENSE_EIG_CUTOFF:
         svals = scipy.linalg.svdvals(A.dense())
-        return float(svals[-1]), float(svals[0])
-    if m <= DENSE_EIG_CUTOFF:
+        ext = float(svals[-1]), float(svals[0])
+    elif m <= DENSE_EIG_CUTOFF:
         # tall: eigensolve the (small) normal matrix
         G = (A.csr().T @ A.csr()).toarray()
         w = scipy.linalg.eigvalsh(G)
-        return float(math.sqrt(max(w[0], 0.0))), float(math.sqrt(max(w[-1], 0.0)))
-    return _iterative_singular_extremes(A)
+        ext = float(math.sqrt(max(w[0], 0.0))), float(math.sqrt(max(w[-1], 0.0)))
+    else:
+        ext = _iterative_singular_extremes(A)
+    A._cache["singular_extremes"] = ext
+    return ext
 
 
 def _csr_bandwidth(mat) -> int:

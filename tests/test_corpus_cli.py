@@ -223,10 +223,9 @@ def test_cli_exit_code_two_on_bad_input(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_cli_rejects_non_finite_matrix_entry(tmp_path, capsys, bad):
-    obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()
-    obj["entries"][4][2] = bad
+def _assert_stab_rejects(obj, tmp_path, capsys):
+    """`stab --p 2` on the matrix JSON exits 2 with InvariantViolation and
+    writes no report."""
     path = tmp_path / "t.json"
     path.write_text(json.dumps(obj))   # writes NaN / Infinity literals
     out = tmp_path / "stab.json"
@@ -237,6 +236,29 @@ def test_cli_rejects_non_finite_matrix_entry(tmp_path, capsys, bad):
     assert json.loads(captured.err)["error"]["type"] == "InvariantViolation"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_cli_rejects_non_finite_matrix_entry(tmp_path, capsys, bad):
+    obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()
+    obj["entries"][4][2] = bad
+    _assert_stab_rejects(obj, tmp_path, capsys)
+
+
+def test_cli_rejects_fractional_index(tmp_path, capsys):
+    # row 0.7 used to be truncated to row 0 without a word
+    obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()
+    assert obj["entries"][1] == [0, 1, 1.0]
+    obj["entries"][1] = [0.7, 1.0, 1.0]
+    _assert_stab_rejects(obj, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_cli_rejects_non_finite_point(tmp_path, capsys, bad):
+    # a NaN point slipped through the window test (pts < lo is False)
+    obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()
+    obj["rows"]["points"][3] = [bad]
+    _assert_stab_rejects(obj, tmp_path, capsys)
 
 
 def test_cli_exit_code_three_on_numerical_failure(tmp_path, capsys):

@@ -1,0 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import locop
+
+
+def test_cold_import_does_not_load_scipy_signal():
+    # scipy.signal pulls in scipy.stats and costs about 0.6 s of every cold
+    # start; the one convolution that needs an FFT uses scipy.fft instead
+    src = str(Path(locop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = "import sys, locop; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

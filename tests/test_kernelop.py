@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from locop import corpus
-from locop.errors import InvariantViolation
+from locop.errors import InvariantViolation, NumericalError
 from locop.kernelop import (ConvolutionRule, KernelOperator, SeparableRule,
-                            apply_discretized, apply_kernel,
-                            discretization_error_curve, discretize_kernel,
-                            kernel_truncation_tail,
+                            _conv_offset_table, _omega,
+                            _verify_offset_quadrature, apply_discretized,
+                            apply_kernel, discretization_error_curve,
+                            discretize_kernel, kernel_truncation_tail,
                             perturbed_identity_stability, rule_from_json_dict)
-from locop.profiles import GaussianProfile, bspline_profile
-from locop.synthesis import DyadicFunction
+from locop.profiles import (ExponentialProfile, GaussianProfile,
+                            PiecewisePolynomial, bspline_profile,
+                            gauss_legendre_integral, trapezoid_profile)
+from locop.synthesis import DyadicFunction, project_Pn
 
 # shorthand for the acceptance-style operator 0.1 * exp(-(x - y)^2); the
 # session fixture carries the calibrated budget
@@ -186,6 +189,86 @@ def test_discretized_separable_is_outer_product():
     edges = np.arange(-4, 5) * 0.5
     expect = np.outer(u.cell_averages(edges), v.cell_averages(edges))
     assert np.allclose(A.dense(), expect, atol=0)
+
+
+def _scalar_offset_table(g, ks, h, order=8):
+    """Oracle: the per-offset loop of scalar Gauss-Legendre integrals."""
+    kinks = np.asarray(g.smooth_breakpoints(), dtype=float)
+    out = np.empty(ks.size)
+    for idx, k in enumerate(ks):
+        base = k * h
+        cuts = {-h, 0.0, h}
+        for b in kinks:
+            u = b - base
+            if -h < u < h:
+                cuts.add(float(u))
+        pts = np.array(sorted(cuts))
+        total = 0.0
+        for a, b in zip(pts[:-1], pts[1:]):
+            total += gauss_legendre_integral(
+                lambda u: (h - np.abs(u)) * np.asarray(g(base + u), dtype=float),
+                float(a), float(b), order=order)
+        out[idx] = total / (h * h)
+    return out
+
+
+@pytest.mark.parametrize("g", [GaussianProfile(1.0, 0.1), ExponentialProfile(1.5),
+                               bspline_profile(3),
+                               trapezoid_profile(-1.0, 0.5, ramp=0.75)],
+                         ids=["gaussian", "exponential", "bspline3", "trapezoid"])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_offset_table_matches_scalar_oracle(g, n):
+    h = 2.0 ** (-n)
+    ks = np.arange(-int(6 / h), int(6 / h) + 1)
+    kinks = g.smooth_breakpoints()
+    if kinks.size:
+        # dyadic h puts kinks exactly on -h, 0 and h of some offsets
+        u = kinks[:, None] - ks[None, :] * h
+        assert all((u == t).any() for t in (-h, 0.0, h))
+    table = _conv_offset_table(g, ks, h)
+    oracle = _scalar_offset_table(g, ks, h)
+    assert np.allclose(table, oracle, rtol=1e-14, atol=0.0)
+    _verify_offset_quadrature(g, ks, h, table)
+
+
+def test_offset_quadrature_check_fires_without_kink_splits(monkeypatch):
+    # integrating across the B-spline's kinks unsplit breaks Gauss-Legendre
+    # exactness, and the order-doubling check must notice; h = 0.3 puts
+    # the integer kinks inside segments (a dyadic h puts them on -h, 0, h)
+    g = bspline_profile(3)
+    monkeypatch.setattr(PiecewisePolynomial, "smooth_breakpoints",
+                        lambda self: np.empty(0))
+    h = 0.3
+    ks = np.arange(-4, 15)
+    table = _conv_offset_table(g, ks, h)
+    with pytest.raises(NumericalError, match="quadrature"):
+        _verify_offset_quadrature(g, ks, h, table)
+
+
+@pytest.mark.parametrize("g", [GaussianProfile(0.7, 2.0), ExponentialProfile(1.3),
+                               bspline_profile(2)],
+                         ids=["gaussian", "exponential", "hat"])
+def test_omega_matches_scalar_modulus(g):
+    xs = np.linspace(-4.0, 4.0, 161)
+    for r in (0.5, 2.0 ** -6):
+        want = [g.modulus_of_continuity(r, float(x)) for x in xs]
+        assert np.array_equal(_omega(g, r, xs), want)
+
+
+def test_fft_branch_matches_direct_convolution(gaussian_op):
+    n = 8
+    h = 2.0 ** (-n)
+    rng = np.random.default_rng(7)
+    f = DyadicFunction(n, [-1000], rng.standard_normal(2000))
+    out = apply_discretized(gaussian_op, n, f)
+    kmax = int(math.ceil(gaussian_op._offset_radius() / h)) + 1
+    ks = np.arange(-kmax, kmax + 1)
+    table = _conv_offset_table(gaussian_op.rule.profile, ks, h)
+    assert f.values.size * table.size > 1 << 22   # the FFT branch ran
+    ref = h * np.convolve(project_Pn(f, n).values, table)
+    assert out.values.shape == ref.shape
+    assert np.allclose(out.values, ref, rtol=0.0,
+                       atol=1e-12 * np.abs(ref).max())
 
 
 def test_empty_window_is_rejected(gaussian_op):

@@ -78,6 +78,22 @@ def test_interval_extrema_gaussian_peak_inside():
     assert lo == pytest.approx(g(1.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("g", [GaussianProfile(0.8, 1.5),
+                               GaussianProfile(1.0, -0.5),
+                               ExponentialProfile(2.0, 0.3), bspline_profile(3)],
+                         ids=["gaussian", "gaussian-negative", "exponential",
+                              "bspline3"])
+def test_interval_extrema_array_matches_scalar(g):
+    # straddling 0, touching 0 from either side, far out in both tails,
+    # across B-spline kinks, and degenerate
+    a = np.array([-0.5, 0.0, -1.0, -1e-3, 7.5, -40.0, 0.25, 1.75, 2.0, -3.0])
+    b = np.array([0.75, 1.0, 0.0, 1e-3, 9.0, -38.0, 1.25, 2.5, 2.0, 3.0])
+    mn, mx = g.interval_extrema_array(a, b)
+    want = np.array([g.interval_extrema(float(s), float(e)) for s, e in zip(a, b)])
+    assert np.array_equal(mn, want[:, 0])
+    assert np.array_equal(mx, want[:, 1])
+
+
 def test_decay_radius_contains_mass():
     g = GaussianProfile(0.8, 1.0)
     r = g.decay_radius(1e-10)

@@ -44,6 +44,26 @@ def test_p2_constants_match_eigenvalue_formula():
     assert hi.value == pytest.approx(3.0 + 2.0 * math.cos(math.pi / (n + 1)), rel=1e-9)
 
 
+def test_p2_lower_and_upper_share_one_svd(monkeypatch):
+    calls = []
+    svdvals = scipy.linalg.svdvals
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+    A = toeplitz([1, 3, 1], 40)
+    lo = lower_constant(A, 2.0)
+    hi = upper_constant(A, 2.0)
+    assert calls == [(40, 40)]
+    s = svdvals(A.dense())
+    assert (lo.value, hi.value) == (s[-1], s[0])
+    # a second matrix with the same entries gets its own solve
+    upper_constant(toeplitz([1, 3, 1], 40), 2.0)
+    assert len(calls) == 2
+
+
 def test_p2_iterative_path_matches_dense_oracle():
     # window above the dense cutoff takes the sparse path; the banded
     # bisection eigensolver must agree with the closed form
