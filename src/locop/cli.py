@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus
 from .errors import NumericalError
 from .kernelop import KernelOperator, perturbed_identity_stability
@@ -156,7 +154,7 @@ def _run_stab(params: dict):
     ladder = _build_ladder(A, params["windows"])
     ps = _parse_p_list(params["p"])
     seed = params.get("seed")
-    per_p = {p: stability_ladder(ladder, p, seed=seed) for p in ps}
+    per_p = {p: stability_ladder(ladder, p) for p in ps}
     norm_params = {"matrix": str(params["matrix"]),
                    "p": [p_label(p) for p in ps],
                    "windows": [A.shape[1] for A in ladder]}
@@ -170,7 +168,7 @@ def _run_equiv(params: dict):
     ladder = _build_ladder(A, params["windows"])
     ps = _parse_p_list(params["p"])
     seed = params.get("seed")
-    eq = equivalence_report(ladder, ps, seed=seed)
+    eq = equivalence_report(ladder, ps)
     verdicts = {p_label(p): v for p, v in eq.verdicts.items()}
     verdicts["consistent"] = eq.consistent
     norm_params = {"matrix": str(params["matrix"]),
@@ -236,7 +234,7 @@ def _run_synth(params: dict):
     n0_values = _parse_int_list(params["n0"])
     windows = _parse_int_list(params["window"])
     seed = params.get("seed")
-    rep = synthesis_stability(fam, p, n0_values, windows, seed=seed)
+    rep = synthesis_stability(fam, p, n0_values, windows)
     entries = [dict(e.__dict__) for e in rep.entries]
     norm_params = {"family": str(params["family"]), "p": p_label(p),
                    "n0": n0_values, "window": windows}
@@ -256,22 +254,17 @@ def _run_kernel(params: dict):
     n_values = _parse_int_list(params["n"])
     windows = [float(w) for w in _parse_int_list(params["window"])]
     seed = params.get("seed")
-    rep = perturbed_identity_stability(op, p, n_values, windows, seed=seed)
+    rep = perturbed_identity_stability(op, p, n_values, windows)
     entries = [dict(e.__dict__) for e in rep.entries]
-    # the per-scale uncertainty is exactly the discretization error curve
-    curve = [(n, u) for w, n, u in ((e.window, e.n, e.uncertainty)
-                                    for e in rep.entries) if w == windows[0]]
-    slope = None
-    if len(curve) >= 2 and all(u > 0 for _, u in curve):
-        slope = float(np.polyfit([n for n, _ in curve],
-                                 np.log2([u for _, u in curve]), 1)[0])
+    curve = rep.error_curve
     norm_params = {"kernel": str(params["kernel"]), "p": p_label(p),
                    "n": n_values, "window": windows}
-    meta = {"error_curve": {"r": p_label(p), "entries": [[n, u] for n, u in curve],
-                            "slope": slope}}
+    meta = {"error_curve": {"r": p_label(p),
+                            "entries": [[n, u] for n, u in curve.entries],
+                            "slope": curve.slope}}
     report = build_report("kernel", norm_params, seed, entries,
                           {p_label(p): rep.verdict}, meta)
-    return report, ("n", "ratio"), curve
+    return report, ("n", "ratio"), curve.entries
 
 
 _RUNNERS = {"norms": _run_norms, "stab": _run_stab, "equiv": _run_equiv,
@@ -344,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--p", required=True, help="comma list, e.g. 1,2,inf")
         s.add_argument("--windows", required=True, help="comma list, e.g. 32,64,128")
         s.add_argument("--seed", type=int, default=None,
-                       help="required when a non-certified descent runs")
+                       help="recorded in the report's seed field only")
         _add_out(s)
 
     c = sub.add_parser("conv", help="certify min |symbol| of a filter")
@@ -371,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     y.add_argument("--p", required=True)
     y.add_argument("--n0", required=True, help="comma list of scales, e.g. 4,5,6")
     y.add_argument("--window", required=True, help="comma list of window sizes")
-    y.add_argument("--seed", type=int, default=None)
+    y.add_argument("--seed", type=int, default=None,
+                   help="recorded in the report's seed field only")
     _add_out(y)
 
     k = sub.add_parser("kernel", help="kernel discretization error and "
@@ -380,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--p", required=True)
     k.add_argument("--n", required=True, help="scales, e.g. 3..8 or 3,4,5")
     k.add_argument("--window", required=True)
-    k.add_argument("--seed", type=int, default=None)
+    k.add_argument("--seed", type=int, default=None,
+                   help="recorded in the report's seed field only")
     _add_out(k)
 
     r = sub.add_parser("run", help="run an analysis described by a config file")

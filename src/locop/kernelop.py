@@ -12,7 +12,7 @@ discretization error decays like 2^{-n alpha} on piecewise-constant probes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -139,6 +139,8 @@ class KernelOperator:
     d_const: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.d_const)):
+            raise InvariantViolation("alpha and D must be finite")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         if self.d_const <= 0:
@@ -502,11 +504,7 @@ class PerturbedIdentityReport:
     p: float
     entries: list
     verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {"p": "inf" if math.isinf(self.p) else self.p,
-                "entries": [e.__dict__ for e in self.entries],
-                "verdict": self.verdict}
+    error_curve: ErrorCurve
 
 
 def _identity_plus(A: LocalizedMatrix, scale: float) -> LocalizedMatrix:
@@ -530,7 +528,7 @@ def _default_probes(op: KernelOperator, window, level: int) -> list:
 
 
 def perturbed_identity_stability(op: KernelOperator, p, n_values,
-                                 window_sizes, seed=None,
+                                 window_sizes,
                                  probes=None) -> PerturbedIdentityReport:
     """Stability constants of I + 2^{-n} A_n across scale and window ladders.
 
@@ -558,14 +556,14 @@ def perturbed_identity_stability(op: KernelOperator, p, n_values,
                                               "identity", bias.get(n)))
                 continue
             M = _identity_plus(A, 2.0 ** (-n))
-            lo = lower_constant(M, p, seed=seed)
+            lo = lower_constant(M, p)
             hi = upper_constant(M, p)
             entries.append(PerturbedEntry(w, n, lo.value, hi.value,
                                           lo.certified, hi.certified,
                                           lo.method, bias.get(n)))
     finest = max(n_values)
     lowers = [e.lower for e in entries if e.n == finest]
-    return PerturbedIdentityReport(p, entries, ladder_verdict(lowers))
+    return PerturbedIdentityReport(p, entries, ladder_verdict(lowers), curve)
 
 
 # ----------------------------------------------------------------------

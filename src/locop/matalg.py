@@ -70,26 +70,6 @@ class OffsetProfile:
         # lexicographic cell order fixes the summation order
         return float(np.sum(self.sups))
 
-    def to_csv(self) -> str:
-        header = ",".join(f"k_{i + 1}" for i in range(self.dim)) + ",sup_value"
-        lines = [header]
-        for c, v in zip(self.cells, self.sups):
-            lines.append(",".join(str(int(x)) for x in c) + f",{v!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "OffsetProfile":
-        rows = [r for r in text.strip().splitlines() if r]
-        header = rows[0].split(",")
-        dim = len(header) - 1
-        cells, sups = [], []
-        for r in rows[1:]:
-            parts = r.split(",")
-            cells.append([int(p) for p in parts[:dim]])
-            sups.append(float(parts[dim]))
-        return cls(dim, np.asarray(cells, dtype=np.int64).reshape(-1, dim),
-                   np.asarray(sups, dtype=float))
-
 
 def _index_array(idx, axis: str) -> np.ndarray:
     """Entry indices as int64; a fractional or non-finite index is an error,
@@ -189,12 +169,6 @@ class LocalizedMatrix:
             raise ValueError("index sets must match for addition")
         s = (self.csr() + other.csr()).tocoo()
         return LocalizedMatrix(self.rows, self.cols, s.row, s.col, s.data)
-
-    def compose(self, other: "LocalizedMatrix") -> "LocalizedMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner index sets must coincide for composition")
-        prod = (self.csr() @ other.csr()).tocoo()
-        return LocalizedMatrix(self.rows, other.cols, prod.row, prod.col, prod.data)
 
     def submatrix(self, row_idx, col_idx, row_window=None, col_window=None) -> "LocalizedMatrix":
         row_idx = np.asarray(row_idx, dtype=np.int64)

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -60,9 +62,6 @@ class Profile1D:
         raise NotImplementedError
 
     # -- shared machinery -----------------------------------------------
-    def definite_integral(self, a: float, b: float) -> float:
-        return float(self.antiderivative_at(b) - self.antiderivative_at(a))
-
     def cell_averages(self, edges: np.ndarray) -> np.ndarray:
         """Mean of f over consecutive cells [edges[i], edges[i+1])."""
         F = self.antiderivative_at(np.asarray(edges, dtype=float))
@@ -70,10 +69,6 @@ class Profile1D:
 
     def cell_sup(self, k: int, width: float = 1.0) -> float:
         return self.sup_abs_halfopen(k * width, (k + 1) * width)
-
-    def sup_abs(self, a: float, b: float) -> float:
-        mn, mx = self.interval_extrema(a, b)
-        return max(abs(mn), abs(mx))
 
     def modulus_of_continuity(self, delta: float, x: float) -> float:
         """sup_{|y| <= delta} |f(x + y) - f(x)|, exact via interval extrema."""
@@ -148,9 +143,11 @@ class PiecewisePolynomial(Profile1D):
 
     def __post_init__(self):
         br = np.asarray(self.breaks, dtype=float)
+        cf = tuple(np.asarray(c, dtype=float) for c in self.coeffs)
+        if not (np.isfinite(br).all() and all(np.isfinite(c).all() for c in cf)):
+            raise InvariantViolation("breaks and coefficients must be finite")
         if br.ndim != 1 or br.size < 2 or (np.diff(br) <= 0).any():
             raise ValueError("breaks must be strictly increasing with >= 2 entries")
-        cf = tuple(np.asarray(c, dtype=float) for c in self.coeffs)
         if len(cf) != br.size - 1:
             raise ValueError("need one coefficient row per interval")
         br = br.copy()
@@ -261,6 +258,8 @@ class GaussianProfile(Profile1D):
     kind = "gaussian"
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma) and math.isfinite(self.amplitude)):
+            raise InvariantViolation("sigma and amplitude must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
@@ -317,6 +316,8 @@ class ExponentialProfile(Profile1D):
     kind = "exponential"
 
     def __post_init__(self):
+        if not (math.isfinite(self.rate) and math.isfinite(self.amplitude)):
+            raise InvariantViolation("rate and amplitude must be finite")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
 

@@ -47,7 +47,7 @@ def report_schema() -> dict:
 
 
 def dump_json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2,
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
                        separators=(",", ": ")) + "\n").encode()
 
 

@@ -1,10 +1,11 @@
 """Stability-constant estimation on finite windows.
 
 Lower constants (inf ||Ac||_p / ||c||_p) come from an exact eigensolve at
-p = 2 and from the exact inverse norm 1 / ||A^-1||_p on square windows at
-p in {1, inf}.  Tall windows at p in {1, inf} with few columns use
-exhaustive sign-orthant / face linear programs; intermediate p and larger
-tall windows use seeded multistart projected descent.  Upper constants are
+p = 2, from the exact inverse norm 1 / ||A^-1||_p on square windows at
+p in {1, inf}, and from Riesz-Thorin interpolation of those on square
+windows in between.  Tall windows at p in {1, inf} with few columns use one
+left-inverse linear program; intermediate p and larger tall windows use a
+multistart projected descent from fixed starts.  Upper constants are
 closed-form at p in {1, inf}, spectral at p = 2, and interpolation bounds
 in between.  Window ladders aggregate the per-window constants into
 stabilization / degeneration verdicts.
@@ -12,7 +13,6 @@ stabilization / degeneration verdicts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,15 +25,21 @@ from scipy.optimize import linprog
 from . import _accel
 from .errors import NumericalError
 from .lattice import IndexSet
-from .matalg import LocalizedMatrix, offset_profile, vector_pnorm
+from .matalg import LocalizedMatrix, offset_profile
 
-ORTHANT_LP_MAX_COLS = 14
+LP_MAX_COLS = 14
 DENSE_EIG_CUTOFF = 1200
 BANDED_EIG_MAX_BAND = 1200
 MULTISTART_COUNT = 64
 MULTISTART_MAX_ITER = 5000
 MULTISTART_STEP_MIN = 1e-10
 INVERSE_BLOCK_COLS = 128
+# ladder verdicts: last-doubling change below STAB_TOL with a lower constant
+# above POS_THRESHOLD is "stabilized"; every doubling dropping by at least
+# DEGEN_DROP is "degenerating"
+STAB_TOL = 0.05
+POS_THRESHOLD = 0.1
+DEGEN_DROP = 0.30
 
 
 def normalize_p(p) -> float:
@@ -123,7 +129,7 @@ def _gram_smallest(G, return_vector: bool = False):
         return float(w[0]), None
     try:
         w, V = spla.eigsh(G, k=1, sigma=0.0, which="LM", maxiter=2000,
-                          v0=_arpack_start(G.shape[0]))
+                          v0=_fixed_normal(G.shape[0]))
         return float(w[0]), V[:, 0]
     except Exception as exc:
         n = G.shape[0]
@@ -133,16 +139,17 @@ def _gram_smallest(G, return_vector: bool = False):
         raise NumericalError(f"iterative eigensolve failed: {exc}") from exc
 
 
-def _arpack_start(n: int) -> np.ndarray:
-    """Fixed ARPACK start vector: without one ARPACK draws from numpy's
-    global random state, and reruns can differ in the last digit."""
-    return np.random.default_rng(0).standard_normal(n)
+def _fixed_normal(shape) -> np.ndarray:
+    """Normal draws from a fixed generator, for ARPACK start vectors and
+    descent starts: without one ARPACK draws from numpy's global random
+    state, and reruns can differ in the last digit."""
+    return np.random.default_rng(0).standard_normal(shape)
 
 
 def _iterative_singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
     csr = A.csr().astype(np.float64)
     smax = float(spla.svds(csr, k=1, which="LM", return_singular_vectors=False,
-                           v0=_arpack_start(min(csr.shape)))[0])
+                           v0=_fixed_normal(min(csr.shape)))[0])
     lam, _ = _gram_smallest((csr.T @ csr).tocsr())
     return float(math.sqrt(max(lam, 0.0))), smax
 
@@ -193,74 +200,59 @@ def _inverse_norm_lower(A: LocalizedMatrix, p: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# exact small tall windows at p = 1 and p = inf
+# small tall windows at p = 1 and p = inf
 
 
-def _orthant_lp_min_l1(A: LocalizedMatrix) -> float:
-    """Exact min of ||Ac||_1 over the l1 sphere by sign-orthant LPs.
+def _left_inverse_lower(A: LocalizedMatrix, p: float) -> float:
+    """Lower constant (1 - ||LA - I||_p) / ||L||_p from one linear program.
 
-    One LP per sign pattern tau (tau_1 = +1 by symmetry): minimize
-    sum(u) subject to -u <= Ac <= u, tau^T c = 1, tau_i c_i >= 0.
+    Every left inverse L (LA = I) gives ||c||_p <= ||L||_p ||Ac||_p.  The
+    LP writes L = P - N with P, N >= 0 and minimizes t subject to
+    (P - N)A = I and every column (p = 1) or row (p = inf) abs-sum of L at
+    most t.  At p = inf the minimum is exactly 1 / (lower constant), since
+    l-inf is injective; at p = 1 it is a certified lower bound.  The
+    solver's residual LA - I counts against the bound, and a matrix with no
+    left inverse (an infeasible LP) gives 0.
     """
     n, m = A.shape
-    dense = A.dense()
-    best = math.inf
-    c_obj = np.concatenate([np.zeros(m), np.ones(n)])
-    A_ub = np.block([[dense, -np.eye(n)], [-dense, -np.eye(n)]])
-    b_ub = np.zeros(2 * n)
-    for tau_rest in itertools.product((1.0, -1.0), repeat=m - 1):
-        tau = np.array((1.0,) + tau_rest)
-        bounds = [(0, None) if t > 0 else (None, 0) for t in tau]
-        bounds += [(0, None)] * n
-        A_eq = np.concatenate([tau, np.zeros(n)])[None, :]
-        res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                      bounds=bounds, method="highs")
-        if res.status == 0 and res.fun < best:
-            best = float(res.fun)
-    if not math.isfinite(best):
-        raise NumericalError("all orthant linear programs failed")
-    return max(best, 0.0)
-
-
-def _face_lp_min_linf(A: LocalizedMatrix) -> float:
-    """Exact min of ||Ac||_inf over the sup-norm sphere by face LPs.
-
-    The sphere is the union of cube faces {c_j = 1, |c| <= 1} (up to
-    sign); minimize t with -t <= Ac <= t on each face.
-    """
-    n, m = A.shape
-    dense = A.dense()
-    best = math.inf
-    c_obj = np.concatenate([np.zeros(m), [1.0]])
-    A_ub = np.block([[dense, -np.ones((n, 1))], [-dense, -np.ones((n, 1))]])
-    b_ub = np.zeros(2 * n)
-    for jfix in range(m):
-        bounds = [(-1.0, 1.0)] * m + [(0, None)]
-        bounds[jfix] = (1.0, 1.0)
-        res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if res.status == 0 and res.fun < best:
-            best = float(res.fun)
-    if not math.isfinite(best):
-        raise NumericalError("all face linear programs failed")
-    return max(best, 0.0)
+    mn = m * n
+    # row-major vec(L): vec(LA) = kron(I_m, A^T) vec(L)
+    K = sp.kron(sp.identity(m, format="csr"), A.csr().T, format="csr")
+    if p == 1.0:
+        S = sp.kron(np.ones((1, m)), sp.identity(n), format="csr")
+    else:
+        S = sp.kron(sp.identity(m), np.ones((1, n)), format="csr")
+    c_obj = np.zeros(2 * mn + 1)
+    c_obj[-1] = 1.0
+    A_eq = sp.hstack([K, -K, sp.csr_matrix((m * m, 1))], format="csr")
+    A_ub = sp.hstack([S, S, -np.ones((S.shape[0], 1))], format="csr")
+    res = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(S.shape[0]), A_eq=A_eq,
+                  b_eq=np.eye(m).ravel(), bounds=(0, None), method="highs")
+    if res.status == 2:
+        return 0.0
+    if res.status != 0:
+        raise NumericalError(f"left-inverse linear program failed: {res.message}")
+    L = (res.x[:mn] - res.x[mn:2 * mn]).reshape(m, n)
+    axis = 0 if p == 1.0 else 1
+    resid = float(np.abs((A.csr().T @ L.T).T - np.eye(m)).sum(axis=axis).max())
+    if not resid < 1.0:
+        raise NumericalError(
+            f"left-inverse linear program residual {resid:.3e} is not below 1")
+    return (1.0 - resid) / float(np.abs(L).sum(axis=axis).max())
 
 
 # ----------------------------------------------------------------------
 # multistart descent
 
 
-def _multistart_lower(A: LocalizedMatrix, p: float, seed, n_starts: int,
-                      max_iter: int) -> float:
-    if seed is None:
-        raise ValueError("seed is required for the multistart descent path")
+def _multistart_lower(A: LocalizedMatrix, p: float) -> float:
     n, m = A.shape
-    rng = np.random.default_rng(int(seed))
-    starts = rng.standard_normal((n_starts, m))
-    # one deterministic warm start: the p=2 minimizer is a strong seed at
+    starts = _fixed_normal((MULTISTART_COUNT, m))
+    # one deterministic warm start: the p=2 minimizer is a strong start at
     # every p and keeps window ladders comparable
     warm = _min_singular_vector(A)
     starts = np.vstack([warm[None, :], starts])
-    F, _ = _accel.descend_lp(A.csr(), starts, p, max_iter=max_iter,
+    F, _ = _accel.descend_lp(A.csr(), starts, p, max_iter=MULTISTART_MAX_ITER,
                              tmin=MULTISTART_STEP_MIN)
     return float(np.min(F))
 
@@ -269,16 +261,28 @@ def _multistart_lower(A: LocalizedMatrix, p: float, seed, n_starts: int,
 # the two constants
 
 
-def lower_constant(A: LocalizedMatrix, p, seed=None, *,
-                   n_starts: int = MULTISTART_COUNT,
-                   max_iter: int = MULTISTART_MAX_ITER) -> ConstantEstimate:
+def _riesz_thorin(p: float, at_end: float, at_2: float) -> float:
+    """Riesz-Thorin interpolation of an operator norm bound at exponent p.
+
+    ``at_end`` is the bound at p = 1 when p < 2 and at p = inf when p > 2.
+    It serves the upper constant (norms of A) and the lower constant of a
+    square matrix (reciprocal norms of A^-1) alike.
+    """
+    if p < 2.0:
+        theta = 2.0 / p - 1.0  # 1/p = theta/1 + (1-theta)/2
+        return float(at_end ** theta * at_2 ** (1.0 - theta))
+    theta = 2.0 / p  # 1/p = theta/2
+    return float(at_2 ** theta * at_end ** (1.0 - theta))
+
+
+def lower_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
     """inf ||Ac||_p / ||c||_p over nonzero coefficient vectors.
 
-    Certified: p = 2 (singular values), square windows at p in {1, inf}
-    (``inverse-norm``) and tall windows at p in {1, inf} with at most
-    ORTHANT_LP_MAX_COLS columns (``orthant-lp`` / ``face-lp``).  Other
-    cases (intermediate p, larger tall windows) use seeded multistart
-    descent and report an uncertified upper bound on the infimum.
+    Certified: p = 2 (``singular-value``), square windows at p in {1, inf}
+    (``inverse-norm``), square windows at other p (``interpolation-bound``)
+    and tall windows at p in {1, inf} with at most LP_MAX_COLS columns
+    (``left-inverse-lp``).  Other tall windows use the multistart descent
+    and report an uncertified upper bound on the infimum.
     """
     p = normalize_p(p)
     n, m = A.shape
@@ -291,14 +295,16 @@ def lower_constant(A: LocalizedMatrix, p, seed=None, *,
     if p == 2.0:
         smin, _ = _dense_singular_extremes(A)
         return ConstantEstimate(smin, True, "singular-value")
-    if p in (1.0, math.inf) and n == m:
-        return ConstantEstimate(_inverse_norm_lower(A, p), True, "inverse-norm")
-    if p in (1.0, math.inf) and m <= ORTHANT_LP_MAX_COLS:
-        if p == 1.0:
-            return ConstantEstimate(_orthant_lp_min_l1(A), True, "orthant-lp")
-        return ConstantEstimate(_face_lp_min_linf(A), True, "face-lp")
-    value = _multistart_lower(A, p, seed, n_starts, max_iter)
-    return ConstantEstimate(value, False, "multistart")
+    if n == m:
+        if p in (1.0, math.inf):
+            return ConstantEstimate(_inverse_norm_lower(A, p), True, "inverse-norm")
+        smin, _ = _dense_singular_extremes(A)
+        end = _inverse_norm_lower(A, 1.0 if p < 2.0 else math.inf)
+        return ConstantEstimate(_riesz_thorin(p, end, smin), True,
+                                "interpolation-bound")
+    if p in (1.0, math.inf) and m <= LP_MAX_COLS:
+        return ConstantEstimate(_left_inverse_lower(A, p), True, "left-inverse-lp")
+    return ConstantEstimate(_multistart_lower(A, p), False, "multistart")
 
 
 def upper_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
@@ -317,17 +323,11 @@ def upper_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
         return ConstantEstimate(col_sum, True, "column-sums")
     if p == math.inf:
         return ConstantEstimate(row_sum, True, "row-sums")
-    if p == 2.0:
-        _, smax = _dense_singular_extremes(A)
-        return ConstantEstimate(smax, True, "singular-value")
     _, n2 = _dense_singular_extremes(A)
-    if p < 2.0:
-        theta = 2.0 / p - 1.0  # 1/p = theta/1 + (1-theta)/2
-        bound = col_sum ** theta * n2 ** (1.0 - theta)
-    else:
-        theta = 2.0 / p  # 1/p = theta/2
-        bound = n2 ** theta * row_sum ** (1.0 - theta)
-    return ConstantEstimate(float(bound), True, "interpolation-bound")
+    if p == 2.0:
+        return ConstantEstimate(n2, True, "singular-value")
+    bound = _riesz_thorin(p, col_sum if p < 2.0 else row_sum, n2)
+    return ConstantEstimate(bound, True, "interpolation-bound")
 
 
 def interior_column_indices(A: LocalizedMatrix, margin: float) -> np.ndarray:
@@ -340,21 +340,19 @@ def interior_column_indices(A: LocalizedMatrix, margin: float) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def lower_constant_interior(A: LocalizedMatrix, p, seed=None,
-                            margin: float | None = None) -> ConstantEstimate | None:
+def lower_constant_interior(A: LocalizedMatrix, p) -> ConstantEstimate | None:
     """Lower constant with test vectors supported away from the window edge.
 
     Edge columns see truncated rows and can fake degeneracy; restricting
     the support by the matrix band width removes that artifact.  Returns
     None when no interior columns remain.
     """
-    margin = A.band() if margin is None else float(margin)
-    idx = interior_column_indices(A, margin)
+    idx = interior_column_indices(A, A.band())
     if idx.size == 0:
         return None
     sub = A.csr()[:, idx].tocoo()
     inner = LocalizedMatrix(A.rows, A.cols.restrict(idx), sub.row, sub.col, sub.data)
-    return lower_constant(inner, p, seed=seed)
+    return lower_constant(inner, p)
 
 
 # ----------------------------------------------------------------------
@@ -380,30 +378,16 @@ class StabilityReport:
             if lo > hi * (1 + 1e-9) + 1e-300:
                 raise ValueError("lower constant exceeds upper constant")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": "inf" if math.isinf(self.p) else self.p,
-            "window_sizes": list(self.window_sizes),
-            "lower_constants": list(self.lower_constants),
-            "upper_constants": list(self.upper_constants),
-            "lower_certified": list(self.lower_certified),
-            "upper_certified": list(self.upper_certified),
-            "methods": list(self.methods),
-            "interior_lower_constants": list(self.interior_lower_constants),
-            "verdict": self.verdict,
-        }
 
-
-def ladder_verdict(lowers: list[float], stab_tol: float = 0.05,
-                   pos_threshold: float = 0.1, degen_drop: float = 0.30) -> str:
+def ladder_verdict(lowers: list[float]) -> str:
     """Classify a sequence of lower constants along doubling windows."""
     if len(lowers) < 2:
         return "undetermined"
     ratios = [b / a if a > 0 else 0.0 for a, b in zip(lowers, lowers[1:])]
-    if len(ratios) >= 2 and all(r <= 1.0 - degen_drop for r in ratios):
+    if len(ratios) >= 2 and all(r <= 1.0 - DEGEN_DROP for r in ratios):
         return "degenerating"
     last_rel = abs(lowers[-1] - lowers[-2]) / max(abs(lowers[-2]), 1e-300)
-    if last_rel < stab_tol and lowers[-1] > pos_threshold:
+    if last_rel < STAB_TOL and lowers[-1] > POS_THRESHOLD:
         return "stabilized"
     return "undetermined"
 
@@ -431,29 +415,14 @@ class EquivalenceReport:
     consistent: bool
     counterexample_candidates: list
 
-    def to_json_dict(self) -> dict:
-        key = lambda p: "inf" if math.isinf(p) else str(p)
-        return {
-            "ps": [key(p) for p in self.ps],
-            "window_sizes": list(self.window_sizes),
-            "reports": {key(p): r.to_json_dict() for p, r in self.per_p.items()},
-            "verdicts": {key(p): v for p, v in self.verdicts.items()},
-            "consistent": self.consistent,
-            "counterexample_candidates": self.counterexample_candidates,
-        }
 
-
-def stability_ladder(ladder: list[LocalizedMatrix], p, seed=None, *,
-                     stab_tol: float = 0.05, pos_threshold: float = 0.1,
-                     degen_drop: float = 0.30,
-                     interior: bool = True) -> StabilityReport:
+def stability_ladder(ladder: list[LocalizedMatrix], p) -> StabilityReport:
     """Lower/upper constants along a nested window ladder at one exponent."""
     p = normalize_p(p)
     _check_nested(ladder)
 
-    results = [(lower_constant(A, p, seed=seed), upper_constant(A, p),
-                lower_constant_interior(A, p, seed=seed) if interior else None)
-               for A in ladder]
+    results = [(lower_constant(A, p), upper_constant(A, p),
+                lower_constant_interior(A, p)) for A in ladder]
     lowers = [r[0].value for r in results]
     return StabilityReport(
         p=p,
@@ -464,13 +433,11 @@ def stability_ladder(ladder: list[LocalizedMatrix], p, seed=None, *,
         upper_certified=[r[1].certified for r in results],
         methods=[r[0].method for r in results],
         interior_lower_constants=[None if r[2] is None else r[2].value for r in results],
-        verdict=ladder_verdict(lowers, stab_tol, pos_threshold, degen_drop),
+        verdict=ladder_verdict(lowers),
     )
 
 
-def equivalence_report(ladder: list[LocalizedMatrix], ps, seed=None, *,
-                       stab_tol: float = 0.05, pos_threshold: float = 0.1,
-                       degen_drop: float = 0.30) -> EquivalenceReport:
+def equivalence_report(ladder: list[LocalizedMatrix], ps) -> EquivalenceReport:
     """Cross-exponent comparison of window ladders.
 
     Exponents whose constants stabilize while another degenerates are
@@ -480,8 +447,7 @@ def equivalence_report(ladder: list[LocalizedMatrix], ps, seed=None, *,
     per_p = {}
     verdicts = {}
     for p in ps:
-        rep = stability_ladder(ladder, p, seed=seed, stab_tol=stab_tol,
-                               pos_threshold=pos_threshold, degen_drop=degen_drop)
+        rep = stability_ladder(ladder, p)
         per_p[p] = rep
         verdicts[p] = rep.verdict
     kinds = set(verdicts.values())

@@ -20,8 +20,7 @@ from .errors import InvariantViolation
 from .lattice import IndexSet, separation_constant
 from .matalg import LocalizedMatrix, sjostrand_norm
 from .profiles import Profile1D, profile_from_json_dict, gauss_legendre_integral
-from .stability import (ConstantEstimate, ladder_verdict, lower_constant,
-                        normalize_p, upper_constant)
+from .stability import ladder_verdict, lower_constant, normalize_p, upper_constant
 
 
 # ----------------------------------------------------------------------
@@ -45,10 +44,14 @@ class ModulusBound:
         if self.kind not in ("power", "table"):
             raise ValueError(f"unknown modulus kind {self.kind!r}")
         if self.kind == "power":
+            if not (math.isfinite(self.c) and math.isfinite(self.alpha)):
+                raise InvariantViolation("power modulus needs finite C and alpha")
             if self.c < 0 or not 0 < self.alpha <= 1:
                 raise ValueError("power modulus needs c >= 0 and alpha in (0, 1]")
         else:
             ent = tuple(sorted((float(d), float(b)) for d, b in self.entries))
+            if not np.isfinite(np.asarray(ent, dtype=float)).all():
+                raise InvariantViolation("table modulus needs finite entries")
             if not ent or any(d <= 0 for d, _ in ent):
                 raise ValueError("table modulus needs positive deltas")
             object.__setattr__(self, "entries", ent)
@@ -521,17 +524,9 @@ class SynthesisStabilityReport:
     verdict: str
     sjostrand_bound_ratio: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": "inf" if math.isinf(self.p) else self.p,
-            "entries": [e.__dict__ for e in self.entries],
-            "verdict": self.verdict,
-            "sjostrand_bound_ratio": self.sjostrand_bound_ratio,
-        }
 
-
-def synthesis_stability(fam: GeneratorFamily, p, n0_values, window_sizes=None,
-                        seed=None) -> SynthesisStabilityReport:
+def synthesis_stability(fam: GeneratorFamily, p, n0_values,
+                        window_sizes=None) -> SynthesisStabilityReport:
     """Stability constants of the discretized synthesis operator.
 
     Constants at scale n0 are 2^{-n0/p} times those of the cell-average
@@ -556,7 +551,7 @@ def synthesis_stability(fam: GeneratorFamily, p, n0_values, window_sizes=None,
             ratio = sjostrand_norm(A) / (2.0 * hnorm) if hnorm > 0 else 0.0
             worst_ratio = max(worst_ratio, float(ratio))
             fac = 2.0 ** (-n0 * inv_p)
-            lo = lower_constant(A, p, seed=seed)
+            lo = lower_constant(A, p)
             hi = upper_constant(A, p)
             bias = None
             if fam.modulus is not None:

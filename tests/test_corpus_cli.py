@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +263,75 @@ def test_cli_rejects_non_finite_point(tmp_path, capsys, bad):
     obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()
     obj["rows"]["points"][3] = [bad]
     _assert_stab_rejects(obj, tmp_path, capsys)
+
+
+def _assert_rejects(argv, tmp_path, capsys):
+    """The analysis exits 2 with InvariantViolation, prints nothing on
+    stdout and writes no report next to its one input file."""
+    before = set(tmp_path.iterdir())
+    rc = cli.main(argv + ["--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["type"] == "InvariantViolation"
+    assert captured.out == ""
+    assert set(tmp_path.iterdir()) == before
+
+
+def _write_nan_json(path, obj):
+    path.write_text(json.dumps(obj))   # writes NaN literals
+    return str(path)
+
+
+def test_cli_synth_rejects_non_finite_profile_coefficient(tmp_path, capsys):
+    # a NaN hat coefficient used to give a certified "zero-matrix" lower 0.0
+    obj = corpus.hat_family(16).to_json_dict()
+    obj["rule"]["profiles"][0]["coeffs"][0][1] = float("nan")
+    fam = _write_nan_json(tmp_path / "fam.json", obj)
+    _assert_rejects(["synth", "--family", fam, "--p", "2", "--n0", "3",
+                     "--window", "8"], tmp_path, capsys)
+
+
+def test_cli_synth_rejects_non_finite_modulus(tmp_path, capsys):
+    # a NaN modulus constant used to write "bias_bound": NaN, invalid JSON
+    obj = corpus.hat_family(16).to_json_dict()
+    obj["modulus"]["C"] = float("nan")
+    fam = _write_nan_json(tmp_path / "fam.json", obj)
+    _assert_rejects(["synth", "--family", fam, "--p", "2", "--n0", "3",
+                     "--window", "8"], tmp_path, capsys)
+
+
+def test_cli_kernel_rejects_non_finite_constant(tmp_path, capsys):
+    # D = NaN passed every amalgam and Hölder comparison
+    obj = corpus.gaussian_kernel_op(0.1, 1.0).to_json_dict()
+    obj["D"] = float("nan")
+    kern = _write_nan_json(tmp_path / "kern.json", obj)
+    _assert_rejects(["kernel", "--kernel", kern, "--p", "2", "--n", "3",
+                     "--window", "16"], tmp_path, capsys)
+
+
+def test_stab_without_seed_is_byte_identical_across_interpreters(tmp_path):
+    # p = 1.5 sends the tall interior windows to the multistart descent;
+    # two fresh interpreters (own hash seeds, own numpy state) must agree
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    mat = tmp_path / "t131.json"
+    mat.write_bytes(dump_json_bytes(
+        corpus.toeplitz_matrix([1.0, 3.0, 1.0], 16).to_json_dict()))
+    outs = []
+    for k in range(2):
+        out = tmp_path / f"stab{k}.json"
+        subprocess.run([sys.executable, "-m", "locop.cli", "stab",
+                        "--matrix", str(mat), "--p", "1.5", "--windows", "8,16",
+                        "--out", str(out)], env=env, check=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["seed"] is None
+    for e in report["entries"]:
+        assert e["lower_certified"] and e["method"] == "interpolation-bound"
+        assert e["interior_lower"] is not None
 
 
 def test_cli_exit_code_three_on_numerical_failure(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locop.errors import InvariantViolation
 from locop.profiles import (ExponentialProfile, GaussianProfile,
                             PiecewisePolynomial, bspline_profile, box_profile,
                             gauss_legendre_integral, pp_inner_product,
@@ -189,3 +190,13 @@ def test_profile_json_round_trips():
 def test_unknown_profile_kind_rejected():
     with pytest.raises(ValueError):
         profile_from_json_dict({"kind": "wavelet", "scale": 1.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_profiles_reject_non_finite_parameters(bad):
+    for make in (lambda: GaussianProfile(bad), lambda: GaussianProfile(1.0, bad),
+                 lambda: ExponentialProfile(bad), lambda: ExponentialProfile(1.0, bad),
+                 lambda: PiecewisePolynomial([0.0, bad], ([1.0],)),
+                 lambda: PiecewisePolynomial([0.0, 1.0], ([1.0, bad],))):
+        with pytest.raises(InvariantViolation, match="finite"):
+            make()
