@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _print_error(exc)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         _print_error(exc)
         return 2
     return 0

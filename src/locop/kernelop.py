@@ -73,8 +73,10 @@ class SeparableRule:
     kind = "table"
 
     def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           tuple((float(c), u, v) for c, u, v in self.terms))
+        terms = tuple((float(c), u, v) for c, u, v in self.terms)
+        if not all(math.isfinite(c) for c, _, _ in terms):
+            raise InvariantViolation("separable kernel weights must be finite")
+        object.__setattr__(self, "terms", terms)
 
     def value(self, x, y):
         xs = np.asarray(x, dtype=float)
@@ -102,17 +104,6 @@ def rule_from_json_dict(obj: dict):
             (float(t["weight"]), profile_from_json_dict(t["x_factor"]),
              profile_from_json_dict(t["y_factor"])) for t in obj["terms"]))
     raise ValueError(f"unknown kernel rule kind {obj['kind']!r}")
-
-
-def _omega(prof: Profile1D, radius: float, xs: np.ndarray) -> np.ndarray:
-    """sup over |y| <= radius of |prof(x+y) - prof(x)|, per x in ``xs``.
-
-    Exact, from the profile's interval extrema on [x - radius, x + radius],
-    evaluated for all probe points at once.
-    """
-    mn, mx = prof.interval_extrema_array(xs - radius, xs + radius)
-    fx = np.asarray(prof(xs), dtype=float)
-    return np.maximum(mx - fx, fx - mn)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +212,7 @@ class KernelOperator:
         if isinstance(self.rule, ConvolutionRule):
             g = self.rule.profile
             pts = xs if self.rule.reflected else -xs
-            return _omega(g, 2.0 * delta, pts)
+            return g.modulus_of_continuity(2.0 * delta, pts)
         spans = [max(u.decay_radius(1e-13), 1.0) for _, u, _ in self.rule.terms] or [1.0]
         ys = np.linspace(-max(spans), max(spans), 128)
         base = self.rule.value(ys[:, None], xs[None, :] + ys[:, None])
@@ -573,12 +564,11 @@ def perturbed_identity_stability(op: KernelOperator, p, n_values,
 def _envelope_ring_sum(h: Profile1D, k: int) -> float:
     """Upper bound on the sum of |h| cell sups over cells with |j| >= k."""
     radius = int(math.ceil(h.decay_radius(1e-14))) + 1
-    total = 0.0
-    for j in range(-radius - 1, radius + 1):
-        if abs(j) >= k:
-            total += h.cell_sup(j)
-    total += 2.0 * h.tail_sum_bound(radius + 1)
-    return total
+    js = np.arange(-radius - 1, radius + 1)
+    sups = h.cell_sup(js[np.abs(js) >= k])
+    # accumulated cell after cell in ascending j (cumsum, not a pairwise sum)
+    total = float(np.cumsum(sups)[-1]) if sups.size else 0.0
+    return total + 2.0 * h.tail_sum_bound(radius + 1)
 
 
 def kernel_truncation_tail(op: KernelOperator, n: int, s_values,

@@ -9,7 +9,6 @@ a plateau bump evaluated on the points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -99,10 +98,6 @@ class IndexSet:
     def from_json_dict(cls, obj: dict) -> "IndexSet":
         return cls(int(obj["dim"]), np.asarray(obj["points"], dtype=float),
                    np.asarray(obj["window"], dtype=float))
-
-    @classmethod
-    def from_json(cls, text: str) -> "IndexSet":
-        return cls.from_json_dict(json.loads(text))
 
     @classmethod
     def integer_range(cls, lo: int, hi: int) -> "IndexSet":

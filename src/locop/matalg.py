@@ -9,7 +9,6 @@ bound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -61,10 +60,6 @@ class OffsetProfile:
         match = (self.cells == key).all(axis=1)
         idx = np.flatnonzero(match)
         return float(self.sups[idx[0]]) if idx.size else 0.0
-
-    def items(self):
-        for c, v in zip(self.cells, self.sups):
-            yield tuple(int(x) for x in c), float(v)
 
     def total(self) -> float:
         # lexicographic cell order fixes the summation order
@@ -158,18 +153,6 @@ class LocalizedMatrix:
             self._cache["band"] = b
         return b
 
-    def transpose(self) -> "LocalizedMatrix":
-        return LocalizedMatrix(self.cols, self.rows, self.j, self.i, self.values)
-
-    def scale(self, t: float) -> "LocalizedMatrix":
-        return LocalizedMatrix(self.rows, self.cols, self.i, self.j, self.values * t)
-
-    def add(self, other: "LocalizedMatrix") -> "LocalizedMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("index sets must match for addition")
-        s = (self.csr() + other.csr()).tocoo()
-        return LocalizedMatrix(self.rows, self.cols, s.row, s.col, s.data)
-
     def submatrix(self, row_idx, col_idx, row_window=None, col_window=None) -> "LocalizedMatrix":
         row_idx = np.asarray(row_idx, dtype=np.int64)
         col_idx = np.asarray(col_idx, dtype=np.int64)
@@ -204,10 +187,6 @@ class LocalizedMatrix:
             i = j = np.empty(0, dtype=np.int64)
             v = np.empty(0)
         return cls(rows, cols, i, j, v)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LocalizedMatrix":
-        return cls.from_json_dict(json.loads(text))
 
     @classmethod
     def from_dense(cls, rows: IndexSet, cols: IndexSet, dense: np.ndarray,
@@ -280,11 +259,9 @@ def offset_profile(A: LocalizedMatrix) -> OffsetProfile:
     return prof
 
 
-def sjostrand_norm(A: LocalizedMatrix, return_profile: bool = False):
+def sjostrand_norm(A: LocalizedMatrix) -> float:
     """Sum over offset cells of the per-cell supremum of |a|."""
-    prof = offset_profile(A)
-    value = prof.total()
-    return (value, prof) if return_profile else value
+    return offset_profile(A).total()
 
 
 def schur_norm(A: LocalizedMatrix) -> float:

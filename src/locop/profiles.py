@@ -31,21 +31,14 @@ class Profile1D:
     def antiderivative_at(self, x):  # F with F' = f, vectorized
         raise NotImplementedError
 
-    def interval_extrema(self, a: float, b: float) -> tuple[float, float]:
-        """(min, max) of f over [a, b], exact."""
+    def interval_extrema(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """(min, max) of f over [a[i], b[i]], exact, per i; scalars broadcast."""
         raise NotImplementedError
 
-    def interval_extrema_array(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """(min array, max array) of f over [a[i], b[i]], exact, per i."""
-        pairs = [self.interval_extrema(float(s), float(e))
-                 for s, e in zip(np.ravel(a), np.ravel(b))]
-        out = np.array(pairs, dtype=float).reshape(-1, 2)
-        return out[:, 0], out[:, 1]
-
-    def sup_abs_halfopen(self, a: float, b: float) -> float:
+    def sup_abs_halfopen(self, a, b) -> np.ndarray:
         """sup |f| over [a, b); equals the closed-interval value when f is continuous."""
         mn, mx = self.interval_extrema(a, b)
-        return max(abs(mn), abs(mx))
+        return np.maximum(np.abs(mn), np.abs(mx))
 
     def smooth_breakpoints(self) -> np.ndarray:
         """Points where f is not smooth (for split quadrature)."""
@@ -67,16 +60,19 @@ class Profile1D:
         F = self.antiderivative_at(np.asarray(edges, dtype=float))
         return np.diff(F) / np.diff(edges)
 
-    def cell_sup(self, k: int, width: float = 1.0) -> float:
+    def cell_sup(self, k, width: float = 1.0) -> np.ndarray:
+        """sup |f| over the cell [k * width, (k + 1) * width), per k."""
+        k = np.asarray(k)
         return self.sup_abs_halfopen(k * width, (k + 1) * width)
 
-    def modulus_of_continuity(self, delta: float, x: float) -> float:
-        """sup_{|y| <= delta} |f(x + y) - f(x)|, exact via interval extrema."""
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+    def modulus_of_continuity(self, delta: float, x) -> np.ndarray:
+        """sup_{|y| <= delta} |f(x + y) - f(x)| per x, exact via interval extrema."""
+        if not delta > 0.0:
+            raise ValueError("delta must be positive")
+        x = np.asarray(x, dtype=float)
         mn, mx = self.interval_extrema(x - delta, x + delta)
-        fx = float(self(x))
-        return max(mx - fx, fx - mn)
+        fx = np.asarray(self(x), dtype=float)
+        return np.maximum(mx - fx, fx - mn)
 
     def amalgam_norm(self, tol: float = 1e-14) -> float:
         return self.amalgam_norm_detail(tol)[0]
@@ -92,7 +88,7 @@ class Profile1D:
         k_lo = int(math.floor(-radius)) - 1
         k_hi = int(math.ceil(radius)) + 1
         ks = np.arange(k_lo, k_hi + 1)
-        sups = np.array([self.cell_sup(int(k)) for k in ks])
+        sups = self.cell_sup(ks)
         keep = sups > 0.0
         value = float(np.sum(sups[keep]))
         tail = float(self.tail_sum_bound(k_hi + 1) + self.tail_sum_bound(-k_lo + 1))
@@ -103,10 +99,10 @@ class Profile1D:
 
 
 def _even_peak_extrema(prof: Profile1D, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Array interval extrema of a profile monotone on each side of 0.
+    """Interval extrema of a profile monotone on each side of 0.
 
-    The candidates are those of the scalar ``interval_extrema``: both end
-    points, and 0 when it lies strictly inside the interval.
+    The candidates are both end points, and 0 when it lies strictly inside
+    the interval.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -194,41 +190,45 @@ class PiecewisePolynomial(Profile1D):
     def _piece_integral(self, i: int, a: float, b: float) -> float:
         return float(self._piece_antideriv(i, b) - self._piece_antideriv(i, a))
 
-    def interval_extrema(self, a: float, b: float,
-                         right_open: bool = False) -> tuple[float, float]:
-        if b < a:
+    def interval_extrema(self, a, b, right_open: bool = False
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """(min, max) over [a, b] per entry, or over [a, b) when ``right_open``.
+
+        Each piece contributes its values at the clipped end points and at
+        its real critical points inside them; the loop runs over pieces.
+        """
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+        if (b < a).any():
             raise ValueError("empty interval")
-        lo, hi = np.inf, -np.inf
         zero_right = b > self.breaks[-1] if right_open else b >= self.breaks[-1]
-        if a < self.breaks[0] or zero_right:
-            lo, hi = 0.0, 0.0  # the zero extension is visible
+        zero = (a < self.breaks[0]) | zero_right  # the zero extension is visible
+        lo = np.where(zero, 0.0, np.inf)
+        hi = np.where(zero, 0.0, -np.inf)
         for i, c in enumerate(self.coeffs):
             pa, pb = self.breaks[i], self.breaks[i + 1]
-            if right_open and pa >= b:
-                continue  # the piece only begins at the excluded endpoint
-            s, e = max(a, pa), min(b, pb)
-            if s > e or (s == e and s == pb):
-                continue  # a lone overlap point belonging to the next piece
-            cand = [s, e]
-            # interior critical points of the polynomial piece
+            s, e = np.maximum(a, pa), np.minimum(b, pb)
+            # a lone overlap point at pb belongs to the next piece
+            live = (s <= e) & ~((s == e) & (s == pb))
+            if right_open:
+                live &= pa < b  # else the piece begins at the excluded endpoint
+            cand = [(live, _poly_eval(c, s - pa)), (live, _poly_eval(c, e - pa))]
             if c.size > 2:
                 der = c[1:] * np.arange(1, c.size)
-                roots = np.roots(der[::-1])
-                for r in roots:
+                for r in np.roots(der[::-1]):
                     if abs(r.imag) < 1e-12:
                         xr = r.real + pa
-                        if s <= xr <= e:
-                            cand.append(xr)
-            vals = _poly_eval(c, np.asarray(cand) - pa)
-            lo = min(lo, float(vals.min()))
-            hi = max(hi, float(vals.max()))
-        if lo is np.inf:  # interval met no piece
-            lo = hi = 0.0
-        return lo, hi
+                        cand.append((live & (s <= xr) & (xr <= e),
+                                     _poly_eval(c, xr - pa)))
+            for mask, v in cand:
+                lo = np.where(mask, np.minimum(lo, v), lo)
+                hi = np.where(mask, np.maximum(hi, v), hi)
+        met = np.isfinite(lo)  # else the interval met no piece
+        return np.where(met, lo, 0.0), np.where(met, hi, 0.0)
 
-    def sup_abs_halfopen(self, a: float, b: float) -> float:
+    def sup_abs_halfopen(self, a, b) -> np.ndarray:
         mn, mx = self.interval_extrema(a, b, right_open=True)
-        return max(abs(mn), abs(mx))
+        return np.maximum(np.abs(mn), np.abs(mx))
 
     def smooth_breakpoints(self) -> np.ndarray:
         return np.asarray(self.breaks)
@@ -273,15 +273,7 @@ class GaussianProfile(Profile1D):
 
         return self.amplitude * self.sigma * _SQRT_PI / 2.0 * erf(arr / self.sigma)
 
-    def interval_extrema(self, a: float, b: float) -> tuple[float, float]:
-        cand = [a, b]
-        if a < 0.0 < b:
-            cand.append(0.0)
-        vals = self(np.asarray(cand))
-        return float(vals.min()), float(vals.max())
-
-    def interval_extrema_array(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        return _even_peak_extrema(self, a, b)
+    interval_extrema = _even_peak_extrema
 
     def decay_radius(self, tol: float = 1e-10) -> float:
         amp = abs(self.amplitude)
@@ -330,15 +322,7 @@ class ExponentialProfile(Profile1D):
         # odd antiderivative: sign(x) * (1 - exp(-rate|x|))/rate
         return self.amplitude * np.sign(arr) * (1.0 - np.exp(-self.rate * np.abs(arr))) / self.rate
 
-    def interval_extrema(self, a: float, b: float) -> tuple[float, float]:
-        cand = [a, b]
-        if a < 0.0 < b:
-            cand.append(0.0)
-        vals = self(np.asarray(cand))
-        return float(vals.min()), float(vals.max())
-
-    def interval_extrema_array(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        return _even_peak_extrema(self, a, b)
+    interval_extrema = _even_peak_extrema
 
     def smooth_breakpoints(self) -> np.ndarray:
         return np.array([0.0])

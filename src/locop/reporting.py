@@ -13,6 +13,7 @@ endings, and shortest round-trip float formatting.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from .errors import InvariantViolation
 
@@ -30,16 +32,14 @@ ANALYSES = ("norms", "stab", "equiv", "conv", "invdecay", "density",
 
 STABILITY_CSV_HEADER = ("window", "p", "lower", "upper", "certified")
 
-_schema_cache = None
 
-
-def report_schema() -> dict:
-    """The published report schema, loaded once from package data."""
-    global _schema_cache
-    if _schema_cache is None:
-        text = (resources.files("locop") / "schemas" / "report.schema.json").read_text()
-        _schema_cache = json.loads(text)
-    return _schema_cache
+@functools.cache
+def report_validator() -> jsonschema.Draft7Validator:
+    """Validator for the published report schema, loaded and checked once."""
+    text = (resources.files("locop") / "schemas" / "report.schema.json").read_text()
+    schema = json.loads(text)
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
 
 
 # ----------------------------------------------------------------------
@@ -102,14 +102,13 @@ def build_report(analysis: str, params: dict, seed, entries, verdicts,
 
 
 def validate_report(report: dict) -> None:
-    try:
-        jsonschema.validate(report, report_schema())
-    except jsonschema.ValidationError as exc:
-        raise InvariantViolation(f"report fails schema: {exc.message}") from exc
+    error = best_match(report_validator().iter_errors(report))
+    if error is not None:
+        raise InvariantViolation(f"report fails schema: {error.message}") from error
 
 
 def write_report(path, report: dict) -> None:
-    validate_report(report)
+    """Write a report that validate_report has already accepted."""
     write_atomic(path, dump_json_bytes(report))
 
 

@@ -185,14 +185,15 @@ class GeneratorFamily:
             if self.modulus is not None:
                 for d in deltas:
                     bound = self.modulus(d)
-                    for x, hx in zip(xs, hv):
-                        m = prof.modulus_of_continuity(d, float(x))
-                        excess = m - bound * float(hx)
-                        worst_mod = max(worst_mod, excess)
-                        if excess > slack * max(1.0, m):
-                            raise InvariantViolation(
-                                f"modulus bound fails at x={x:.4f}, delta={d}: "
-                                f"{m:.3e} > {bound * float(hx):.3e}")
+                    m = prof.modulus_of_continuity(d, xs)
+                    excess = m - bound * hv
+                    bad = np.flatnonzero(excess > slack * np.maximum(1.0, m))
+                    if bad.size:
+                        i = bad[0]
+                        raise InvariantViolation(
+                            f"modulus bound fails at x={xs[i]:.4f}, delta={d}: "
+                            f"{m[i]:.3e} > {bound * hv[i]:.3e}")
+                    worst_mod = max(worst_mod, float(excess.max()))
         object.__setattr__(self, "_validated", True)
         return {"envelope_excess": worst_env, "modulus_excess": worst_mod,
                 "deltas": list(deltas)}
@@ -210,21 +211,24 @@ class GeneratorFamily:
         inflates the constant until the fitted bound dominates every
         measurement.
         """
-        h = self.envelope
+        grids = []
+        for prof in self._distinct_profiles():
+            xs = self._probe_grid(prof, probe_per_unit)
+            grids.append((prof, xs, np.asarray(self.envelope(xs), dtype=float)))
         needed = []
         for d in deltas:
             worst = 0.0
-            for prof in self._distinct_profiles():
-                xs = self._probe_grid(prof, probe_per_unit)
-                for x in xs:
-                    m = prof.modulus_of_continuity(d, float(x))
-                    if m <= 1e-15:
-                        continue
-                    hx = float(h(x))
-                    if hx <= 1e-13:
-                        raise InvariantViolation(
-                            f"envelope vanishes at x={x:.4f} where the modulus is {m:.3e}")
-                    worst = max(worst, m / hx)
+            for prof, xs, hv in grids:
+                m = prof.modulus_of_continuity(d, xs)
+                live = m > 1e-15
+                bad = np.flatnonzero(live & (hv <= 1e-13))
+                if bad.size:
+                    i = bad[0]
+                    raise InvariantViolation(
+                        f"envelope vanishes at x={xs[i]:.4f} where the modulus "
+                        f"is {m[i]:.3e}")
+                if live.any():
+                    worst = max(worst, float((m[live] / hv[live]).max()))
             needed.append(worst)
         needed = np.asarray(needed)
         if (needed <= 0).all():

@@ -1,0 +1,123 @@
+"""Scalar reference implementations of profile extrema and moduli.
+
+These are the one-interval, one-point forms that the array code in
+``locop.profiles`` and the masked loops in ``locop.synthesis`` replaced.
+They evaluate each interval or probe point on its own, so the array code
+is checked against an independent, obviously-correct loop.
+"""
+
+import numpy as np
+
+from locop.errors import InvariantViolation
+from locop.profiles import PiecewisePolynomial, _poly_eval
+
+
+def pp_interval_extrema(pp, a: float, b: float, right_open: bool = False):
+    """(min, max) of a piecewise polynomial over [a, b] (or [a, b))."""
+    if b < a:
+        raise ValueError("empty interval")
+    lo, hi = np.inf, -np.inf
+    zero_right = b > pp.breaks[-1] if right_open else b >= pp.breaks[-1]
+    if a < pp.breaks[0] or zero_right:
+        lo, hi = 0.0, 0.0  # the zero extension is visible
+    for i, c in enumerate(pp.coeffs):
+        pa, pb = pp.breaks[i], pp.breaks[i + 1]
+        if right_open and pa >= b:
+            continue  # the piece only begins at the excluded endpoint
+        s, e = max(a, pa), min(b, pb)
+        if s > e or (s == e and s == pb):
+            continue  # a lone overlap point belonging to the next piece
+        cand = [s, e]
+        if c.size > 2:
+            der = c[1:] * np.arange(1, c.size)
+            for r in np.roots(der[::-1]):
+                if abs(r.imag) < 1e-12:
+                    xr = r.real + pa
+                    if s <= xr <= e:
+                        cand.append(xr)
+        vals = _poly_eval(c, np.asarray(cand) - pa)
+        lo = min(lo, float(vals.min()))
+        hi = max(hi, float(vals.max()))
+    if lo is np.inf:  # interval met no piece
+        lo = hi = 0.0
+    return lo, hi
+
+
+def interval_extrema(prof, a: float, b: float, right_open: bool = False):
+    """(min, max) over one interval; Gaussian and exponential profiles peak
+    at 0 and are monotone on each side."""
+    if isinstance(prof, PiecewisePolynomial):
+        return pp_interval_extrema(prof, a, b, right_open)
+    cand = [a, b]
+    if a < 0.0 < b:
+        cand.append(0.0)
+    vals = prof(np.asarray(cand))
+    return float(vals.min()), float(vals.max())
+
+
+def cell_sup(prof, k: int) -> float:
+    """sup |f| over the unit cell [k, k + 1)."""
+    mn, mx = interval_extrema(prof, float(k), float(k + 1), right_open=True)
+    return max(abs(mn), abs(mx))
+
+
+def modulus_of_continuity(prof, delta: float, x: float) -> float:
+    """sup_{|y| <= delta} |f(x + y) - f(x)| at one point."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    mn, mx = interval_extrema(prof, x - delta, x + delta)
+    fx = float(prof(x))
+    return max(mx - fx, fx - mn)
+
+
+def family_validate(fam, probe_per_unit: int = 64,
+                    deltas=(0.5, 0.25, 0.125, 0.0625, 0.03125),
+                    slack: float = 1e-9) -> dict:
+    """GeneratorFamily.validate's report, one probe point at a time."""
+    h = fam.envelope
+    worst_env = 0.0
+    worst_mod = 0.0
+    for prof in fam._distinct_profiles():
+        xs = fam._probe_grid(prof, probe_per_unit)
+        fv = np.abs(np.asarray(prof(xs), dtype=float))
+        hv = np.asarray(h(xs), dtype=float)
+        worst_env = max(worst_env, float((fv - hv).max()))
+        if fam.modulus is not None:
+            for d in deltas:
+                bound = fam.modulus(d)
+                for x, hx in zip(xs, hv):
+                    m = modulus_of_continuity(prof, d, float(x))
+                    excess = m - bound * float(hx)
+                    worst_mod = max(worst_mod, excess)
+                    if excess > slack * max(1.0, m):
+                        raise InvariantViolation(
+                            f"modulus bound fails at x={x:.4f}, delta={d}: "
+                            f"{m:.3e} > {bound * float(hx):.3e}")
+    return {"envelope_excess": worst_env, "modulus_excess": worst_mod,
+            "deltas": list(deltas)}
+
+
+def calibrated_power(fam, deltas=(0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625),
+                     probe_per_unit: int = 64) -> tuple[float, float]:
+    """(C, alpha) that GeneratorFamily.calibrate_modulus fits, one probe
+    point at a time."""
+    needed = []
+    for d in deltas:
+        worst = 0.0
+        for prof in fam._distinct_profiles():
+            for x in fam._probe_grid(prof, probe_per_unit):
+                m = modulus_of_continuity(prof, d, float(x))
+                if m <= 1e-15:
+                    continue
+                hx = float(fam.envelope(x))
+                if hx <= 1e-13:
+                    raise InvariantViolation(
+                        f"envelope vanishes at x={x:.4f} where the modulus is {m:.3e}")
+                worst = max(worst, m / hx)
+        needed.append(worst)
+    needed = np.asarray(needed)
+    mask = needed > 0
+    X = np.stack([np.ones(mask.sum()), np.log(np.asarray(deltas)[mask])], axis=1)
+    coef, *_ = np.linalg.lstsq(X, np.log(needed[mask]), rcond=None)
+    alpha = float(min(max(coef[1], 1e-6), 1.0))
+    return float(np.max(needed / np.asarray(deltas) ** alpha)) * (1 + 1e-9), alpha

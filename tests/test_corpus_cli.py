@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from locop import cli, corpus
+from locop import cli, corpus, reporting
+from locop.kernelop import KernelOperator, SeparableRule
 from locop.matalg import LocalizedMatrix, schur_norm
+from locop.profiles import GaussianProfile, bspline_profile
 from locop.reporting import dump_json_bytes, validate_report
 
 # ----------------------------------------------------------------------
@@ -265,14 +267,15 @@ def test_cli_rejects_non_finite_point(tmp_path, capsys, bad):
     _assert_stab_rejects(obj, tmp_path, capsys)
 
 
-def _assert_rejects(argv, tmp_path, capsys):
-    """The analysis exits 2 with InvariantViolation, prints nothing on
-    stdout and writes no report next to its one input file."""
+def _assert_rejects(argv, tmp_path, capsys, error="InvariantViolation"):
+    """The analysis exits 2 with the given error as JSON and no traceback,
+    prints nothing on stdout and writes no report next to its one input file."""
     before = set(tmp_path.iterdir())
     rc = cli.main(argv + ["--out", str(tmp_path / "report.json")])
     assert rc == 2
     captured = capsys.readouterr()
-    assert json.loads(captured.err)["error"]["type"] == "InvariantViolation"
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"]["type"] == error
     assert captured.out == ""
     assert set(tmp_path.iterdir()) == before
 
@@ -307,6 +310,58 @@ def test_cli_kernel_rejects_non_finite_constant(tmp_path, capsys):
     kern = _write_nan_json(tmp_path / "kern.json", obj)
     _assert_rejects(["kernel", "--kernel", kern, "--p", "2", "--n", "3",
                      "--window", "16"], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("field,bad", [("sigma", None), ("alpha", [1])])
+def test_cli_kernel_rejects_wrong_type(tmp_path, capsys, field, bad):
+    # a null or a list where a number belongs used to end in a traceback
+    obj = corpus.gaussian_kernel_op(0.1, 1.0).to_json_dict()
+    if field == "sigma":
+        obj["rule"]["g"]["sigma"] = bad
+    else:
+        obj[field] = bad
+    kern = _write_nan_json(tmp_path / "kern.json", obj)
+    _assert_rejects(["kernel", "--kernel", kern, "--p", "2", "--n", "3",
+                     "--window", "16"], tmp_path, capsys, error="TypeError")
+
+
+def test_cli_synth_rejects_null_modulus_constant(tmp_path, capsys):
+    obj = corpus.hat_family(16).to_json_dict()
+    obj["modulus"]["C"] = None
+    fam = _write_nan_json(tmp_path / "fam.json", obj)
+    _assert_rejects(["synth", "--family", fam, "--p", "2", "--n0", "3",
+                     "--window", "8"], tmp_path, capsys, error="TypeError")
+
+
+def test_cli_kernel_rejects_non_finite_separable_weight(tmp_path, capsys):
+    # the >= 1e-300 entry mask dropped every NaN entry, leaving a certified
+    # "identity" answer with lower 1.0
+    sep = SeparableRule(((1.0, bspline_profile(2), GaussianProfile(1.0, 1.0)),))
+    obj = KernelOperator(sep, GaussianProfile(1.0, 2.0), 1.0, 50.0).to_json_dict()
+    obj["rule"]["terms"][0]["weight"] = float("nan")
+    kern = _write_nan_json(tmp_path / "kern.json", obj)
+    _assert_rejects(["kernel", "--kernel", kern, "--p", "2", "--n", "3",
+                     "--window", "32"], tmp_path, capsys)
+
+
+def test_cli_validates_each_report_once(tmp_path, capsys, monkeypatch):
+    # counted wherever it is bound: the CLI and the writers in reporting
+    calls = []
+    real = reporting.validate_report
+
+    def counted(report):
+        calls.append(1)
+        real(report)
+
+    monkeypatch.setattr(cli, "validate_report", counted)
+    monkeypatch.setattr(reporting, "validate_report", counted)
+    mat = tmp_path / "t131.json"
+    mat.write_bytes(dump_json_bytes(
+        corpus.toeplitz_matrix([1.0, 3.0, 1.0], 16).to_json_dict()))
+    assert cli.main(["stab", "--matrix", str(mat), "--p", "2", "--windows", "8,16",
+                     "--out", str(tmp_path / "stab.csv")]) == 0
+    assert (tmp_path / "stab.json").exists() and (tmp_path / "stab.csv").exists()
+    assert calls == [1]
 
 
 def test_stab_without_seed_is_byte_identical_across_interpreters(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from locop import corpus
 from locop.errors import InvariantViolation, NumericalError
 from locop.kernelop import (ConvolutionRule, KernelOperator, SeparableRule,
-                            _conv_offset_table, _omega,
+                            _conv_offset_table, _envelope_ring_sum,
                             _verify_offset_quadrature, apply_discretized,
                             apply_kernel, discretization_error_curve,
                             discretize_kernel, kernel_truncation_tail,
@@ -15,6 +15,8 @@ from locop.profiles import (ExponentialProfile, GaussianProfile,
                             PiecewisePolynomial, bspline_profile,
                             gauss_legendre_integral, trapezoid_profile)
 from locop.synthesis import DyadicFunction, project_Pn
+
+import oracles
 
 # shorthand for the acceptance-style operator 0.1 * exp(-(x - y)^2); the
 # session fixture carries the calibrated budget
@@ -246,13 +248,26 @@ def test_offset_quadrature_check_fires_without_kink_splits(monkeypatch):
 
 
 @pytest.mark.parametrize("g", [GaussianProfile(0.7, 2.0), ExponentialProfile(1.3),
-                               bspline_profile(2)],
-                         ids=["gaussian", "exponential", "hat"])
+                               bspline_profile(2), bspline_profile(4)],
+                         ids=["gaussian", "exponential", "hat", "bspline4"])
 def test_omega_matches_scalar_modulus(g):
     xs = np.linspace(-4.0, 4.0, 161)
     for r in (0.5, 2.0 ** -6):
-        want = [g.modulus_of_continuity(r, float(x)) for x in xs]
-        assert np.array_equal(_omega(g, r, xs), want)
+        want = [oracles.modulus_of_continuity(g, r, float(x)) for x in xs]
+        assert np.array_equal(g.modulus_of_continuity(r, xs), want)
+
+
+@pytest.mark.parametrize("h", [GaussianProfile(3.0, 0.7), trapezoid_profile(-1.0, 1.0)],
+                         ids=["gaussian", "trapezoid"])
+def test_envelope_ring_sum_matches_per_cell_loop(h):
+    radius = int(math.ceil(h.decay_radius(1e-14))) + 1
+    for k in (0, 2, 5, radius + 3):
+        total = 0.0
+        for j in range(-radius - 1, radius + 1):
+            if abs(j) >= k:
+                total += oracles.cell_sup(h, j)
+        total += 2.0 * h.tail_sum_bound(radius + 1)
+        assert _envelope_ring_sum(h, k) == total
 
 
 def test_fft_branch_matches_direct_convolution(gaussian_op):

@@ -11,6 +11,8 @@ from locop.profiles import (ExponentialProfile, GaussianProfile,
                             gauss_legendre_integral, pp_inner_product,
                             profile_from_json_dict, trapezoid_profile)
 
+import oracles
+
 
 def hat():
     return bspline_profile(2)
@@ -89,10 +91,72 @@ def test_interval_extrema_array_matches_scalar(g):
     # across B-spline kinks, and degenerate
     a = np.array([-0.5, 0.0, -1.0, -1e-3, 7.5, -40.0, 0.25, 1.75, 2.0, -3.0])
     b = np.array([0.75, 1.0, 0.0, 1e-3, 9.0, -38.0, 1.25, 2.5, 2.0, 3.0])
-    mn, mx = g.interval_extrema_array(a, b)
-    want = np.array([g.interval_extrema(float(s), float(e)) for s, e in zip(a, b)])
+    mn, mx = g.interval_extrema(a, b)
+    want = np.array([oracles.interval_extrema(g, s, e) for s, e in zip(a, b)])
     assert np.array_equal(mn, want[:, 0])
     assert np.array_equal(mx, want[:, 1])
+
+
+def _pp_cases():
+    wiggle = PiecewisePolynomial(np.array([-1.0, 0.0, 0.5, 2.0]),
+                                 (np.array([0.2, -1.0, 3.0, -2.0]),
+                                  np.array([-0.5, 2.0]),
+                                  np.array([1.0, 0.0, -4.0, 2.0])))
+    return {"hat": hat(), "bspline3": bspline_profile(3),
+            "bspline4": bspline_profile(4), "box": box_profile(0.0, 1.0),
+            "trapezoid": trapezoid_profile(0.0, 2.0, ramp=0.5, height=2.0),
+            "wiggle": wiggle}
+
+
+@pytest.mark.parametrize("name", sorted(_pp_cases()))
+@pytest.mark.parametrize("right_open", [False, True], ids=["closed", "right-open"])
+def test_piecewise_interval_extrema_equal_the_scalar_oracle(name, right_open):
+    # every pair of end points from breakpoints, points just beside them,
+    # piece interiors (the cubic B-spline's interior critical points among
+    # them), and points outside the support; a == b gives degenerate intervals
+    g = _pp_cases()[name]
+    br = g.breaks
+    pts = np.unique(np.concatenate([
+        br, np.nextafter(br, -np.inf), np.nextafter(br, np.inf),
+        0.5 * (br[:-1] + br[1:]), br[:-1] + 0.3 * np.diff(br),
+        [br[0] - 2.0, br[0] - 0.5, br[-1] + 0.5, br[-1] + 2.0]]))
+    a, b = np.meshgrid(pts, pts, indexing="ij")
+    keep = a <= b
+    a, b = a[keep], b[keep]
+    mn, mx = g.interval_extrema(a, b, right_open=right_open)
+    want = np.array([oracles.pp_interval_extrema(g, s, e, right_open)
+                     for s, e in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(mn, want[:, 0])
+    assert np.array_equal(mx, want[:, 1])
+
+
+def test_piecewise_interval_extrema_rejects_empty_interval():
+    with pytest.raises(ValueError, match="empty"):
+        hat().interval_extrema(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("g", [GaussianProfile(0.8, 1.5), GaussianProfile(1.0, -0.5),
+                               ExponentialProfile(2.0, 0.3)],
+                         ids=["gaussian", "gaussian-negative", "exponential"])
+def test_even_peak_interval_extrema_within_one_ulp_of_the_oracle(g, rng):
+    a = rng.uniform(-12.0, 12.0, 6000)
+    b = a + rng.exponential(1.0, a.size)
+    mn, mx = g.interval_extrema(a, b)
+    want = np.array([oracles.interval_extrema(g, s, e)
+                     for s, e in zip(a.tolist(), b.tolist())])
+    np.testing.assert_array_max_ulp(mn, want[:, 0], maxulp=1)
+    np.testing.assert_array_max_ulp(mx, want[:, 1], maxulp=1)
+
+
+@pytest.mark.parametrize("g", [hat(), bspline_profile(4),
+                               trapezoid_profile(0.0, 2.0, ramp=0.5),
+                               GaussianProfile(0.8, 1.5)],
+                         ids=["hat", "bspline4", "trapezoid", "gaussian"])
+def test_cell_sup_array_matches_per_cell_oracle(g):
+    ks = np.arange(-6, 7)
+    want = [oracles.cell_sup(g, int(k)) for k in ks]
+    assert np.array_equal(g.cell_sup(ks), want)
+    assert g.amalgam_norm() == pytest.approx(sum(want), rel=1e-13)
 
 
 def test_decay_radius_contains_mass():
@@ -144,6 +208,14 @@ def test_modulus_of_continuity_hat():
     assert h.modulus_of_continuity(0.25, 1.0) == pytest.approx(0.25, abs=1e-12)
     # far from the support nothing oscillates
     assert h.modulus_of_continuity(0.25, 5.0) == 0.0
+
+
+def test_modulus_of_continuity_takes_any_positive_radius():
+    # the kernel's Hölder probes pass radius 2 * delta = 1
+    assert hat().modulus_of_continuity(1.0, 1.0) == 1.0
+    for bad in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            hat().modulus_of_continuity(bad, 1.0)
 
 
 def test_gauss_legendre_exact_on_polynomials():

@@ -15,6 +15,8 @@ from locop.synthesis import (DyadicFunction, GeneratorFamily, ModulusBound,
                              discretize_synthesis, project_Pn, synthesize,
                              synthesis_stability)
 
+import oracles
+
 
 def hat():
     return bspline_profile(2)
@@ -104,6 +106,51 @@ def test_calibrate_modulus_passes_validation():
     cal = fam.calibrate_modulus()
     cal.ensure_valid()
     assert 0 < cal.modulus.alpha <= 1.0
+
+
+def _gaussian_family():
+    sigma = 0.5
+    return GeneratorFamily(IndexSet.integer_range(0, 7), (GaussianProfile(sigma),),
+                           GaussianProfile(sigma * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("make", [lambda: corpus.hat_family(16),
+                                  lambda: _gaussian_family().calibrate_modulus()],
+                         ids=["hat", "gaussian"])
+def test_validate_equals_per_point_loop(make):
+    fam = make()
+    assert fam.validate() == oracles.family_validate(fam)
+
+
+@pytest.mark.parametrize("make", [lambda: corpus.hat_family(16), _gaussian_family],
+                         ids=["hat", "gaussian"])
+def test_calibrate_modulus_equals_per_point_loop(make):
+    fam = make()
+    cal = fam.calibrate_modulus().modulus
+    assert (cal.c, cal.alpha) == oracles.calibrated_power(fam)
+
+
+def test_validate_names_the_first_failing_point():
+    idx = IndexSet.integer_range(0, 7)
+    fam = GeneratorFamily(idx, (hat(),), hat(), "shift",
+                          ModulusBound("power", c=1.0, alpha=1.0))
+    with pytest.raises(InvariantViolation) as want:
+        oracles.family_validate(fam)
+    with pytest.raises(InvariantViolation) as got:
+        fam.validate()
+    assert str(got.value) == str(want.value)
+
+
+def test_calibrate_modulus_names_the_first_vanishing_envelope_point():
+    idx = IndexSet.integer_range(0, 7)
+    fam = GeneratorFamily(idx, (hat(),), trapezoid_profile(0.0, 0.5, 0.5, 1.0),
+                          "shift", None)
+    with pytest.raises(InvariantViolation) as want:
+        oracles.calibrated_power(fam)
+    with pytest.raises(InvariantViolation) as got:
+        fam.calibrate_modulus()
+    assert str(got.value) == str(want.value)
+    assert "envelope vanishes" in str(got.value)
 
 
 def test_family_json_round_trip():
