@@ -137,6 +137,7 @@ def _stability_entries(per_p: dict) -> list[dict]:
     for p in sorted(per_p):
         rep = per_p[p]
         for i, w in enumerate(rep.window_sizes):
+            inner = rep.interior_lower[i]
             entries.append({
                 "p": p_label(p), "window": int(w),
                 "lower": rep.lower_constants[i],
@@ -144,7 +145,9 @@ def _stability_entries(per_p: dict) -> list[dict]:
                 "lower_certified": rep.lower_certified[i],
                 "upper_certified": rep.upper_certified[i],
                 "method": rep.methods[i],
-                "interior_lower": rep.interior_lower_constants[i],
+                "interior_lower": None if inner is None else inner.value,
+                "interior_certified": None if inner is None else inner.certified,
+                "interior_method": None if inner is None else inner.method,
             })
     return entries
 

@@ -3,9 +3,11 @@
 Lower constants (inf ||Ac||_p / ||c||_p) come from an exact eigensolve at
 p = 2, from the exact inverse norm 1 / ||A^-1||_p on square windows at
 p in {1, inf}, and from Riesz-Thorin interpolation of those on square
-windows in between.  Tall windows at p in {1, inf} with few columns use one
-left-inverse linear program; intermediate p and larger tall windows use a
-multistart projected descent from fixed starts.  Upper constants are
+windows in between.  A square window without one column (the interior of a
+ladder window) has an exact constant at p in {1, inf} in closed form from
+the window's own inverse.  Tall windows at p in {1, inf} with few columns
+use one left-inverse linear program; intermediate p and larger tall windows
+use a multistart projected descent from fixed starts.  Upper constants are
 closed-form at p in {1, inf}, spectral at p = 2, and interpolation bounds
 in between.  Window ladders aggregate the per-window constants into
 stabilization / degeneration verdicts.
@@ -172,31 +174,112 @@ def _min_singular_vector(A: LocalizedMatrix) -> np.ndarray:
 # exact square windows at p = 1 and p = inf
 
 
+def _square_lu(A: LocalizedMatrix):
+    """Sparse LU factors of a square matrix, or None when it is singular."""
+    try:
+        return spla.splu(A.csr().tocsc())
+    except RuntimeError as exc:
+        if "singular" in str(exc):
+            return None
+        raise NumericalError(f"inverse-norm factorization failed: {exc}") from exc
+
+
+def _unit_solve(lu, n: int, lo: int, hi: int, trans: str) -> np.ndarray:
+    """Columns lo..hi-1 of A^-1 (trans "N") or of A^-T (trans "T": rows of
+    A^-1), solved against a block of unit vectors."""
+    X = lu.solve(np.eye(n, hi - lo, k=-lo), trans=trans)
+    if not np.isfinite(X).all():
+        raise NumericalError("inverse-norm solve produced non-finite values")
+    return X
+
+
+def _inverse_blocks(lu, n: int, trans: str):
+    """All of A^-1 or A^-T in blocks of INVERSE_BLOCK_COLS columns, so no
+    dense n x n inverse or identity is ever held."""
+    for lo in range(0, n, INVERSE_BLOCK_COLS):
+        yield _unit_solve(lu, n, lo, min(lo + INVERSE_BLOCK_COLS, n), trans)
+
+
 def _inverse_norm_lower(A: LocalizedMatrix, p: float) -> float:
     """Exact lower constant 1 / ||A^-1||_p of a square matrix, p in {1, inf}.
 
     ||A^-1||_1 is the largest absolute column sum of A^-1 and ||A^-1||_inf
-    the largest absolute row sum, i.e. the largest column sum of A^-T.  One
-    sparse LU factorization is solved against blocks of identity columns,
-    so no dense n x n inverse is ever held.  An exactly singular factor
-    gives 0.
+    the largest absolute row sum, i.e. the largest column sum of A^-T.  An
+    exactly singular factor gives 0.
+    """
+    lu = _square_lu(A)
+    if lu is None:
+        return 0.0
+    trans = "N" if p == 1.0 else "T"
+    return 1.0 / max(float(np.abs(X).sum(axis=0).max())
+                     for X in _inverse_blocks(lu, A.shape[0], trans))
+
+
+# ----------------------------------------------------------------------
+# square windows without one column at p = 1 and p = inf
+
+
+def _min_l1_along(U: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """min over t of ||U[a] + t v||_1 for every row a of U, with max |v| = 1.
+
+    The minimum sits at the weighted median of the breakpoints -U[a, k]/v[k]
+    with weights |v[k]|.  A breakpoint whose quotient would overflow (v[k]
+    zero or subnormal) is put at +-inf: its weight is too small to move the
+    median.
+    """
+    w = np.abs(v)
+    finite = np.abs(U) < w * 2.0 ** 1000
+    R = np.copysign(np.inf, -U * v)
+    np.divide(-U, v, out=R, where=finite)
+    order = np.argsort(R, axis=1)
+    cum = np.cumsum(w[order], axis=1)
+    med = np.argmax(cum >= 0.5 * cum[:, -1:], axis=1)[:, None]
+    t = np.take_along_axis(R, np.take_along_axis(order, med, axis=1), axis=1)
+    return np.abs(U + t * v).sum(axis=1)
+
+
+def _max_l1_on_hyperplane(U: np.ndarray, v: np.ndarray) -> float:
+    """max ||U y||_1 over {y : v.y = 0, ||y||_1 <= 1}.
+
+    A convex function peaks at a vertex: +-e_i where v_i = 0, and for every
+    pair v_i v_j != 0 the point (v_j e_i - v_i e_j) / (|v_i| + |v_j|).  The
+    pair weights are ratios of |v| formed before they touch U, so subnormal
+    entries of v cannot carry a vertex outside the l1 ball.
+    """
+    on = v != 0
+    best = float(np.abs(U[:, ~on]).sum(axis=0).max(initial=0.0))
+    W = U[:, on] * np.sign(v[on])
+    a = np.abs(v[on])
+    for i in range(a.size - 1):
+        pair = a[i] + a[i + 1:]
+        Y = W[:, i:i + 1] * (a[i + 1:] / pair) - W[:, i + 1:] * (a[i] / pair)
+        best = max(best, float(np.abs(Y).sum(axis=0).max()))
+    return best
+
+
+def _codim_one_lower(A: LocalizedMatrix, j: int, p: float) -> float | None:
+    """Exact lower constant of a square A without column j, p in {1, inf}.
+
+    With I the kept columns, U = A^-1[I, :] is a left inverse of A[:, I]
+    and v = A^-1[j, :] spans its left null space, so the left inverses are
+    exactly U + w v^T.  At p = inf (l-inf is injective) 1/lower is the
+    largest over rows a of min_t ||U[a] + t v||_1; at p = 1 the range of
+    A[:, I] is v's orthogonal complement, and 1/lower is the largest
+    ||U y||_1 over its unit l1 ball.  Returns None when A is singular.
     """
     n = A.shape[0]
-    try:
-        lu = spla.splu(A.csr().tocsc())
-    except RuntimeError as exc:
-        if "singular" in str(exc):
-            return 0.0
-        raise NumericalError(f"inverse-norm factorization failed: {exc}") from exc
-    trans = "N" if p == 1.0 else "T"
-    worst = 0.0
-    for lo in range(0, n, INVERSE_BLOCK_COLS):
-        hi = min(lo + INVERSE_BLOCK_COLS, n)
-        X = lu.solve(np.eye(n, hi - lo, k=-lo), trans=trans)
-        if not np.isfinite(X).all():
-            raise NumericalError("inverse-norm solve produced non-finite values")
-        worst = max(worst, float(np.abs(X).sum(axis=0).max()))
-    return 1.0 / worst
+    lu = _square_lu(A)
+    if lu is None:
+        return None
+    if p == math.inf:
+        v = _unit_solve(lu, n, j, j + 1, "T")[:, 0]
+        v = v / np.abs(v).max()
+        # row j of A^-1 is v itself, whose minimum is 0
+        return 1.0 / max(float(_min_l1_along(X.T, v).max())
+                         for X in _inverse_blocks(lu, n, "T"))
+    (inv,) = _inverse_blocks(lu, n, "N")  # n <= INVERSE_BLOCK_COLS
+    v = inv[j] / np.abs(inv[j]).max()
+    return 1.0 / _max_l1_on_hyperplane(np.delete(inv, j, axis=0), v)
 
 
 # ----------------------------------------------------------------------
@@ -345,11 +428,22 @@ def lower_constant_interior(A: LocalizedMatrix, p) -> ConstantEstimate | None:
 
     Edge columns see truncated rows and can fake degeneracy; restricting
     the support by the matrix band width removes that artifact.  Returns
-    None when no interior columns remain.
+    None when no interior columns remain.  A nonsingular square window that
+    loses exactly one column gets the exact ``codim-one`` constant at
+    p = inf, and at p = 1 while one solve block holds its inverse; every
+    other interior goes to ``lower_constant``.
     """
+    p = normalize_p(p)
     idx = interior_column_indices(A, A.band())
     if idx.size == 0:
         return None
+    n, m = A.shape
+    if (n == m == idx.size + 1
+            and (p == math.inf or (p == 1.0 and n <= INVERSE_BLOCK_COLS))):
+        j = int(np.setdiff1d(np.arange(m), idx)[0])
+        value = _codim_one_lower(A, j, p)
+        if value is not None:
+            return ConstantEstimate(value, True, "codim-one")
     sub = A.csr()[:, idx].tocoo()
     inner = LocalizedMatrix(A.rows, A.cols.restrict(idx), sub.row, sub.col, sub.data)
     return lower_constant(inner, p)
@@ -370,7 +464,7 @@ class StabilityReport:
     lower_certified: list[bool]
     upper_certified: list[bool]
     methods: list[str]
-    interior_lower_constants: list[float | None] = field(default_factory=list)
+    interior_lower: list[ConstantEstimate | None] = field(default_factory=list)
     verdict: str = "undetermined"
 
     def __post_init__(self):
@@ -432,7 +526,7 @@ def stability_ladder(ladder: list[LocalizedMatrix], p) -> StabilityReport:
         lower_certified=[r[0].certified for r in results],
         upper_certified=[r[1].certified for r in results],
         methods=[r[0].method for r in results],
-        interior_lower_constants=[None if r[2] is None else r[2].value for r in results],
+        interior_lower=[r[2] for r in results],
         verdict=ladder_verdict(lowers),
     )
 

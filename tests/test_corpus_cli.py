@@ -389,6 +389,21 @@ def test_stab_without_seed_is_byte_identical_across_interpreters(tmp_path):
         assert e["interior_lower"] is not None
 
 
+def test_stab_entries_say_how_the_interior_constant_was_found(tmp_path):
+    mat = tmp_path / "t121.json"
+    mat.write_bytes(dump_json_bytes(
+        corpus.toeplitz_matrix([1.0, 2.0, 1.0], 16).to_json_dict()))
+    out = tmp_path / "stab.json"
+    assert cli.main(["stab", "--matrix", str(mat), "--p", "1,1.5,2,inf",
+                     "--windows", "8,16", "--out", str(out)]) == 0
+    found = {(e["p"], e["window"]): (e["interior_certified"], e["interior_method"])
+             for e in json.loads(out.read_bytes())["entries"]}
+    for p in ("1", "inf"):
+        assert found[p, 8] == found[p, 16] == (True, "codim-one")
+    assert found["2", 16] == (True, "singular-value")
+    assert found["1.5", 16] == (False, "multistart")
+
+
 def test_cli_exit_code_three_on_numerical_failure(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_bytes(dump_json_bytes(

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -388,9 +390,132 @@ def test_upper_constant_interpolates_row_column_sums():
 
 def test_interior_constant_discards_boundary_columns():
     A = toeplitz([1, 3, 1], 64)
-    full = lower_constant(A, 2.0)
-    inner = lower_constant_interior(A, 2.0)
-    assert inner.value >= full.value - 1e-12
+    for p in (1.0, 2.0, math.inf):
+        full = lower_constant(A, p)
+        inner = lower_constant_interior(A, p)
+        assert inner.value >= full.value * (1.0 - 1e-12)
+
+
+# ----------------------------------------------------------------------
+# square windows without one column at p = 1 and p = inf (codim-one)
+
+
+def _interior_window(A):
+    idx = stability.interior_column_indices(A, A.band())
+    sub = A.csr()[:, idx].tocoo()
+    return LocalizedMatrix(A.rows, A.cols.restrict(idx), sub.row, sub.col, sub.data)
+
+
+def _random_tridiagonal(seed, n=10):
+    d = np.random.default_rng(seed).standard_normal((3, n))
+    dense = (np.diag(d[0] + 3.0 * np.sign(d[0])) + np.diag(d[1, 1:], -1)
+             + np.diag(d[2, 1:], 1))
+    s = IndexSet.integer_range(0, n - 1)
+    return LocalizedMatrix.from_dense(s, s, dense)
+
+
+def _codim_one_windows():
+    cases = [pytest.param(toeplitz([1, 2, 1], 12), id="t121-w12"),
+             pytest.param(toeplitz([1, 3, 1], 12), id="t131-w12"),
+             pytest.param(corpus.banded_random(12, band=1, seed=2), id="banded-w12")]
+    cases += [pytest.param(_random_tridiagonal(seed), id=f"tridiag10-{seed}")
+              for seed in range(4)]
+    return cases
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("A", _codim_one_windows())
+def test_codim_one_matches_exact_enumeration(A, p):
+    est = lower_constant_interior(A, p)
+    assert est.certified and est.method == "codim-one"
+    inner = _interior_window(A)
+    assert inner.shape == (A.shape[0], A.shape[1] - 1)
+    assert est.value == pytest.approx(enumeration_oracle(inner, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_codim_one_ladders_never_search(p, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("codimension-one interiors must not search")
+
+    monkeypatch.setattr(_accel, "descend_lp", forbidden)
+    monkeypatch.setattr(stability, "linprog", forbidden)
+    monkeypatch.setattr(stability, "_min_singular_vector", forbidden)
+    for A in (toeplitz([1, 2, 1], 64), toeplitz([1, 3, 1], 64),
+              corpus.banded_random(64, band=1, seed=2)):
+        rep = stability_ladder([A.window_prefix(w, w) for w in (16, 32, 64)], p)
+        assert all(est.certified and est.method == "codim-one"
+                   for est in rep.interior_lower)
+
+
+def test_codim_one_on_a_large_window_sits_between_its_bounds():
+    n = 1280
+    assert n > 2 * INVERSE_BLOCK_COLS
+    A = corpus.banded_random(n, band=1, seed=2)
+    tracemalloc.start()
+    try:
+        est = lower_constant_interior(A, math.inf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.method == "codim-one"
+    # no n x n array, dense inverse or identity alike
+    assert peak < n * n * 8
+    # dropping a column never lowers the constant, and the exact value sits
+    # below the ratio any test vector reaches
+    assert est.value >= lower_constant(A, math.inf).value
+    inner = _interior_window(A)
+    warm = stability._min_singular_vector(inner)
+    F, _ = _accel.descend_lp(inner.csr(), warm[None, :], math.inf)
+    assert est.value <= F[0]
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_codim_one_with_underflowing_null_vector(p):
+    # upper bidiagonal with two tiny couplings: the null vector v (row 0 of
+    # A^-1) runs 1/2, -2.5e-161, then subnormals down to 1e-323, where
+    # -U/v overflows
+    n = 10
+    dense = 2.0 * np.eye(n) + np.diag([1e-160, 1e-160] + [1.0] * (n - 3), 1)
+    s = IndexSet.integer_range(0, n - 1)
+    A = LocalizedMatrix.from_dense(s, s, dense)
+    v = np.linalg.inv(dense)[0]
+    assert v[-1] != 0.0 and abs(v[-1]) < np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = lower_constant_interior(A, p)
+    assert est.method == "codim-one"
+    assert est.value == pytest.approx(enumeration_oracle(_interior_window(A), p),
+                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_codim_one_singular_window_falls_back(p):
+    # the dropped column is the zero one: the window is singular but its
+    # interior has full rank
+    A = _random_tridiagonal(5)
+    dense = A.dense()
+    dense[:, 0] = 0.0
+    Z = LocalizedMatrix.from_dense(A.rows, A.cols, dense)
+    assert lower_constant(Z, p).value == 0.0
+    est = lower_constant_interior(Z, p)
+    inner = _interior_window(Z)
+    assert est == lower_constant(inner, p)
+    assert est.method == "left-inverse-lp"
+    exact = enumeration_oracle(inner, p)
+    assert exact * (1.0 - 1e-5) <= est.value <= exact * (1.0 + 1e-12)
+
+
+def test_codim_one_at_p1_only_while_one_block_holds_the_inverse(monkeypatch):
+    n = INVERSE_BLOCK_COLS + 2
+    A = toeplitz([1, 3, 1], n)
+    calls = []
+    monkeypatch.setattr(stability, "lower_constant",
+                        lambda B, p: calls.append(B.shape) or "today's path")
+    assert lower_constant_interior(A, 1.0) == "today's path"
+    assert calls == [(n, n - 1)]
+    assert lower_constant_interior(A, math.inf).method == "codim-one"
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
