@@ -1,6 +1,6 @@
-"""Multistart projected subgradient descent for the lower stability constant.
+"""Projected subgradient descent for the lower stability constant.
 
-minimize ||A c||_p over the lp unit sphere, from many starts at once.
+minimize ||A c||_p over the lp unit sphere, from several starts at once.
 Normalized-subgradient steps with lp-sphere retraction; the step halves on
 failure, grows modestly on success, and a start terminates when the step
 drops below ``tmin``.

@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--grid", type=int, default=65536)
     _add_out(c)
 
-    i = sub.add_parser("invdecay", help="decay profile of the dense inverse")
+    i = sub.add_parser("invdecay", help="off-diagonal decay profile of the inverse")
     i.add_argument("--matrix", required=True)
     i.add_argument("--margin", type=float, required=True,
                    help="boundary columns excluded from the fit")

@@ -6,6 +6,8 @@ quadrature tolerance misses) raise :class:`NumericalError`.  The CLI maps
 the former to exit code 2 and the latter to exit code 3.
 """
 
+import math
+
 
 class LocopError(Exception):
     pass
@@ -17,3 +19,12 @@ class InvariantViolation(LocopError, ValueError):
 
 class NumericalError(LocopError, RuntimeError):
     """A numerical method failed to converge or lost too much accuracy."""
+
+
+def integer_field(value, name: str) -> int:
+    """An integer read from JSON.  A fractional or non-finite number is an
+    error, not something to truncate; a null or a list raises TypeError."""
+    f = float(value)
+    if not (math.isfinite(f) and f == math.floor(f)):
+        raise InvariantViolation(f"{name} {value!r} is not an integer")
+    return int(f)

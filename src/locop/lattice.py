@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, integer_field
 
 DISTINCT_TOL = 1e-12
 
@@ -96,7 +96,8 @@ class IndexSet:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "IndexSet":
-        return cls(int(obj["dim"]), np.asarray(obj["points"], dtype=float),
+        return cls(integer_field(obj["dim"], "dim"),
+                   np.asarray(obj["points"], dtype=float),
                    np.asarray(obj["window"], dtype=float))
 
     @classmethod

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, integer_field
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -144,8 +144,8 @@ class PiecewisePolynomial(Profile1D):
             raise InvariantViolation("breaks and coefficients must be finite")
         if br.ndim != 1 or br.size < 2 or (np.diff(br) <= 0).any():
             raise ValueError("breaks must be strictly increasing with >= 2 entries")
-        if len(cf) != br.size - 1:
-            raise ValueError("need one coefficient row per interval")
+        if len(cf) != br.size - 1 or any(c.ndim != 1 for c in cf):
+            raise ValueError("need one flat coefficient row per interval")
         br = br.copy()
         br.setflags(write=False)
         object.__setattr__(self, "breaks", br)
@@ -398,7 +398,7 @@ def profile_from_json_dict(obj: dict) -> Profile1D:
     if kind == "exponential":
         return ExponentialProfile(float(obj["rate"]), float(obj.get("amplitude", 1.0)))
     if kind == "bspline":
-        return bspline_profile(int(obj["order"]))
+        return bspline_profile(integer_field(obj["order"], "order"))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

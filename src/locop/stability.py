@@ -7,7 +7,8 @@ windows in between.  A square window without one column (the interior of a
 ladder window) has an exact constant at p in {1, inf} in closed form from
 the window's own inverse.  Tall windows at p in {1, inf} with few columns
 use one left-inverse linear program; intermediate p and larger tall windows
-use a multistart projected descent from fixed starts.  Upper constants are
+use a projected descent from two deterministic starts, the p = 2 minimizer
+and the best column of the Gram inverse (A^T A)^-1.  Upper constants are
 closed-form at p in {1, inf}, spectral at p = 2, and interpolation bounds
 in between.  Window ladders aggregate the per-window constants into
 stabilization / degeneration verdicts.
@@ -27,12 +28,12 @@ from scipy.optimize import linprog
 from . import _accel
 from .errors import NumericalError
 from .lattice import IndexSet
-from .matalg import LocalizedMatrix, offset_profile
+from .matalg import (ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, group_max,
+                     pack_cells, unpack_cells)
 
 LP_MAX_COLS = 14
 DENSE_EIG_CUTOFF = 1200
 BANDED_EIG_MAX_BAND = 1200
-MULTISTART_COUNT = 64
 MULTISTART_MAX_ITER = 5000
 MULTISTART_STEP_MIN = 1e-10
 INVERSE_BLOCK_COLS = 128
@@ -142,9 +143,9 @@ def _gram_smallest(G, return_vector: bool = False):
 
 
 def _fixed_normal(shape) -> np.ndarray:
-    """Normal draws from a fixed generator, for ARPACK start vectors and
-    descent starts: without one ARPACK draws from numpy's global random
-    state, and reruns can differ in the last digit."""
+    """Normal draws from a fixed generator, for ARPACK start vectors:
+    without one ARPACK draws from numpy's global random state, and reruns
+    can differ in the last digit."""
     return np.random.default_rng(0).standard_normal(shape)
 
 
@@ -174,14 +175,19 @@ def _min_singular_vector(A: LocalizedMatrix) -> np.ndarray:
 # exact square windows at p = 1 and p = inf
 
 
-def _square_lu(A: LocalizedMatrix):
-    """Sparse LU factors of a square matrix, or None when it is singular."""
+def _square_lu(mat):
+    """Sparse LU factors of a square sparse matrix (a window or a Gram
+    matrix), or None when it is singular."""
+    mat = mat.tocsc()
     try:
-        return spla.splu(A.csr().tocsc())
+        return spla.splu(mat)
     except RuntimeError as exc:
-        if "singular" in str(exc):
+        # SuperLU reports some structurally singular matrices (zero rows,
+        # say) only as a failed factorization
+        from scipy.sparse.csgraph import structural_rank
+        if "singular" in str(exc) or structural_rank(mat) < mat.shape[0]:
             return None
-        raise NumericalError(f"inverse-norm factorization failed: {exc}") from exc
+        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
 
 
 def _unit_solve(lu, n: int, lo: int, hi: int, trans: str) -> np.ndarray:
@@ -207,7 +213,7 @@ def _inverse_norm_lower(A: LocalizedMatrix, p: float) -> float:
     the largest absolute row sum, i.e. the largest column sum of A^-T.  An
     exactly singular factor gives 0.
     """
-    lu = _square_lu(A)
+    lu = _square_lu(A.csr())
     if lu is None:
         return 0.0
     trans = "N" if p == 1.0 else "T"
@@ -268,7 +274,7 @@ def _codim_one_lower(A: LocalizedMatrix, j: int, p: float) -> float | None:
     ||U y||_1 over its unit l1 ball.  Returns None when A is singular.
     """
     n = A.shape[0]
-    lu = _square_lu(A)
+    lu = _square_lu(A.csr())
     if lu is None:
         return None
     if p == math.inf:
@@ -325,17 +331,42 @@ def _left_inverse_lower(A: LocalizedMatrix, p: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# multistart descent
+# descent from two deterministic starts
+
+
+def _gram_inverse_start(A: LocalizedMatrix, p: float) -> np.ndarray | None:
+    """The column x of (A^T A)^-1 with the least ||Ax||_p / ||x||_p.
+
+    Ax is a row of the pseudo-inverse A^+ = (A^T A)^-1 A^T, whose rows are
+    localized like those of any good left inverse.  Columns come from the
+    Gram matrix's sparse LU in blocks, so no dense m x m inverse is held.
+    None when the Gram matrix is singular, or so near it that its inverse
+    overflows.
+    """
+    csr = A.csr()
+    lu = _square_lu(csr.T @ csr)
+    if lu is None:
+        return None
+    best, start = math.inf, None
+    try:
+        for X in _inverse_blocks(lu, A.shape[1], "N"):
+            ratio = (np.linalg.norm(csr @ X, ord=p, axis=0)
+                     / np.linalg.norm(X, ord=p, axis=0))
+            k = int(np.argmin(ratio))
+            if ratio[k] < best:
+                best, start = ratio[k], X[:, k]
+    except NumericalError:
+        return None
+    return start
 
 
 def _multistart_lower(A: LocalizedMatrix, p: float) -> float:
-    n, m = A.shape
-    starts = _fixed_normal((MULTISTART_COUNT, m))
-    # one deterministic warm start: the p=2 minimizer is a strong start at
-    # every p and keeps window ladders comparable
-    warm = _min_singular_vector(A)
-    starts = np.vstack([warm[None, :], starts])
-    F, _ = _accel.descend_lp(A.csr(), starts, p, max_iter=MULTISTART_MAX_ITER,
+    """Upper estimate of the lower constant: the least ||Ac||_p / ||c||_p
+    the descent reaches from the p = 2 minimizer and from the best column
+    of the Gram inverse."""
+    starts = [_min_singular_vector(A), _gram_inverse_start(A, p)]
+    F, _ = _accel.descend_lp(A.csr(), np.array([s for s in starts if s is not None]),
+                             p, max_iter=MULTISTART_MAX_ITER,
                              tmin=MULTISTART_STEP_MIN)
     return float(np.min(F))
 
@@ -637,34 +668,40 @@ class InverseDecayResult:
 def inverse_decay_profile(A: LocalizedMatrix, margin: float, *,
                           cond_limit: float = 1e12,
                           floor: float = 1e-13) -> InverseDecayResult:
-    """Offset profile of the dense inverse and its fitted decay rate.
+    """Offset profile of the inverse and its fitted decay rate.
 
     Rows of the inverse are restricted to points at least ``margin`` away
     from the window edge before binning (finite sections pollute the
     boundary); log sup-values are least-squares fitted against ||k||_inf.
+    The rows come from the sparse LU in blocks, each reduced to offset-cell
+    maxima at once, so no dense inverse is held.
     """
     n, m = A.shape
     if n != m:
         raise ValueError("inverse decay needs a square matrix")
-    dense = A.dense()
-    svals = scipy.linalg.svdvals(dense)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > cond_limit:
+    smin, smax = _dense_singular_extremes(A)
+    if smin <= 0 or smax / smin > cond_limit:
         raise NumericalError(
-            f"matrix condition {svals[0] / max(svals[-1], 1e-300):.3e} exceeds {cond_limit:.1e}")
-    inv = scipy.linalg.inv(dense)
-    # the inverse maps row index set back to column index set
-    B = LocalizedMatrix.from_dense(A.cols, A.rows, inv, drop_tol=0.0)
-    pts = B.rows.points
-    win = B.rows.window
-    keep_rows = np.ones(len(B.rows), dtype=bool)
-    for ax in range(B.dim):
-        keep_rows &= (pts[:, ax] >= win[ax, 0] + margin) & (pts[:, ax] <= win[ax, 1] - margin)
-    idx = np.flatnonzero(keep_rows)
+            f"matrix condition {smax / max(smin, 1e-300):.3e} exceeds {cond_limit:.1e}")
+    # the inverse maps the row index set back to the column index set, so
+    # its rows are A's columns
+    idx = interior_column_indices(A, margin)
     if idx.size == 0:
         raise ValueError("margin leaves no interior rows")
-    mask = np.isin(B.i, idx)
-    interior = LocalizedMatrix(B.rows, B.cols, B.i[mask], B.j[mask], B.values[mask])
-    prof = offset_profile(interior)
+    lu = _square_lu(A.csr())
+    if lu is None:
+        raise NumericalError("inverse decay of a singular matrix")
+    keys, sups = [], []
+    for lo, X in zip(range(0, n, INVERSE_BLOCK_COLS), _inverse_blocks(lu, n, "T")):
+        rows = idx[(idx >= lo) & (idx < lo + X.shape[1])]
+        vals = np.abs(X[:, rows - lo].T)
+        cells = np.floor(A.cols.points[rows, None, :] - A.rows.points[None, :, :])
+        kept = vals >= ENTRY_DROP_TOL
+        k, s = group_max(pack_cells(cells[kept].astype(np.int64)), vals[kept])
+        keys.append(k)
+        sups.append(s)
+    uk, sup = group_max(np.concatenate(keys), np.concatenate(sups))
+    prof = OffsetProfile(A.dim, unpack_cells(uk, A.dim), sup)
     dist = np.abs(prof.cells).max(axis=1).astype(float)
     usable = prof.sups > floor
     if usable.sum() < 4:
@@ -674,7 +711,7 @@ def inverse_decay_profile(A: LocalizedMatrix, margin: float, *,
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = float(np.sqrt(np.mean((X @ coef - y) ** 2)))
     return InverseDecayResult(prof, float(math.exp(coef[1])), float(coef[0]),
-                              resid, float(svals[0] / svals[-1]), int(usable.sum()))
+                              resid, float(smax / smin), int(usable.sum()))
 
 
 # ----------------------------------------------------------------------

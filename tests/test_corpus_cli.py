@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import io
@@ -5,11 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from locop import cli, corpus, reporting
 from locop.kernelop import KernelOperator, SeparableRule
@@ -342,6 +346,69 @@ def test_cli_kernel_rejects_non_finite_separable_weight(tmp_path, capsys):
     kern = _write_nan_json(tmp_path / "kern.json", obj)
     _assert_rejects(["kernel", "--kernel", kern, "--p", "2", "--n", "3",
                      "--window", "32"], tmp_path, capsys)
+
+
+def _json_leaves(obj, path=()):
+    """(path, value) of every scalar in a JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _json_leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _json_leaves(value, path + (i,))
+    else:
+        yield path, obj
+
+
+_FUZZ_INPUTS = {
+    "stab": (corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict(),
+             ["stab", "--matrix", "{}", "--p", "2", "--windows", "8"]),
+    "synth": (corpus.hat_family(8).to_json_dict(),
+              ["synth", "--family", "{}", "--p", "2", "--n0", "3", "--window", "8"]),
+    "kernel": (corpus.gaussian_kernel_op(0.1, 1.0).to_json_dict(),
+               ["kernel", "--kernel", "{}", "--p", "2", "--n", "3", "--window", "16"]),
+}
+
+
+def _fuzz_cases():
+    """(input, path, replacement) for every scalar field of the inputs above
+    and every replacement that makes the field invalid."""
+    cases = []
+    for name, (obj, _) in _FUZZ_INPUTS.items():
+        for path, value in _json_leaves(obj):
+            bad = [float("nan"), float("inf"), "x", None, [1]]
+            if isinstance(value, int):
+                bad.append(value + 0.5)   # a fractional index or dimension
+            cases += [(name, path, b) for b in bad]
+    return cases
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_fuzz_cases()))
+# fields whose loaders truncated, overflowed or flattened before
+@example(("stab", ("rows", "dim"), 1.5))
+@example(("synth", ("index", "dim"), float("inf")))
+@example(("synth", ("envelope", "coeffs", 1, 0), [1]))
+def test_cli_rejects_every_mutated_input_field(capsys, case):
+    name, path, bad = case
+    obj, argv = _FUZZ_INPUTS[name]
+    obj = copy.deepcopy(obj)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.json"
+        src.write_text(json.dumps(obj))   # writes NaN / Infinity literals
+        rc = cli.main([a.format(src) for a in argv]
+                      + ["--out", str(Path(tmp) / "report.json")])
+        assert [f.name for f in Path(tmp).iterdir()] == ["in.json"]
+    captured = capsys.readouterr()
+    assert rc == 2, case
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "error" in json.loads(captured.err)
 
 
 def test_cli_validates_each_report_once(tmp_path, capsys, monkeypatch):

@@ -264,6 +264,13 @@ def test_unknown_profile_kind_rejected():
         profile_from_json_dict({"kind": "wavelet", "scale": 1.0})
 
 
+@pytest.mark.parametrize("order", [2.5, math.inf, math.nan])
+def test_bspline_order_must_be_an_integer(order):
+    # int() used to truncate 2.5 to a valid order 2 and overflow on inf
+    with pytest.raises(InvariantViolation, match="order"):
+        profile_from_json_dict({"kind": "bspline", "order": order})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_profiles_reject_non_finite_parameters(bad):
     for make in (lambda: GaussianProfile(bad), lambda: GaussianProfile(1.0, bad),

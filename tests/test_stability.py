@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 from locop import _accel, corpus, stability
 from locop.errors import NumericalError
 from locop.lattice import IndexSet
-from locop.matalg import LocalizedMatrix, vector_pnorm
+from locop.matalg import LocalizedMatrix, offset_profile, vector_pnorm
 from locop.profiles import GaussianProfile
 from locop.stability import (DENSE_EIG_CUTOFF, INVERSE_BLOCK_COLS,
                              LP_MAX_COLS, ConstantEstimate,
@@ -85,8 +85,54 @@ def face_lp_min_linf(A: LocalizedMatrix) -> float:
     return max(best, 0.0)
 
 
-def enumeration_oracle(A, p):
-    return orthant_lp_min_l1(A) if p == 1.0 else face_lp_min_linf(A)
+# Exact p = 1 constants of the windows below with 10 to 12 columns, where
+# orthant_lp_min_l1 runs 2^9 to 2^11 linear programs (1-8 s each on a
+# 2-vCPU host).
+# Regenerate with
+#     PYTHONPATH=src python tests/test_stability.py
+ORTHANT_EXACT = {
+    "hat12-n3": 4.1375728505009475,
+    "banded12x10": 0.5627388119187203,
+    "banded12": 0.5000028615680376,
+    "t121-w12": 0.08095238095238103,
+    "t131-w12": 1.0093750000000004,
+    "banded-w12": 0.5000089631098076,
+}
+
+
+def pinned_windows():
+    """The windows of ORTHANT_EXACT, by name."""
+    return {
+        "hat12-n3": discretize_synthesis(corpus.hat_family(12), 3),
+        "banded12x10": corpus.banded_random(12, band=2, seed=9).window_prefix(12, 10),
+        "banded12": corpus.banded_random(12, band=1, seed=4),
+        "t121-w12": _interior_window(toeplitz([1, 2, 1], 12)),
+        "t131-w12": _interior_window(toeplitz([1, 3, 1], 12)),
+        "banded-w12": _interior_window(corpus.banded_random(12, band=1, seed=2)),
+    }
+
+
+def enumeration_oracle(A, p, name=None):
+    """Exact constant of A; at p = 1 the pinned value when ``name`` has one."""
+    if p == 1.0:
+        if name in ORTHANT_EXACT:
+            return ORTHANT_EXACT[name]
+        return orthant_lp_min_l1(A)
+    return face_lp_min_linf(A)
+
+
+def test_pinned_orthant_constants_match_the_oracle():
+    # one pinned window stays live, so the table and the oracle cannot drift
+    # apart unseen
+    A = pinned_windows()["banded12x10"]
+    assert orthant_lp_min_l1(A) == pytest.approx(ORTHANT_EXACT["banded12x10"],
+                                                 rel=1e-12)
+
+
+def _interior_window(A):
+    idx = stability.interior_column_indices(A, A.band())
+    sub = A.csr()[:, idx].tocoo()
+    return LocalizedMatrix(A.rows, A.cols.restrict(idx), sub.row, sub.col, sub.data)
 
 
 # ----------------------------------------------------------------------
@@ -189,10 +235,10 @@ def _dense_inverse_lower(A, p):
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_inverse_norm_matches_exact_enumeration(p):
-    A = corpus.banded_random(12, band=1, seed=4)
+    A = pinned_windows()["banded12"]
     est = lower_constant(A, p)
     assert est.certified and est.method == "inverse-norm"
-    assert est.value == pytest.approx(enumeration_oracle(A, p), rel=1e-12)
+    assert est.value == pytest.approx(enumeration_oracle(A, p, "banded12"), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
@@ -212,6 +258,16 @@ def test_inverse_norm_of_singular_matrix_is_zero(p):
     Z = LocalizedMatrix.from_dense(A.rows, A.cols, dense)
     est = lower_constant(Z, p)
     assert est == ConstantEstimate(0.0, True, "inverse-norm")
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
+def test_inverse_norm_of_window_with_zero_rows_is_zero(p):
+    # half the rows of this prefix window are zero; SuperLU reports it as a
+    # failed factorization, not as an exactly singular one
+    A = corpus.permuted_rows(toeplitz([1, 3, 1], 32), seed=5).window_prefix(16, 16)
+    assert (np.abs(A.dense()).sum(axis=1) == 0.0).sum() == 8
+    est = lower_constant(A, p)
+    assert est.certified and est.value == 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
@@ -281,28 +337,27 @@ def _synth_gaussian_family(size):
 
 def _tall_lp_windows():
     cases = []
-    for name, fam in (("hat", corpus.hat_family(8)),
-                      ("gauss", _synth_gaussian_family(8))):
+    for family, fam in (("hat", corpus.hat_family(8)),
+                        ("gauss", _synth_gaussian_family(8))):
         for n0 in (3, 4):
             for w in (6, 8):
-                cases.append(pytest.param(discretize_synthesis(fam.prefix(w), n0),
-                                          id=f"{name}-n{n0}-w{w}"))
-    cases.append(pytest.param(discretize_synthesis(corpus.hat_family(12), 3),
-                              id="hat12-n3"))
-    cases.append(pytest.param(
-        corpus.banded_random(12, band=2, seed=9).window_prefix(12, 10),
-        id="banded12x10"))
+                name = f"{family}-n{n0}-w{w}"
+                cases.append(pytest.param(
+                    name, discretize_synthesis(fam.prefix(w), n0), id=name))
+    pinned = pinned_windows()
+    cases += [pytest.param(name, pinned[name], id=name)
+              for name in ("hat12-n3", "banded12x10")]
     return cases
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
-@pytest.mark.parametrize("A", _tall_lp_windows())
-def test_left_inverse_lp_matches_enumeration(A, p):
+@pytest.mark.parametrize("name,A", _tall_lp_windows())
+def test_left_inverse_lp_matches_enumeration(name, A, p):
     n, m = A.shape
     assert n > m and m <= LP_MAX_COLS
     est = lower_constant(A, p)
     assert est.certified and est.method == "left-inverse-lp"
-    exact = enumeration_oracle(A, p)
+    exact = enumeration_oracle(A, p, name)
     # a certified lower bound never exceeds the exact constant, and the
     # solver tolerance costs at most 1e-5 relative
     assert est.value <= exact * (1.0 + 1e-12)
@@ -370,14 +425,66 @@ def test_multistart_agrees_with_exact_enumeration(p):
 
 
 def test_tall_multistart_is_deterministic_without_seed():
-    # the descent starts come from a fixed generator, not from a user seed
-    # or from numpy's global random state
+    # the descent starts are computed from the window, not drawn from a user
+    # seed or from numpy's global random state
     A = toeplitz([1, 3, 1], 20).window_prefix(20, 16)
     a = lower_constant(A, 1.5)
     assert not a.certified and a.method == "multistart"
     for s in (1, 2):
         np.random.seed(s)
         assert lower_constant(toeplitz([1, 3, 1], 20).window_prefix(20, 16), 1.5) == a
+
+
+def _wide_tall_windows():
+    # tall, with more columns than the left-inverse LP takes
+    windows = (toeplitz([1, 3, 1], 20).window_prefix(20, 16),
+               corpus.banded_random(40, band=2, seed=3).window_prefix(40, 30),
+               discretize_synthesis(corpus.hat_family(16), 3))
+    assert all(LP_MAX_COLS < A.shape[1] < A.shape[0] for A in windows)
+    return windows
+
+
+def test_descent_draws_no_random_numbers(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no random draws below DENSE_EIG_CUTOFF")
+
+    monkeypatch.setattr(stability, "_fixed_normal", forbidden)
+    for A in _wide_tall_windows():
+        for p in (1.0, 1.5, math.inf):
+            est = lower_constant(A, p)
+            assert est.method == "multistart" and est.value > 0.0
+    # a ladder whose 30-column interior reaches the descent at every p != 2
+    B = corpus.banded_random(32, band=2, seed=3)
+    ladder = [B.window_prefix(w, w) for w in (16, 32)]
+    report = equivalence_report(ladder, [1.0, 1.5, 2.0, 3.0, math.inf])
+    for p, rep in report.per_p.items():
+        assert (rep.interior_lower[-1].method == "multistart") == (p != 2.0)
+
+
+def test_gram_inverse_start_beats_the_random_starts():
+    A = toeplitz([1, 3, 1], 20).window_prefix(20, 16)
+    est = lower_constant(A, 1.0)
+    assert est.method == "multistart"
+    # 1.0068953641861693 came from the p = 2 minimizer and 64 random starts;
+    # the certified LP bound sits below every ratio a test vector reaches
+    assert _left_inverse_lower(A, 1.0) <= est.value <= 1.0068953641861693
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-160])
+@pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
+def test_descent_skips_a_singular_gram_inverse(scale, p):
+    # column 5 is zero, or so small that (A^T A)^-1 overflows: the descent
+    # runs from the p = 2 minimizer alone, which is e_5 up to rounding
+    dense = corpus.banded_random(24, band=2, seed=3).dense()[:, :18]
+    dense[:, 5] *= scale
+    s = IndexSet.integer_range(0, 23)
+    A = LocalizedMatrix.from_dense(s, s.prefix(18), dense)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stability._gram_inverse_start(A, p) is None
+        est = lower_constant(A, p)
+    assert est.method == "multistart"
+    assert est.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_upper_constant_interpolates_row_column_sums():
@@ -400,12 +507,6 @@ def test_interior_constant_discards_boundary_columns():
 # square windows without one column at p = 1 and p = inf (codim-one)
 
 
-def _interior_window(A):
-    idx = stability.interior_column_indices(A, A.band())
-    sub = A.csr()[:, idx].tocoo()
-    return LocalizedMatrix(A.rows, A.cols.restrict(idx), sub.row, sub.col, sub.data)
-
-
 def _random_tridiagonal(seed, n=10):
     d = np.random.default_rng(seed).standard_normal((3, n))
     dense = (np.diag(d[0] + 3.0 * np.sign(d[0])) + np.diag(d[1, 1:], -1)
@@ -415,22 +516,23 @@ def _random_tridiagonal(seed, n=10):
 
 
 def _codim_one_windows():
-    cases = [pytest.param(toeplitz([1, 2, 1], 12), id="t121-w12"),
-             pytest.param(toeplitz([1, 3, 1], 12), id="t131-w12"),
-             pytest.param(corpus.banded_random(12, band=1, seed=2), id="banded-w12")]
-    cases += [pytest.param(_random_tridiagonal(seed), id=f"tridiag10-{seed}")
+    cases = [pytest.param("t121-w12", toeplitz([1, 2, 1], 12), id="t121-w12"),
+             pytest.param("t131-w12", toeplitz([1, 3, 1], 12), id="t131-w12"),
+             pytest.param("banded-w12", corpus.banded_random(12, band=1, seed=2),
+                          id="banded-w12")]
+    cases += [pytest.param(None, _random_tridiagonal(seed), id=f"tridiag10-{seed}")
               for seed in range(4)]
     return cases
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
-@pytest.mark.parametrize("A", _codim_one_windows())
-def test_codim_one_matches_exact_enumeration(A, p):
+@pytest.mark.parametrize("name,A", _codim_one_windows())
+def test_codim_one_matches_exact_enumeration(name, A, p):
     est = lower_constant_interior(A, p)
     assert est.certified and est.method == "codim-one"
     inner = _interior_window(A)
     assert inner.shape == (A.shape[0], A.shape[1] - 1)
-    assert est.value == pytest.approx(enumeration_oracle(inner, p), rel=1e-12)
+    assert est.value == pytest.approx(enumeration_oracle(inner, p, name), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
@@ -637,6 +739,23 @@ def test_inverse_decay_rate_toeplitz131():
     assert res.usable_offsets >= 10
 
 
+def test_inverse_decay_profile_matches_the_dense_inverse():
+    # 300 columns: three solve blocks, with interior rows in each
+    A = corpus.banded_random(300, band=2, seed=7)
+    assert A.shape[1] > 2 * INVERSE_BLOCK_COLS
+    res = inverse_decay_profile(A, margin=40)
+    B = LocalizedMatrix.from_dense(A.cols, A.rows, np.linalg.inv(A.dense()))
+    rows = stability.interior_column_indices(A, 40)
+    assert rows[0] < INVERSE_BLOCK_COLS and rows[-1] >= 2 * INVERSE_BLOCK_COLS
+    keep = np.isin(B.i, rows)
+    ref = offset_profile(LocalizedMatrix(B.rows, B.cols, B.i[keep], B.j[keep],
+                                         B.values[keep]))
+    assert np.array_equal(res.profile.cells, ref.cells)
+    np.testing.assert_allclose(res.profile.sups, ref.sups, rtol=1e-9)
+    smin, smax = stability._dense_singular_extremes(A)
+    assert res.condition == smax / smin
+
+
 def test_inverse_decay_checks_margin():
     A = toeplitz([1, 3, 1], 21)
     with pytest.raises(ValueError):
@@ -678,3 +797,9 @@ def test_density_rejects_bad_inputs():
         density_check(rows, rows, 0.0, [[0.0, 5.0]])
     with pytest.raises(ValueError, match="box"):
         density_check(rows, rows, 1.0, [[5.0, 0.0]])
+
+
+if __name__ == "__main__":
+    # print the ORTHANT_EXACT table afresh (2^(m-1) LPs per window)
+    for name, A in pinned_windows().items():
+        print(f"    {name!r}: {orthant_lp_min_l1(A)!r},")
