@@ -64,13 +64,19 @@ def _parse_single_p(value) -> float:
 
 
 def _parse_int_list(value) -> list[int]:
-    """Accept '3..8' (inclusive range), '4,5,6', or a JSON list."""
+    """Accept '3..8' (inclusive range), '4,5,6', or a JSON list; an empty
+    list (a descending range such as '5..3', say) is a ValueError."""
+    items = value
     if isinstance(value, str):
         if ".." in value:
             lo, hi = value.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        value = value.split(",")
-    return [int(v) for v in value]
+            items = range(int(lo), int(hi) + 1)
+        else:
+            items = value.split(",")
+    out = [int(v) for v in items]
+    if not out:
+        raise ValueError(f"empty integer list: {value!r}")
+    return out
 
 
 def _read_sequence_csv(path) -> tuple[list[int], list[float]]:

@@ -1,16 +1,18 @@
 """Stability-constant estimation on finite windows.
 
-Lower constants (inf ||Ac||_p / ||c||_p) come from an exact eigensolve at
-p = 2, from the exact inverse norm 1 / ||A^-1||_p on square windows at
-p in {1, inf}, and from Riesz-Thorin interpolation of those on square
-windows in between.  A square window without one column (the interior of a
-ladder window) has an exact constant at p in {1, inf} in closed form from
-the window's own inverse.  Tall windows at p in {1, inf} with few columns
-use one left-inverse linear program; intermediate p and larger tall windows
-use a projected descent from two deterministic starts, the p = 2 minimizer
-and the best column of the Gram inverse (A^T A)^-1.  Upper constants are
-closed-form at p in {1, inf}, spectral at p = 2, and interpolation bounds
-in between.  Window ladders aggregate the per-window constants into
+Lower constants (inf ||Ac||_p / ||c||_p) come from sigma_min at p = 2 (a
+dense SVD, or on large localized windows a banded eigensolve of A^T A, or
+of [[0, A], [A^T, 0]] when A is ill-conditioned), from the exact inverse
+norm 1 / ||A^-1||_p on square windows at p in {1, inf}, and from
+Riesz-Thorin interpolation of those on square windows in between.  A square
+window without one column (the interior of a ladder window) has an exact
+constant at p in {1, inf} in closed form from the window's own inverse.
+Tall windows at p in {1, inf} with few columns use one left-inverse linear
+program; intermediate p and larger tall windows use a projected descent from
+two deterministic starts, the p = 2 minimizer and the best column of the
+Gram inverse (A^T A)^-1.  Upper constants are closed-form at p in {1, inf},
+spectral at p = 2, and interpolation bounds in between.  No path draws a
+random number.  Window ladders aggregate the per-window constants into
 stabilization / degeneration verdicts.
 """
 
@@ -33,7 +35,9 @@ from .matalg import (ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, group_max,
 
 LP_MAX_COLS = 14
 DENSE_EIG_CUTOFF = 1200
-BANDED_EIG_MAX_BAND = 1200
+# bound m eps kappa^2 on the relative error of lambda_min(A^T A) above which
+# sigma_min comes from the Jordan-Wielandt band instead of the Gram band
+GRAM_MAX_REL_ERR = 1e-9
 MULTISTART_MAX_ITER = 5000
 MULTISTART_STEP_MIN = 1e-10
 INVERSE_BLOCK_COLS = 128
@@ -67,12 +71,15 @@ class ConstantEstimate:
 # spectral helpers
 
 
-def _dense_singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
+def _singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
     """(sigma_min, sigma_max) of A, computed once per matrix.
 
-    The pair is kept in ``A._cache`` next to ``"csr"`` and ``"band"``: the
-    entry arrays of a LocalizedMatrix are write-protected, so it cannot go
-    stale, and the lower and upper constants at p = 2 share one solve.
+    Windows within DENSE_EIG_CUTOFF, and larger ones whose bands would cost
+    more than a dense SVD, take ``svdvals``; the others take the extreme
+    eigenvalues of a band (``_banded_singular_extremes``).  The pair is kept
+    in ``A._cache`` next to ``"csr"`` and ``"band"``: the entry arrays of a
+    LocalizedMatrix are write-protected, so it cannot go stale, and the lower
+    and upper constants at p = 2 share one solve.
     """
     n, m = A.shape
     if m > n:
@@ -80,81 +87,72 @@ def _dense_singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
     ext = A._cache.get("singular_extremes")
     if ext is not None:
         return ext
-    if m <= DENSE_EIG_CUTOFF and n <= 4 * DENSE_EIG_CUTOFF:
+    if m > DENSE_EIG_CUTOFF or n > 4 * DENSE_EIG_CUTOFF:
+        ext = _banded_singular_extremes(A.csr())
+    if ext is None:
         svals = scipy.linalg.svdvals(A.dense())
         ext = float(svals[-1]), float(svals[0])
-    elif m <= DENSE_EIG_CUTOFF:
-        # tall: eigensolve the (small) normal matrix
-        G = (A.csr().T @ A.csr()).toarray()
-        w = scipy.linalg.eigvalsh(G)
-        ext = float(math.sqrt(max(w[0], 0.0))), float(math.sqrt(max(w[-1], 0.0)))
-    else:
-        ext = _iterative_singular_extremes(A)
     A._cache["singular_extremes"] = ext
     return ext
 
 
-def _csr_bandwidth(mat) -> int:
-    coo = mat.tocoo()
-    if coo.nnz == 0:
-        return 0
-    return int(np.max(np.abs(coo.row - coo.col)))
+def _dense_svd_cheaper(n: int, m: int, size: int, bw: int, calls: int) -> bool:
+    """Whether LAPACK's flop counts favour a dense SVD of an n x m matrix
+    (4 n m^2 - 4 m^3 / 3) over ``calls`` eigenvalue solves of a symmetric
+    band of the given size and bandwidth (dsbtrd: 6 size^2 bw each)."""
+    return 4.0 * n * m * m - 4.0 * m ** 3 / 3.0 <= calls * 6.0 * size * size * bw
 
 
-def _banded_storage(G, bw: int) -> np.ndarray:
-    """Lower-form symmetric banded storage: ab[k, j] = G[j+k, j]."""
-    n = G.shape[0]
-    ab = np.zeros((bw + 1, n))
-    for k in range(bw + 1):
-        d = G.diagonal(-k)
-        ab[k, :d.size] = d
+def _gram_bandwidth(csr) -> int:
+    """Bandwidth of A^T A, read off A before the product is formed: the
+    widest column span of one of A's rows."""
+    nonempty = np.flatnonzero(np.diff(csr.indptr))
+    indices, starts = csr.indices[:csr.indptr[-1]], csr.indptr[nonempty]
+    return int((np.maximum.reduceat(indices, starts)
+                - np.minimum.reduceat(indices, starts)).max(initial=0))
+
+
+def _lower_band(mat) -> np.ndarray:
+    """Lower-form banded storage ab[r - c, c] of a sparse symmetric matrix."""
+    low = sp.tril(mat).tocoo()
+    ab = np.zeros((int((low.row - low.col).max(initial=0)) + 1, mat.shape[0]))
+    ab[low.row - low.col, low.col] = low.data
     return ab
 
 
-def _gram_smallest(G, return_vector: bool = False):
-    """Smallest eigenpair of a sparse symmetric PSD Gram matrix.
+def _band_eigenvalue(ab: np.ndarray, k: int) -> float:
+    """The k-th smallest eigenvalue (from 0) of a lower-form symmetric band."""
+    return float(scipy.linalg.eigvals_banded(ab, lower=True, select="i",
+                                             select_range=(k, k))[0])
 
-    Banded bisection is the workhorse: Gram matrices of localized finite
-    sections have narrow bands, and bisection cannot stall on the
-    eigenvalue cluster that typically parks next to the smallest one.
-    (ARPACK can, in plain and shift-invert mode alike, whenever the
-    smallest singular value is not well separated.)
+
+def _banded_singular_extremes(csr) -> tuple[float, float] | None:
+    """(sigma_min, sigma_max) from eigenvalues of symmetric bands, or None
+    when a dense SVD of A costs fewer flops.
+
+    Both come from the Gram matrix A^T A, whose band is as narrow as A's
+    rows.  Its eigensolve errs by about m eps lambda_max, so sigma_min keeps
+    its digits only while m eps kappa^2 is below GRAM_MAX_REL_ERR; otherwise
+    it is minus the (m-1)-th smallest eigenvalue of the Jordan-Wielandt
+    matrix [[0, A], [A^T, 0]] (eigenvalues +-sigma and n - m zeros), whose
+    error eps sigma_max does not square kappa.  Reverse Cuthill-McKee order
+    interleaves its row and column indices into a narrow band.
     """
-    bw = _csr_bandwidth(G)
-    if bw <= BANDED_EIG_MAX_BAND:
-        ab = _banded_storage(G, bw)
-        if return_vector:
-            w, V = scipy.linalg.eig_banded(ab, lower=True, select="i",
-                                           select_range=(0, 0))
-            return float(w[0]), V[:, 0]
-        w = scipy.linalg.eigvals_banded(ab, lower=True, select="i",
-                                        select_range=(0, 0))
-        return float(w[0]), None
-    try:
-        w, V = spla.eigsh(G, k=1, sigma=0.0, which="LM", maxiter=2000,
-                          v0=_fixed_normal(G.shape[0]))
-        return float(w[0]), V[:, 0]
-    except Exception as exc:
-        n = G.shape[0]
-        if n * n <= 4_000_000:
-            w, V = scipy.linalg.eigh(G.toarray())
-            return float(w[0]), V[:, 0]
-        raise NumericalError(f"iterative eigensolve failed: {exc}") from exc
-
-
-def _fixed_normal(shape) -> np.ndarray:
-    """Normal draws from a fixed generator, for ARPACK start vectors:
-    without one ARPACK draws from numpy's global random state, and reruns
-    can differ in the last digit."""
-    return np.random.default_rng(0).standard_normal(shape)
-
-
-def _iterative_singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
-    csr = A.csr().astype(np.float64)
-    smax = float(spla.svds(csr, k=1, which="LM", return_singular_vectors=False,
-                           v0=_fixed_normal(min(csr.shape)))[0])
-    lam, _ = _gram_smallest((csr.T @ csr).tocsr())
-    return float(math.sqrt(max(lam, 0.0))), smax
+    n, m = csr.shape
+    if _dense_svd_cheaper(n, m, m, _gram_bandwidth(csr), 2):
+        return None
+    ab = _lower_band(csr.T @ csr)
+    lam_min, lam_max = _band_eigenvalue(ab, 0), _band_eigenvalue(ab, m - 1)
+    smax = math.sqrt(max(lam_max, 0.0))
+    if lam_min > 0.0 and m * np.finfo(float).eps * lam_max < GRAM_MAX_REL_ERR * lam_min:
+        return math.sqrt(lam_min), smax
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    jw = sp.bmat([[None, csr], [csr.T, None]], format="csr")
+    order = reverse_cuthill_mckee(jw, symmetric_mode=True)
+    ab = _lower_band(jw[order][:, order])
+    if _dense_svd_cheaper(n, m, n + m, ab.shape[0] - 1, 1):
+        return None
+    return -_band_eigenvalue(ab, m - 1), smax
 
 
 def _min_singular_vector(A: LocalizedMatrix) -> np.ndarray:
@@ -163,12 +161,9 @@ def _min_singular_vector(A: LocalizedMatrix) -> np.ndarray:
         G = (A.csr().T @ A.csr()).toarray()
         w, V = scipy.linalg.eigh(G)
         return V[:, 0]
-    G = (A.csr().T @ A.csr()).tocsr()
-    try:
-        _, vec = _gram_smallest(G, return_vector=True)
-    except NumericalError as exc:
-        raise NumericalError(f"singular-vector solve failed: {exc}") from exc
-    return vec
+    _, V = scipy.linalg.eig_banded(_lower_band(A.csr().T @ A.csr()), lower=True,
+                                   select="i", select_range=(0, 0))
+    return V[:, 0]
 
 
 # ----------------------------------------------------------------------
@@ -407,12 +402,12 @@ def lower_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
     if A.nnz == 0:
         return ConstantEstimate(0.0, True, "zero-matrix")
     if p == 2.0:
-        smin, _ = _dense_singular_extremes(A)
+        smin, _ = _singular_extremes(A)
         return ConstantEstimate(smin, True, "singular-value")
     if n == m:
         if p in (1.0, math.inf):
             return ConstantEstimate(_inverse_norm_lower(A, p), True, "inverse-norm")
-        smin, _ = _dense_singular_extremes(A)
+        smin, _ = _singular_extremes(A)
         end = _inverse_norm_lower(A, 1.0 if p < 2.0 else math.inf)
         return ConstantEstimate(_riesz_thorin(p, end, smin), True,
                                 "interpolation-bound")
@@ -437,7 +432,7 @@ def upper_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
         return ConstantEstimate(col_sum, True, "column-sums")
     if p == math.inf:
         return ConstantEstimate(row_sum, True, "row-sums")
-    _, n2 = _dense_singular_extremes(A)
+    _, n2 = _singular_extremes(A)
     if p == 2.0:
         return ConstantEstimate(n2, True, "singular-value")
     bound = _riesz_thorin(p, col_sum if p < 2.0 else row_sum, n2)
@@ -679,7 +674,7 @@ def inverse_decay_profile(A: LocalizedMatrix, margin: float, *,
     n, m = A.shape
     if n != m:
         raise ValueError("inverse decay needs a square matrix")
-    smin, smax = _dense_singular_extremes(A)
+    smin, smax = _singular_extremes(A)
     if smin <= 0 or smax / smin > cond_limit:
         raise NumericalError(
             f"matrix condition {smax / max(smin, 1e-300):.3e} exceeds {cond_limit:.1e}")

@@ -233,6 +233,36 @@ def test_cli_exit_code_two_on_bad_input(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("flag", ["--windows", "--n0", "--window"])
+def test_cli_rejects_descending_range(tmp_path, capsys, flag):
+    # '5..3' used to parse as an empty list: `stab` died in an IndexError
+    # (exit 1) and `synth` wrote a report with no entries (exit 0)
+    if flag == "--windows":
+        path = tmp_path / "t.json"
+        path.write_bytes(dump_json_bytes(
+            corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()))
+        argv = ["stab", "--matrix", str(path), "--p", "2", "--windows", "5..3"]
+    else:
+        path = tmp_path / "fam.json"
+        path.write_bytes(dump_json_bytes(corpus.hat_family(16).to_json_dict()))
+        args = {"--n0": "3", "--window": "8", flag: "5..3"}
+        argv = ["synth", "--family", str(path), "--p", "2"]
+        argv += [s for kv in args.items() for s in kv]
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError" and "empty integer list" in err["message"]
+    assert not out.exists()
+
+
+def test_parse_int_list_rejects_empty_lists():
+    assert cli._parse_int_list("3..5") == [3, 4, 5]
+    assert cli._parse_int_list("4..4") == [4]
+    for value in ("5..3", []):
+        with pytest.raises(ValueError, match="empty"):
+            cli._parse_int_list(value)
+
+
 def _assert_stab_rejects(obj, tmp_path, capsys):
     """`stab --p 2` on the matrix JSON exits 2 with InvariantViolation and
     writes no report."""

@@ -6,14 +6,24 @@ from pathlib import Path
 import locop
 
 
-def test_cold_import_does_not_load_scipy_signal():
-    # scipy.signal pulls in scipy.stats and costs about 0.6 s of every cold
-    # start; the one convolution that needs an FFT uses scipy.fft instead
+def _loaded_by_cold_import(module: str) -> bool:
     src = str(Path(locop.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = "import sys, locop; print('scipy.signal' in sys.modules)"
+    code = f"import sys, locop; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cold_import_does_not_load_scipy_signal():
+    # scipy.signal pulls in scipy.stats and costs about 0.6 s of every cold
+    # start; the one convolution that needs an FFT uses scipy.fft instead
+    assert not _loaded_by_cold_import("scipy.signal")
+
+
+def test_cold_import_does_not_load_scipy_sparse_csgraph():
+    # only the Jordan-Wielandt ordering and structurally singular LUs need
+    # it, so both import it where they use it
+    assert not _loaded_by_cold_import("scipy.sparse.csgraph")

@@ -19,9 +19,8 @@ from locop.matalg import LocalizedMatrix, offset_profile, vector_pnorm
 from locop.profiles import GaussianProfile
 from locop.stability import (DENSE_EIG_CUTOFF, INVERSE_BLOCK_COLS,
                              LP_MAX_COLS, ConstantEstimate,
-                             _gram_smallest, _inverse_norm_lower,
-                             _iterative_singular_extremes,
-                             _left_inverse_lower, _multistart_lower,
+                             _inverse_norm_lower, _left_inverse_lower,
+                             _multistart_lower, _singular_extremes,
                              convolution_stability, density_check,
                              equivalence_report, inverse_decay_profile,
                              ladder_verdict, lower_constant,
@@ -180,41 +179,79 @@ def test_p2_iterative_path_matches_dense_oracle():
     assert lo.value == pytest.approx(3.0 - 2.0 * math.cos(math.pi / (n + 1)), rel=1e-9)
 
 
-def test_gram_smallest_banded_vs_dense(rng):
-    A = corpus.banded_random(60, band=3, seed=2)
-    G = (A.csr().T @ A.csr()).tocsr()
-    lam, _ = _gram_smallest(G)
-    ref = scipy.linalg.eigvalsh(G.toarray())[0]
-    assert lam == pytest.approx(ref, rel=1e-12, abs=1e-12)
-    lam2, vec = _gram_smallest(G, return_vector=True)
-    assert lam2 == pytest.approx(ref, rel=1e-12, abs=1e-12)
-    resid = np.linalg.norm(G @ vec - lam2 * vec)
-    assert resid <= 1e-8 * max(1.0, abs(lam2))
+def test_gram_band_matches_dense_gram():
+    # rows in any order: the Gram band comes from each row's column span
+    A = corpus.permuted_rows(corpus.banded_random(60, band=3, seed=2), seed=4)
+    G = (A.csr().T @ A.csr()).toarray()
+    ab = stability._lower_band(A.csr().T @ A.csr())
+    assert ab.shape[0] - 1 == stability._gram_bandwidth(A.csr()) == 6
+    for k in range(ab.shape[0]):
+        assert np.array_equal(ab[k, :60 - k], np.diag(G, -k))
+    # above the cut-off the descent's p = 2 start reads the same band
+    B = corpus.banded_random(1300, band=3, seed=2)
+    v = stability._min_singular_vector(B)
+    smin, _ = _singular_extremes(B)
+    assert np.linalg.norm(B.csr() @ v) == pytest.approx(smin, rel=1e-12)
 
 
-def test_iterative_singular_extremes_ignore_global_random_state():
-    # ARPACK draws its start vector from numpy's global state unless given one
-    A = corpus.banded_random(1280, band=1, seed=2)
-    results = set()
-    for s in range(1, 7):
-        np.random.seed(s)
-        results.add(_iterative_singular_extremes(A))
-    assert len(results) == 1
+@pytest.fixture
+def no_random_draws(monkeypatch):
+    """Make every numpy random draw raise, the global state's included."""
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"random draw through np.random.{name}")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("random draw")
+
+    for name in ("default_rng", "RandomState", "Generator", "seed", "rand",
+                 "randn", "random", "uniform", "normal", "standard_normal"):
+        monkeypatch.setattr(np.random, name, forbidden)
+    monkeypatch.setattr(np.random.mtrand, "_rand", NoDraws())
 
 
-def test_gram_smallest_wide_band_ignores_global_random_state():
-    # bandwidth above BANDED_EIG_MAX_BAND takes the shift-invert eigsh path
-    n = 1300
-    G = sp.diags(np.arange(1.0, n + 1.0)).tolil()
-    G[0, n - 1] = G[n - 1, 0] = 0.5
-    G = G.tocsr()
-    results = set()
-    for s in range(1, 4):
-        np.random.seed(s)
-        lam, vec = _gram_smallest(G, return_vector=True)
-        results.add((lam, vec.tobytes()))
-    assert len(results) == 1
-    assert lam == pytest.approx(scipy.linalg.eigvalsh(G.toarray())[0], rel=1e-12)
+def test_singular_extremes_draw_no_random_numbers(request):
+    # above the cut-off: the Gram band (well conditioned) and the
+    # Jordan-Wielandt band (kappa 8e5)
+    windows = [corpus.banded_random(1280, band=1, seed=2),
+               toeplitz([-1.0, 2.0, -1.0], 1400)]
+    assert all(A.shape[1] > DENSE_EIG_CUTOFF for A in windows)
+    request.getfixturevalue("no_random_draws")
+    for A in windows:
+        lo, hi = lower_constant(A, 2.0), upper_constant(A, 2.0)
+        assert lo.method == hi.method == "singular-value"
+        assert 0.0 < lo.value < hi.value
+
+
+def test_wide_band_window_takes_the_dense_svd():
+    # Gram band 300: two banded eigensolves cost more flops than one SVD
+    A = corpus.banded_random(1300, band=150, seed=2)
+    assert A.shape[1] > DENSE_EIG_CUTOFF
+    assert stability._banded_singular_extremes(A.csr()) is None
+    svals = scipy.linalg.svdvals(A.dense())
+    assert _singular_extremes(A) == (svals[-1], svals[0])
+
+
+def test_ill_conditioned_window_keeps_sigma_min_digits():
+    # kappa = 8e5: lambda_min of A^T A keeps only five digits of sigma_min
+    A = toeplitz([-1.0, 2.0, -1.0], 1400)
+    svals = scipy.linalg.svdvals(A.dense())
+    smin, smax = stability._banded_singular_extremes(A.csr())
+    assert smin == pytest.approx(svals[-1], rel=1e-9)
+    assert smax == pytest.approx(svals[0], rel=1e-14)
+    assert lower_constant(A, 2.0).value == smin
+    assert upper_constant(A, 2.0).value == smax
+
+
+def test_tall_window_above_the_cut_off_matches_dense_svd():
+    A = discretize_synthesis(corpus.hat_family(200), 5)
+    n, m = A.shape
+    assert n > 4 * DENSE_EIG_CUTOFF and m < DENSE_EIG_CUTOFF
+    svals = scipy.linalg.svdvals(A.dense())
+    smin, smax = stability._banded_singular_extremes(A.csr())
+    assert smin == pytest.approx(svals[-1], rel=1e-12)
+    assert smax == pytest.approx(svals[0], rel=1e-12)
+    assert _singular_extremes(A) == (smin, smax)
 
 
 def test_lower_constant_requires_tall_matrices():
@@ -444,21 +481,23 @@ def _wide_tall_windows():
     return windows
 
 
-def test_descent_draws_no_random_numbers(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("no random draws below DENSE_EIG_CUTOFF")
-
-    monkeypatch.setattr(stability, "_fixed_normal", forbidden)
-    for A in _wide_tall_windows():
-        for p in (1.0, 1.5, math.inf):
-            est = lower_constant(A, p)
-            assert est.method == "multistart" and est.value > 0.0
+def test_descent_draws_no_random_numbers(request):
+    windows = _wide_tall_windows()
     # a ladder whose 30-column interior reaches the descent at every p != 2
     B = corpus.banded_random(32, band=2, seed=3)
     ladder = [B.window_prefix(w, w) for w in (16, 32)]
+    # and a tall p = 2 window above the cut-off
+    big = discretize_synthesis(corpus.hat_family(200), 5)
+    assert big.shape[0] > 4 * DENSE_EIG_CUTOFF
+    request.getfixturevalue("no_random_draws")
+    for A in windows:
+        for p in (1.0, 1.5, math.inf):
+            est = lower_constant(A, p)
+            assert est.method == "multistart" and est.value > 0.0
     report = equivalence_report(ladder, [1.0, 1.5, 2.0, 3.0, math.inf])
     for p, rep in report.per_p.items():
         assert (rep.interior_lower[-1].method == "multistart") == (p != 2.0)
+    assert lower_constant(big, 2.0).value > 0.0
 
 
 def test_gram_inverse_start_beats_the_random_starts():
@@ -752,7 +791,7 @@ def test_inverse_decay_profile_matches_the_dense_inverse():
                                          B.values[keep]))
     assert np.array_equal(res.profile.cells, ref.cells)
     np.testing.assert_allclose(res.profile.sups, ref.sups, rtol=1e-9)
-    smin, smax = stability._dense_singular_extremes(A)
+    smin, smax = _singular_extremes(A)
     assert res.condition == smax / smin
 
 
