@@ -64,8 +64,10 @@ def _parse_single_p(value) -> float:
 
 
 def _parse_int_list(value) -> list[int]:
-    """Accept '3..8' (inclusive range), '4,5,6', or a JSON list; an empty
-    list (a descending range such as '5..3', say) is a ValueError."""
+    """Accept '3..8' (inclusive range), '4,5,6', or a JSON list.  The list
+    must be non-empty (a descending range such as '5..3' is empty) and
+    strictly increasing, or a ValueError is raised: a repeated or descending
+    ladder would otherwise pass for a stabilized one."""
     items = value
     if isinstance(value, str):
         if ".." in value:
@@ -76,6 +78,8 @@ def _parse_int_list(value) -> list[int]:
     out = [int(v) for v in items]
     if not out:
         raise ValueError(f"empty integer list: {value!r}")
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError(f"integer list must be strictly increasing: {value!r}")
     return out
 
 
@@ -110,8 +114,6 @@ def _read_sequence_csv(path) -> tuple[list[int], list[float]]:
 
 def _build_ladder(A: LocalizedMatrix, windows) -> list[LocalizedMatrix]:
     windows = _parse_int_list(windows)
-    if any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ValueError("windows must be strictly increasing")
     n_rows, n_cols = A.shape
     limit = min(n_rows, n_cols)
     if windows[-1] > limit:

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.sparse as sp
 
 from .errors import InvariantViolation, NumericalError
 from .lattice import IndexSet
-from .matalg import LocalizedMatrix, truncation_tail
+from .matalg import ENTRY_DROP_TOL, LocalizedMatrix, truncation_tail
 from .profiles import Profile1D, gauss_legendre_rule, profile_from_json_dict
 from .stability import (ladder_verdict, lower_constant, normalize_p,
                         upper_constant)
@@ -137,6 +136,7 @@ class KernelOperator:
         if self.d_const <= 0:
             raise ValueError("D must be positive")
         object.__setattr__(self, "_validated", False)
+        object.__setattr__(self, "_tables", {})
 
     # -- evaluation ------------------------------------------------------
     def kernel(self, x, y):
@@ -256,8 +256,6 @@ def apply_kernel(op: KernelOperator, f: DyadicFunction, r=2.0,
     y-factors.  The meta dict records the ratio of the sampled ||Tf||_r
     to the amalgam-norm bound ||h|| * ||f||_r.
     """
-    if f.dim != 1:
-        raise ValueError("kernel application is one-dimensional")
     r = normalize_p(r)
     h = f.width
     edges = (f.start[0] + np.arange(f.values.size + 1)) * h
@@ -341,6 +339,26 @@ def _verify_offset_quadrature(g: Profile1D, ks: np.ndarray, h: float,
             f"entry by {worst:.3e})")
 
 
+def _offset_table(op: KernelOperator, n: int) -> np.ndarray:
+    """The checked per-offset table of a convolution rule at scale 2^-n.
+
+    Covers |k| <= kmax, one past the offset radius in cells, and is
+    reflected for a reflected rule.  It is built and order-doubling
+    checked once per operator and scale, then kept on the operator.
+    """
+    table = op._tables.get(n)
+    if table is None:
+        h = 2.0 ** (-n)
+        kmax = int(math.ceil(op._offset_radius() / h)) + 1
+        ks = np.arange(-kmax, kmax + 1)
+        table = _conv_offset_table(op.rule.profile, ks, h)
+        _verify_offset_quadrature(op.rule.profile, ks, h, table)
+        if op.rule.reflected:
+            table = table[::-1]
+        op._tables[n] = table
+    return table
+
+
 def _cell_range(window, n: int) -> tuple[int, int]:
     lo, hi = float(window[0]), float(window[1])
     k_lo = math.floor(lo * 2.0 ** n + 1e-9)
@@ -350,41 +368,46 @@ def _cell_range(window, n: int) -> tuple[int, int]:
     return k_lo, k_hi
 
 
-def discretize_kernel(op: KernelOperator, n: int, window) -> LocalizedMatrix:
-    """Cell-pair averages 2^{2n} ∬ K over the dyadic window grid.
+def _window_entries(op: KernelOperator, n: int, window):
+    """Index set and (i, j, value) arrays of A_n on a window's dyadic grid.
 
-    Convolution rules produce exactly Toeplitz matrices (one integral per
-    offset, spot-verified by order doubling); separable rules multiply
-    cell averages of the factors.  Entries are cut off where the envelope
-    falls below 1e-15.
+    Every diagonal entry is listed, zero or not, so the perturbed
+    identity can add 1 in place; LocalizedMatrix drops the entries below
+    its tolerance.
     """
     k_lo, k_hi = _cell_range(window, n)
     ncells = k_hi - k_lo
     index = IndexSet.dyadic_range(n, k_lo, k_hi)
-    h = 2.0 ** (-n)
     if isinstance(op.rule, ConvolutionRule):
-        kmax = min(int(math.ceil(op._offset_radius() / h)) + 1, ncells - 1)
+        table = _offset_table(op, n)
+        mid = table.size // 2
+        kmax = min(mid, ncells - 1)
         ks = np.arange(-kmax, kmax + 1)
-        table = _conv_offset_table(op.rule.profile, ks, h)
-        _verify_offset_quadrature(op.rule.profile, ks, h, table)
-        if op.rule.reflected:
-            table = table[::-1]
         # diagonal k holds the rows max(0, k) .. max(0, k) + lengths - 1
         lengths = ncells - np.abs(ks)
         first = np.cumsum(lengths) - lengths
         ii = np.arange(lengths.sum()) - np.repeat(first - np.maximum(ks, 0), lengths)
         jj = ii - np.repeat(ks, lengths)
-        vv = np.repeat(table, lengths)
+        vv = np.repeat(table[mid - kmax:mid + kmax + 1], lengths)
     else:
-        edges = (k_lo + np.arange(ncells + 1)) * h
+        edges = (k_lo + np.arange(ncells + 1)) * 2.0 ** (-n)
         dense = np.zeros((ncells, ncells))
         for c, u, v in op.rule.terms:
-            avg_u = u.cell_averages(edges)
-            avg_v = v.cell_averages(edges)
-            dense += c * np.outer(avg_u, avg_v)
-        nz = np.abs(dense) >= 1e-300
-        ii, jj = np.nonzero(nz)
-        vv = dense[nz]
+            dense += c * np.outer(u.cell_averages(edges), v.cell_averages(edges))
+        ii, jj = np.indices(dense.shape).reshape(2, -1)
+        vv = dense.reshape(-1)
+    return index, ii, jj, vv
+
+
+def discretize_kernel(op: KernelOperator, n: int, window) -> LocalizedMatrix:
+    """Cell-pair averages 2^{2n} ∬ K over the dyadic window grid.
+
+    Convolution rules produce exactly Toeplitz matrices (one integral per
+    offset, order-doubling checked); separable rules multiply cell
+    averages of the factors.  Entries are cut off where the envelope
+    falls below 1e-15.
+    """
+    index, ii, jj, vv = _window_entries(op, n, window)
     return LocalizedMatrix(index, index, ii, jj, vv)
 
 
@@ -398,12 +421,7 @@ def apply_discretized(op: KernelOperator, n: int, f: DyadicFunction) -> DyadicFu
     h = 2.0 ** (-n)
     a = u.values
     if isinstance(op.rule, ConvolutionRule):
-        kmax = int(math.ceil(op._offset_radius() / h)) + 1
-        ks = np.arange(-kmax, kmax + 1)
-        table = _conv_offset_table(op.rule.profile, ks, h)
-        _verify_offset_quadrature(op.rule.profile, ks, h, table)
-        if op.rule.reflected:
-            table = table[::-1]
+        table = _offset_table(op, n)
         if a.size * table.size <= 1 << 22:
             conv = np.convolve(a, table)
         else:
@@ -413,7 +431,7 @@ def apply_discretized(op: KernelOperator, n: int, f: DyadicFunction) -> DyadicFu
             L = scipy.fft.next_fast_len(size, True)
             conv = scipy.fft.irfft(scipy.fft.rfft(a, L) * scipy.fft.rfft(table, L),
                                    L)[:size]
-        start = int(u.start[0]) - kmax
+        start = int(u.start[0]) - table.size // 2
         return DyadicFunction(n, [start], h * conv)
     # Separable output lives on the union of the x-factor supports.
     edges = (u.start[0] + np.arange(a.size + 1)) * h
@@ -498,12 +516,6 @@ class PerturbedIdentityReport:
     error_curve: ErrorCurve
 
 
-def _identity_plus(A: LocalizedMatrix, scale: float) -> LocalizedMatrix:
-    m = sp.eye(A.shape[0], format="csr") + scale * A.csr()
-    coo = m.tocoo()
-    return LocalizedMatrix(A.rows, A.cols, coo.row, coo.col, coo.data)
-
-
 def _default_probes(op: KernelOperator, window, level: int) -> list:
     lo, hi = float(window[0]), float(window[1])
     pad = op.pad_radius() + 1.0
@@ -541,12 +553,14 @@ def perturbed_identity_stability(op: KernelOperator, p, n_values,
     entries = []
     for w in window_sizes:
         for n in n_values:
-            A = discretize_kernel(op, n, (0.0, w))
-            if A.nnz == 0:
+            index, ii, jj, vv = _window_entries(op, n, (0.0, w))
+            if not (np.abs(vv) >= ENTRY_DROP_TOL).any():
                 entries.append(PerturbedEntry(w, n, 1.0, 1.0, True, True,
                                               "identity", bias.get(n)))
                 continue
-            M = _identity_plus(A, 2.0 ** (-n))
+            vv = 2.0 ** (-n) * vv
+            vv[ii == jj] += 1.0
+            M = LocalizedMatrix(index, index, ii, jj, vv)
             lo = lower_constant(M, p)
             hi = upper_constant(M, p)
             entries.append(PerturbedEntry(w, n, lo.value, hi.value,

@@ -281,6 +281,8 @@ def slant_norm(A: LocalizedMatrix, alpha: float, weight: Weight | None = None) -
     Requires integer-lattice index sets (rows and columns); offsets are
     binned by coordinate floor of col_point - alpha * row_point.
     """
+    if not np.isfinite(alpha):
+        raise InvariantViolation(f"slant alpha must be finite, got {alpha!r}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     for pts, name in ((A.rows.points, "row"), (A.cols.points, "column")):

@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
 
 from . import _accel
-from .errors import NumericalError
+from .errors import InvariantViolation, NumericalError
 from .lattice import IndexSet
 from .matalg import (ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, group_max,
                      pack_cells, unpack_cells)
@@ -737,6 +737,8 @@ def density_check(rows: IndexSet, cols: IndexSet, r0: float,
     A failed box certifies instability at radius r0; passes are only
     consistent, never sufficient.
     """
+    if not math.isfinite(r0):
+        raise InvariantViolation(f"density radius r0 must be finite, got {r0!r}")
     if r0 <= 0:
         raise ValueError("r0 must be positive")
     out = []

@@ -318,110 +318,74 @@ class DyadicFunction:
     ``values[k]`` is the cell average on [(start+k) h, (start+k+1) h);
     Lp norms of such functions are exact sums, which is what makes the
     dyadic norm identity and the projection contractivity testable to
-    machine precision.
+    machine precision.  ``start`` is a one-entry array.
     """
 
     def __init__(self, level: int, start, values, meta: dict | None = None):
         values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValueError(f"dyadic functions are one-dimensional; values "
+                             f"have shape {values.shape}")
         start = np.asarray(start, dtype=np.int64).reshape(-1)
-        if start.size != values.ndim:
-            raise ValueError("start must give one cell index per axis")
+        if start.size != 1:
+            raise ValueError("start must give one cell index")
         self.level = int(level)
         self.start = start
         self.values = values
         self.meta = dict(meta or {})
 
     @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    @property
     def width(self) -> float:
         return 2.0 ** (-self.level)
-
-    @property
-    def window(self) -> np.ndarray:
-        h = self.width
-        lo = self.start * h
-        hi = (self.start + np.asarray(self.values.shape)) * h
-        return np.stack([lo, hi], axis=1)
 
     def lp_norm(self, p) -> float:
         p = normalize_p(p)
         if math.isinf(p):
             return float(np.abs(self.values).max(initial=0.0))
-        cell = self.width ** self.dim
-        return float((np.sum(np.abs(self.values) ** p) * cell) ** (1.0 / p))
+        return float((np.sum(np.abs(self.values) ** p) * self.width) ** (1.0 / p))
 
     def evaluate(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
-        scalar = pts.ndim == 0 and self.dim == 1
-        pts = np.atleast_1d(pts)
-        if self.dim == 1 and pts.ndim == 1:
-            pts = pts[:, None]
-        idx = np.floor(pts * 2.0 ** self.level).astype(np.int64) - self.start
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for ax in range(self.dim):
-            ok &= (idx[:, ax] >= 0) & (idx[:, ax] < self.values.shape[ax])
-        out = np.zeros(pts.shape[0])
-        if ok.any():
-            out[ok] = self.values[tuple(idx[ok].T)]
-        return float(out[0]) if scalar else out
+        idx = (np.floor(pts.reshape(-1) * 2.0 ** self.level).astype(np.int64)
+               - self.start[0])
+        ok = (idx >= 0) & (idx < self.values.size)
+        out = np.zeros(idx.size)
+        out[ok] = self.values[idx[ok]]
+        return float(out[0]) if pts.ndim == 0 else out
 
     def refine(self, to_level: int) -> "DyadicFunction":
         if to_level < self.level:
             raise ValueError("refine target must not be coarser")
         f = 2 ** (to_level - self.level)
-        vals = self.values
-        for ax in range(self.dim):
-            vals = np.repeat(vals, f, axis=ax)
-        return DyadicFunction(to_level, self.start * f, vals, self.meta)
+        return DyadicFunction(to_level, self.start * f,
+                              np.repeat(self.values, f), self.meta)
 
     def coarsen(self, to_level: int) -> "DyadicFunction":
         """Block-average down to a coarser level (zero-padding to align)."""
         if to_level > self.level:
             raise ValueError("coarsen target must not be finer")
         f = 2 ** (self.level - to_level)
-        vals = self.values
-        start = self.start.copy()
-        padded = False
-        for ax in range(self.dim):
-            lo_pad = int(start[ax] % f)
-            size = vals.shape[ax] + lo_pad
-            hi_pad = (-size) % f
-            if lo_pad or hi_pad:
-                padded = True
-                pad = [(0, 0)] * self.dim
-                pad[ax] = (lo_pad, hi_pad)
-                vals = np.pad(vals, pad)
-            start[ax] -= lo_pad
-        for ax in range(self.dim):
-            shape = list(vals.shape)
-            shape[ax] = shape[ax] // f
-            shape.insert(ax + 1, f)
-            vals = vals.reshape(shape).sum(axis=ax + 1) / f
+        lo_pad = int(self.start[0] % f)
+        hi_pad = (-(self.values.size + lo_pad)) % f
+        vals = np.pad(self.values, (lo_pad, hi_pad))
         meta = dict(self.meta)
-        if padded:
+        if lo_pad or hi_pad:
             meta["padded"] = True
-        return DyadicFunction(to_level, start // f, vals, meta)
-
-    def binary_op(self, other: "DyadicFunction", fn) -> "DyadicFunction":
-        """Pointwise combination on the union window at the finer level."""
-        level = max(self.level, other.level)
-        a, b = self.refine(level), other.refine(level)
-        lo = np.minimum(a.start, b.start)
-        hi = np.maximum(a.start + np.asarray(a.values.shape),
-                        b.start + np.asarray(b.values.shape))
-        def embed(g):
-            out = np.zeros(tuple(hi - lo))
-            sl = tuple(slice(s - l, s - l + n)
-                       for s, l, n in zip(g.start, lo, g.values.shape))
-            out[sl] = g.values
-            return out
-        return DyadicFunction(level, lo, fn(embed(a), embed(b)))
+        return DyadicFunction(to_level, (self.start - lo_pad) // f,
+                              vals.reshape(-1, f).sum(axis=1) / f, meta)
 
     def subtract(self, other: "DyadicFunction") -> "DyadicFunction":
-        return self.binary_op(other, lambda x, y: x - y)
+        """Pointwise difference on the union window at the finer level."""
+        level = max(self.level, other.level)
+        a, b = self.refine(level), other.refine(level)
+        lo = min(a.start[0], b.start[0])
+        hi = max(a.start[0] + a.values.size, b.start[0] + b.values.size)
+
+        def embed(g):
+            out = np.zeros(hi - lo)
+            out[g.start[0] - lo:g.start[0] - lo + g.values.size] = g.values
+            return out
+        return DyadicFunction(level, [lo], embed(a) - embed(b))
 
 
 def project_Pn(f, level: int, window=None) -> DyadicFunction:

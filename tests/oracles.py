@@ -1,14 +1,17 @@
-"""Scalar reference implementations of profile extrema and moduli.
+"""Reference implementations of profile extrema, moduli and assemblies.
 
 These are the one-interval, one-point forms that the array code in
 ``locop.profiles`` and the masked loops in ``locop.synthesis`` replaced.
 They evaluate each interval or probe point on its own, so the array code
-is checked against an independent, obviously-correct loop.
+is checked against an independent, obviously-correct loop.  The perturbed
+identity is checked against a sparse matrix sum.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from locop.errors import InvariantViolation
+from locop.matalg import LocalizedMatrix
 from locop.profiles import PiecewisePolynomial, _poly_eval
 
 
@@ -121,3 +124,10 @@ def calibrated_power(fam, deltas=(0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625),
     coef, *_ = np.linalg.lstsq(X, np.log(needed[mask]), rcond=None)
     alpha = float(min(max(coef[1], 1e-6), 1.0))
     return float(np.max(needed / np.asarray(deltas) ** alpha)) * (1 + 1e-9), alpha
+
+
+def identity_plus(A, scale: float):
+    """I + scale * A as a CSR sum, rebuilt as a LocalizedMatrix."""
+    m = sp.eye(A.shape[0], format="csr") + scale * A.csr()
+    coo = m.tocoo()
+    return LocalizedMatrix(A.rows, A.cols, coo.row, coo.col, coo.data)

@@ -263,6 +263,13 @@ def test_parse_int_list_rejects_empty_lists():
             cli._parse_int_list(value)
 
 
+def test_parse_int_list_rejects_non_increasing_lists():
+    assert cli._parse_int_list("3,4,7") == [3, 4, 7]
+    for value in ("8,8", "3,3", "16,8", "5,3", [4, 4]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cli._parse_int_list(value)
+
+
 def _assert_stab_rejects(obj, tmp_path, capsys):
     """`stab --p 2` on the matrix JSON exits 2 with InvariantViolation and
     writes no report."""
@@ -308,15 +315,69 @@ def _assert_rejects(argv, tmp_path, capsys, error="InvariantViolation"):
     rc = cli.main(argv + ["--out", str(tmp_path / "report.json")])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    assert json.loads(captured.err)["error"]["type"] == error
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == error
     assert captured.out == ""
     assert set(tmp_path.iterdir()) == before
+    return err
 
 
 def _write_nan_json(path, obj):
     path.write_text(json.dumps(obj))   # writes NaN literals
     return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--p", "1", "--n0", "3", "--window", "8,8"],
+    ["synth", "--p", "2", "--n0", "3,3", "--window", "8"],
+    ["synth", "--p", "2", "--n0", "3", "--window", "16,8"],
+    ["kernel", "--p", "2", "--n", "3", "--window", "16,16"],
+    ["kernel", "--p", "2", "--n", "3,3", "--window", "16"],
+    ["kernel", "--p", "2", "--n", "5,3", "--window", "16"],
+], ids=["synth-window-8,8", "synth-n0-3,3", "synth-window-16,8",
+        "kernel-window-16,16", "kernel-n-3,3", "kernel-n-5,3"])
+def test_cli_rejects_repeated_or_descending_ladder(tmp_path, capsys, gaussian_op,
+                                                   argv):
+    # a repeated window or scale analysed one window twice and reported
+    # "stabilized" (kernel --n 3,3 also printed a RankWarning); a
+    # descending ladder took its verdict from the wrong end; kernel
+    # --n 5,3 used to be sorted without a word
+    if argv[0] == "synth":
+        path = tmp_path / "fam.json"
+        path.write_bytes(dump_json_bytes(corpus.hat_family(16).to_json_dict()))
+        argv = argv[:1] + ["--family", str(path)] + argv[1:]
+    else:
+        path = tmp_path / "kern.json"
+        path.write_bytes(dump_json_bytes(gaussian_op.to_json_dict()))
+        argv = argv[:1] + ["--kernel", str(path)] + argv[1:]
+    err = _assert_rejects(argv, tmp_path, capsys, error="ValueError")
+    assert "strictly increasing" in err["message"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_norms_rejects_non_finite_alpha(tmp_path, capsys, bad):
+    # used to compute on NaN, print RuntimeWarnings and fail only when the
+    # report's JSON was emitted
+    path = tmp_path / "t.json"
+    path.write_bytes(dump_json_bytes(
+        corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()))
+    err = _assert_rejects(["norms", "--matrix", str(path), "--alpha", bad],
+                          tmp_path, capsys)
+    assert "alpha" in err["message"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_density_rejects_non_finite_radius(tmp_path, capsys, bad):
+    from locop.lattice import IndexSet
+
+    rows = tmp_path / "rows.json"
+    rows.write_bytes(dump_json_bytes(IndexSet.integer_range(0, 10).to_json_dict()))
+    boxes = tmp_path / "boxes.json"
+    boxes.write_text("[[2, 5]]\n")
+    err = _assert_rejects(["density", "--rows", str(rows), "--cols", str(rows),
+                           "--r0", bad, "--boxes", str(boxes)], tmp_path, capsys)
+    assert "r0" in err["message"]
 
 
 def test_cli_synth_rejects_non_finite_profile_coefficient(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -27,3 +28,24 @@ def test_cold_import_does_not_load_scipy_sparse_csgraph():
     # only the Jordan-Wielandt ordering and structurally singular LUs need
     # it, so both import it where they use it
     assert not _loaded_by_cold_import("scipy.sparse.csgraph")
+
+
+def test_perfbench_trace_targets_resolve():
+    # the benchmark's tracer patches these names and its run record reads
+    # the backend; a rename or a deletion in locop would otherwise break a
+    # traced benchmark run without any test noticing
+    path = Path(locop.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TARGETS) == 32
+    for module, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name).__dict__
+            assert attr in owner, f"{module}.{cls_name}.{attr}"
+        else:
+            assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+    from locop import _accel
+    assert isinstance(_accel.BACKEND, str)

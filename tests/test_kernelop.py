@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from locop import corpus
+from locop import corpus, kernelop
 from locop.errors import InvariantViolation, NumericalError
 from locop.kernelop import (ConvolutionRule, KernelOperator, SeparableRule,
                             _conv_offset_table, _envelope_ring_sum,
@@ -11,6 +11,7 @@ from locop.kernelop import (ConvolutionRule, KernelOperator, SeparableRule,
                             apply_kernel, discretization_error_curve,
                             discretize_kernel, kernel_truncation_tail,
                             perturbed_identity_stability, rule_from_json_dict)
+from locop.matalg import LocalizedMatrix
 from locop.profiles import (ExponentialProfile, GaussianProfile,
                             PiecewisePolynomial, bspline_profile,
                             gauss_legendre_integral, trapezoid_profile)
@@ -341,6 +342,68 @@ def test_gaussian_perturbation_stays_near_identity(gaussian_op):
 def test_perturbed_identity_needs_room_for_probes(gaussian_op):
     with pytest.raises(ValueError, match="window too small"):
         perturbed_identity_stability(gaussian_op, 2.0, [3], [4.0])
+
+
+def _fresh(op):
+    """The same operator without the offset tables kept on ``op``."""
+    return KernelOperator(op.rule, op.envelope, op.alpha, op.d_const)
+
+
+def _separable_op():
+    return KernelOperator(SeparableRule(((1.0, hat(), GaussianProfile(1.0, 1.0)),)),
+                          GaussianProfile(3.0, 2.0), 1.0, 50.0)
+
+
+_PROBE = DyadicFunction(1, [2], np.array([1.0, -0.5, 2.0, 0.25]))
+
+
+@pytest.mark.parametrize("case,window", [("gaussian", 8.0), ("reflected", 8.0),
+                                         ("separable", 8.0), ("gaussian", 3.0)],
+                         ids=["gaussian", "reflected", "separable",
+                              "narrower-than-offset-radius"])
+def test_perturbed_identity_matches_sparse_sum(gaussian_op, monkeypatch, case,
+                                               window):
+    # the matrices handed to lower_constant must be I + 2^-n A_n exactly as
+    # a CSR sum builds it: same (i, j) pattern, bitwise the same values
+    op = {"gaussian": gaussian_op, "reflected": gaussian_op.transpose(),
+          "separable": _separable_op()}[case]
+    if case == "gaussian" and window < 4.0:
+        assert op._offset_radius() > window   # the table is cut to the window
+    seen = []
+    real = kernelop.lower_constant
+    monkeypatch.setattr(kernelop, "lower_constant",
+                        lambda M, p: seen.append(M) or real(M, p))
+    perturbed_identity_stability(op, 2.0, [2, 3], [window], probes=[_PROBE])
+    assert len(seen) == 2
+    for n, M in zip([2, 3], seen):
+        want = oracles.identity_plus(discretize_kernel(op, n, (0.0, window)),
+                                     2.0 ** (-n))
+        assert M.rows == want.rows and M.cols == want.cols
+        assert np.array_equal(M.i, want.i) and np.array_equal(M.j, want.j)
+        assert np.array_equal(M.values, want.values)
+
+
+def test_perturbed_identity_builds_one_table_per_scale(gaussian_op, monkeypatch):
+    # scales 3..5 and their error-curve references 6..8: each table is
+    # built once and order-doubling checked once, and each (window, scale)
+    # assembles one matrix
+    op = _fresh(gaussian_op)
+    tables = []
+    real_table = kernelop._conv_offset_table
+    monkeypatch.setattr(kernelop, "_conv_offset_table",
+                        lambda g, ks, h, **kw: tables.append(h) or real_table(g, ks, h, **kw))
+    matrices = []
+    real_init = LocalizedMatrix.__init__
+
+    def init(self, *args):
+        matrices.append(args[0])
+        real_init(self, *args)
+    monkeypatch.setattr(LocalizedMatrix, "__init__", init)
+    perturbed_identity_stability(op, 2.0, [3, 4, 5], [8.0, 12.0], probes=[_PROBE])
+    assert sorted(tables) == sorted(2 * [2.0 ** -n for n in range(3, 9)])
+    assert len(matrices) == 2 * 3
+    perturbed_identity_stability(op, 2.0, [3, 4, 5], [8.0], probes=[_PROBE])
+    assert len(tables) == 12                     # kept on the operator
 
 
 # ----------------------------------------------------------------------

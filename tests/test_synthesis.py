@@ -197,6 +197,13 @@ def test_coarsen_then_refine_is_averaging(rng):
     assert np.allclose(g.values, f.values.reshape(-1, 2).mean(axis=1), atol=1e-15)
 
 
+def test_dyadic_function_rejects_two_dimensional_values():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        DyadicFunction(2, [0, 0], np.ones((4, 4)))
+    with pytest.raises(ValueError, match="one cell index"):
+        DyadicFunction(2, [0, 1], np.ones(4))
+
+
 def test_subtract_aligns_windows():
     f = DyadicFunction(1, [0], np.array([1.0, 2.0, 3.0, 4.0]))
     g = DyadicFunction(1, [2], np.array([1.0, 1.0]))
