@@ -3,7 +3,7 @@
 minimize ||A c||_p over the lp unit sphere, from several starts at once.
 Normalized-subgradient steps with lp-sphere retraction; the step halves on
 failure, grows modestly on success, and a start terminates when the step
-drops below ``tmin``.
+drops below 1e-10 or after 5000 steps.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ def _pnorm_rows(Y: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(Y) ** p).sum(axis=1) ** (1.0 / p)
 
 
-def descend_lp(csr, starts: np.ndarray, p: float, t0: float = 0.25,
-               tmin: float = 1e-10, max_iter: int = 5000):
+def descend_lp(csr, starts: np.ndarray, p: float):
     """Run projected subgradient descent from each start.
 
     Parameters
@@ -37,14 +36,15 @@ def descend_lp(csr, starts: np.ndarray, p: float, t0: float = 0.25,
     Returns (objective values, final vectors), one row per start.
     """
     A = csr
-    p, t0 = float(p), float(t0)
+    p = float(p)
+    t0, tmin, max_iter = 0.25, 1e-10, 5000
     C = np.array(starts, dtype=np.float64, order="C")
     C /= _pnorm_rows(C, p)[:, None]
     Y = (A @ C.T).T
     F = _pnorm_rows(Y, p)
     T = np.full(C.shape[0], t0)
     active = np.ones(C.shape[0], dtype=bool)
-    for _ in range(int(max_iter)):
+    for _ in range(max_iter):
         if not active.any():
             break
         idx = np.flatnonzero(active)

@@ -13,21 +13,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import corpus
-from .errors import NumericalError
+from .errors import NumericalError, integer_field
 from .kernelop import KernelOperator, perturbed_identity_stability
 from .lattice import IndexSet
 from .matalg import LocalizedMatrix, schur_norm, sjostrand_norm, slant_norm
 from .reporting import (STABILITY_CSV_HEADER, build_report, dump_json_bytes,
                         p_label, stability_csv_rows, validate_report,
                         write_csv, write_report)
-from .stability import (convolution_stability, density_check,
+from .stability import (SYMBOL_GRID, convolution_stability, density_check,
                         equivalence_report, inverse_decay_profile,
-                        stability_ladder)
+                        normalize_p, stability_ladder)
 from .synthesis import GeneratorFamily, synthesis_stability
 
 
@@ -47,10 +46,7 @@ def _load_matrix(path) -> LocalizedMatrix:
 def _parse_p_list(value) -> list[float]:
     if isinstance(value, str):
         value = value.split(",")
-    out = []
-    for tok in value:
-        tok = str(tok).strip()
-        out.append(math.inf if tok in ("inf", "Infinity") else float(tok))
+    out = [normalize_p(str(tok)) for tok in value]
     if not out:
         raise ValueError("empty exponent list")
     return out
@@ -67,15 +63,17 @@ def _parse_int_list(value) -> list[int]:
     """Accept '3..8' (inclusive range), '4,5,6', or a JSON list.  The list
     must be non-empty (a descending range such as '5..3' is empty) and
     strictly increasing, or a ValueError is raised: a repeated or descending
-    ladder would otherwise pass for a stabilized one."""
+    ladder would otherwise pass for a stabilized one.  A fractional entry
+    raises InvariantViolation rather than being truncated."""
     items = value
     if isinstance(value, str):
         if ".." in value:
             lo, hi = value.split("..")
-            items = range(int(lo), int(hi) + 1)
+            items = range(integer_field(lo, "range start"),
+                          integer_field(hi, "range end") + 1)
         else:
             items = value.split(",")
-    out = [int(v) for v in items]
+    out = [integer_field(v, "list entry") for v in items]
     if not out:
         raise ValueError(f"empty integer list: {value!r}")
     if any(b <= a for a, b in zip(out, out[1:])):
@@ -102,7 +100,7 @@ def _read_sequence_csv(path) -> tuple[list[int], list[float]]:
         raise ValueError(f"no numeric rows in {path}")
     widths = {len(r) for r in rows}
     if widths == {2}:
-        return [int(r[0]) for r in rows], [r[1] for r in rows]
+        return [integer_field(r[0], "offset") for r in rows], [r[1] for r in rows]
     if widths == {1}:
         if len(rows) % 2 == 0:
             raise ValueError("single-column sequence must have odd length "
@@ -193,7 +191,7 @@ def _run_equiv(params: dict):
 
 def _run_conv(params: dict):
     offsets, values = _read_sequence_csv(params["seq"])
-    grid = int(params.get("grid", 65536))
+    grid = integer_field(params.get("grid", SYMBOL_GRID), "grid")
     cert = convolution_stability(offsets, values, grid_size=grid)
     entry = {"grid_size": cert.grid_size, "grid_min": cert.grid_min,
              "argmin": cert.argmin, "lipschitz_bound": cert.lipschitz_bound,
@@ -354,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("conv", help="certify min |symbol| of a filter")
     c.add_argument("--seq", required=True, help="CSV: 'j,value' rows, or one "
                                                 "value per line (odd, centered)")
-    c.add_argument("--grid", type=int, default=65536)
+    c.add_argument("--grid", type=int, default=None,
+                   help=f"symbol grid size (default {SYMBOL_GRID})")
     _add_out(c)
 
     i = sub.add_parser("invdecay", help="off-diagonal decay profile of the inverse")

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import integer_field
 from .kernelop import ConvolutionRule, KernelOperator
 from .lattice import IndexSet
 from .matalg import LocalizedMatrix
@@ -95,7 +96,7 @@ def slanted_matrix(alpha: int, taps, window: int) -> LocalizedMatrix:
     alpha = int(alpha)
     if alpha < 1:
         raise ValueError("slant factor must be a positive integer")
-    taps = {int(d): float(v) for d, v in dict(taps).items()}
+    taps = {integer_field(d, "tap offset"): float(v) for d, v in dict(taps).items()}
     rows = IndexSet.integer_range(0, window - 1)
     cols_lo = min(min(taps), 0)
     cols_hi = alpha * (window - 1) + max(max(taps), 0)
@@ -121,13 +122,13 @@ def bspline_gram(order: int, window: int) -> LocalizedMatrix:
 
 
 def gabor_gram(sigma: float, a_step: float, b_step: float,
-               time_count: int, freq_count: int,
-               drop_tol: float = 1e-14) -> LocalizedMatrix:
+               time_count: int, freq_count: int) -> LocalizedMatrix:
     """Gram matrix of cosine-modulated Gaussian atoms on a 2-d lattice.
 
     Atom (j, k) is exp(-((t - a j)/sigma)^2) cos(2 pi b k t); the inner
     products have a closed form (Gaussian-times-cosine integrals), so the
-    matrix is exact and symmetric by construction.
+    matrix is exact and symmetric by construction.  Entries below 1e-14 in
+    absolute value are dropped.
     """
     if sigma <= 0 or a_step <= 0 or b_step <= 0:
         raise ValueError("lattice parameters must be positive")
@@ -155,7 +156,7 @@ def gabor_gram(sigma: float, a_step: float, b_step: float,
         for c in range(r, m):
             j2, k2 = divmod(c, freq_count)
             v = entry(j1, k1, j2, k2)
-            if abs(v) < drop_tol:
+            if abs(v) < 1e-14:
                 continue
             ii.append(r)
             jj.append(c)
@@ -204,26 +205,29 @@ _FAMILIES = {"toeplitz", "banded_random", "slanted", "gabor_gram",
 
 def build_item(family: str, params: dict, window: int, seed: int):
     """One corpus object; raises on unknown families or bad params."""
+
+    def integer(key: str, default: int) -> int:
+        return integer_field(params.get(key, default), key)
+
     if family == "toeplitz":
-        return toeplitz_matrix(params["sequence"], int(params.get("window", window)))
+        return toeplitz_matrix(params["sequence"], integer("window", window))
     if family == "banded_random":
-        return banded_random(int(params.get("window", window)),
-                             band=int(params.get("band", 2)),
+        return banded_random(integer("window", window),
+                             band=integer("band", 2),
                              scale=float(params.get("scale", 0.25)),
                              gap=float(params.get("gap", 0.5)),
-                             seed=int(params.get("seed", seed)))
+                             seed=integer("seed", seed))
     if family == "slanted":
-        return slanted_matrix(int(params["alpha"]), params["taps"],
-                              int(params.get("window", window)))
+        return slanted_matrix(integer_field(params["alpha"], "alpha"), params["taps"],
+                              integer("window", window))
     if family == "gabor_gram":
         return gabor_gram(float(params.get("sigma", 1.0)),
                           float(params.get("a_step", 1.0)),
                           float(params.get("b_step", 0.5)),
-                          int(params.get("time_count", 8)),
-                          int(params.get("freq_count", 4)))
+                          integer("time_count", 8),
+                          integer("freq_count", 4))
     if family == "bspline_gram":
-        return bspline_gram(int(params.get("order", 2)),
-                            int(params.get("window", window)))
+        return bspline_gram(integer("order", 2), integer("window", window))
     if family == "gaussian_kernel":
         return gaussian_kernel_op(float(params.get("theta", 0.1)),
                                   float(params.get("sigma", 1.0)))
@@ -239,8 +243,8 @@ def generate(spec: dict, outdir) -> dict:
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = int(spec.get("seed", 0))
-    window = int(spec.get("window", 128))
+    seed = integer_field(spec.get("seed", 0), "seed")
+    window = integer_field(spec.get("window", 128), "window")
     files = []
     for item in spec["items"]:
         name = item["name"]

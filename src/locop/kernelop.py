@@ -23,12 +23,12 @@ from .matalg import ENTRY_DROP_TOL, LocalizedMatrix, truncation_tail
 from .profiles import Profile1D, gauss_legendre_rule, profile_from_json_dict
 from .stability import (ladder_verdict, lower_constant, normalize_p,
                         upper_constant)
-from .synthesis import DyadicFunction, SampledFunction, project_Pn
+from .synthesis import (HYPOTHESIS_SLACK, PROBE_PER_UNIT, DyadicFunction,
+                        SampledFunction, project_Pn)
 
 CONV_QUAD_ORDER = 8
 QUAD_CHECK_TOL = 1e-12
 ENTRY_CUTOFF_TOL = 1e-15
-WINDOW_PAD_TOL = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -146,8 +146,9 @@ class KernelOperator:
         return KernelOperator(self.rule.transpose(), self.envelope,
                               self.alpha, self.d_const)
 
-    def pad_radius(self, tol: float = WINDOW_PAD_TOL) -> float:
-        return self.envelope.decay_radius(tol)
+    def pad_radius(self) -> float:
+        """Radius outside which the envelope is below 1e-10."""
+        return self.envelope.decay_radius(1e-10)
 
     def _offset_radius(self) -> float:
         r = self.envelope.decay_radius(ENTRY_CUTOFF_TOL)
@@ -167,27 +168,27 @@ class KernelOperator:
         vals = self.rule.value(ys[:, None], xs[None, :] + ys[:, None])
         return np.abs(vals).max(axis=0)
 
-    def validate(self, probe_per_unit: int = 64, slack: float = 1e-9) -> dict:
+    def validate(self) -> dict:
         """Probe-grid verification of the envelope and Hölder hypotheses.
 
-        Sampled, not a proof; raises InvariantViolation on any excess.
+        Sampled (PROBE_PER_UNIT points per unit cell), not a proof; raises
+        InvariantViolation on any excess beyond HYPOTHESIS_SLACK.
         """
         h = self.envelope
         radius = max(self._offset_radius(), h.decay_radius(1e-13)) + 1.0
         k_hi = int(math.ceil(radius))
-        n_per = max(probe_per_unit, 8)
         cells = np.arange(-k_hi, k_hi)
-        offs = (np.arange(n_per) + 0.5) / n_per
+        offs = (np.arange(PROBE_PER_UNIT) + 0.5) / PROBE_PER_UNIT
         xs = (cells[:, None] + offs[None, :]).reshape(-1)
         m = self._diagonal_sup(xs)
         hv = np.asarray(h(xs), dtype=float)
         gap = float((m - hv).max())
-        if gap > slack * max(1.0, float(m.max(initial=0.0))):
+        if gap > HYPOTHESIS_SLACK * max(1.0, float(m.max(initial=0.0))):
             raise InvariantViolation(
                 f"envelope does not dominate the kernel (excess {gap:.3e})")
-        cell_sups = m.reshape(len(cells), n_per).max(axis=1)
+        cell_sups = m.reshape(len(cells), PROBE_PER_UNIT).max(axis=1)
         total = float(cell_sups.sum())
-        if total > self.d_const * (1.0 + slack):
+        if total > self.d_const * (1.0 + HYPOTHESIS_SLACK):
             raise InvariantViolation(
                 f"kernel amalgam sum {total:.6g} exceeds D = {self.d_const}")
         margin = math.inf
@@ -195,11 +196,11 @@ class KernelOperator:
         for k in range(1, 11):
             delta = 2.0 ** (-k)
             md = self._modulus_sup(xs, delta)
-            sums = float(md.reshape(len(cells), n_per).max(axis=1).sum())
+            sums = float(md.reshape(len(cells), PROBE_PER_UNIT).max(axis=1).sum())
             budget = self.d_const * delta ** self.alpha
             margin = min(margin, budget - sums)
             need = max(need, sums / delta ** self.alpha)
-            if sums > budget * (1.0 + slack):
+            if sums > budget * (1.0 + HYPOTHESIS_SLACK):
                 raise InvariantViolation(
                     f"Hölder bound fails at delta=2^-{k}: "
                     f"{sums:.6g} > D*delta^alpha = {budget:.6g}")
@@ -463,11 +464,11 @@ class ErrorCurve:
                 "slope": self.slope}
 
 
-def discretization_error_curve(op: KernelOperator, n_values, probes, r=2.0,
-                               ref_offset: int = 3) -> ErrorCurve:
-    """max_f ||(T_{n+k} - T_n) f||_r / ||f||_r per n, with a log2 fit.
+def discretization_error_curve(op: KernelOperator, n_values, probes,
+                               r=2.0) -> ErrorCurve:
+    """max_f ||(T_{n+3} - T_n) f||_r / ||f||_r per n, with a log2 fit.
 
-    The reference scale n + ref_offset stands in for the continuum
+    The reference scale n + 3 stands in for the continuum
     operator; both applications are exact on piecewise-constant probes,
     so the measured ratios carry no quadrature noise beyond 1e-12.
     """
@@ -475,7 +476,7 @@ def discretization_error_curve(op: KernelOperator, n_values, probes, r=2.0,
     n_values = sorted(int(n) for n in n_values)
     entries = []
     for n in n_values:
-        m = n + ref_offset
+        m = n + 3
         worst = 0.0
         for f in probes:
             fn = f.lp_norm(r)

@@ -83,9 +83,9 @@ class IndexSet:
             raise ValueError(f"prefix size {m} out of range")
         return IndexSet(self.dim, self.points[:m], self.window)
 
-    def restrict(self, mask: np.ndarray, window=None) -> "IndexSet":
-        win = self.window if window is None else window
-        return IndexSet(self.dim, self.points[np.asarray(mask)], win)
+    def restrict(self, mask: np.ndarray) -> "IndexSet":
+        """The selected points, in the same window."""
+        return IndexSet(self.dim, self.points[np.asarray(mask)], self.window)
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,14 +234,14 @@ class PartitionReport:
         return not self.violations
 
 
-def cutoff_partition_check(scale: int, sample_points, dim: int | None = None,
-                           slack: float = 1e-12) -> PartitionReport:
+def cutoff_partition_check(scale: int, sample_points) -> PartitionReport:
     """Check 2^d <= sum_n ψ((x - n)/scale)^2 <= 4^d over coarse-grid centers n.
 
     The sum runs over n in scale * Z^d; ψ has support radius 2 so only a
-    5^d block of centers contributes at any x.
+    5^d block of centers contributes at any x.  A sample violates the
+    check when it leaves the bounds by more than 1e-12.
     """
-    pts = _as_points(sample_points, dim)
+    pts = _as_points(sample_points)
     d = pts.shape[1]
     lo, hi = 2.0 ** d, 4.0 ** d
     u = pts / float(scale)
@@ -253,7 +253,7 @@ def cutoff_partition_check(scale: int, sample_points, dim: int | None = None,
         total += cutoff_psi(u - (base + off)) ** 2
     violations = []
     for x, s in zip(pts, total):
-        if s < lo - slack or s > hi + slack:
+        if s < lo - 1e-12 or s > hi + 1e-12:
             violations.append((x.tolist(), float(s)))
     return PartitionReport(d, int(scale), lo, hi,
                            float(total.min()), float(total.max()), violations)

@@ -26,11 +26,8 @@ class Weight:
     """Admissible polynomial weight (1 + |x|)^exponent (Euclidean |x|)."""
 
     exponent: float
-    kind: str = "polynomial"
 
     def __post_init__(self):
-        if self.kind != "polynomial":
-            raise ValueError(f"unsupported weight kind {self.kind!r}")
         if self.exponent < 0:
             raise ValueError("weight exponent must be >= 0")
 
@@ -153,18 +150,11 @@ class LocalizedMatrix:
             self._cache["band"] = b
         return b
 
-    def submatrix(self, row_idx, col_idx, row_window=None, col_window=None) -> "LocalizedMatrix":
-        row_idx = np.asarray(row_idx, dtype=np.int64)
-        col_idx = np.asarray(col_idx, dtype=np.int64)
-        sub = self.csr()[row_idx, :][:, col_idx].tocoo()
-        return LocalizedMatrix(
-            self.rows.restrict(row_idx, row_window),
-            self.cols.restrict(col_idx, col_window),
-            sub.row, sub.col, sub.data,
-        )
-
     def window_prefix(self, m_rows: int, m_cols: int) -> "LocalizedMatrix":
-        return self.submatrix(np.arange(m_rows), np.arange(m_cols))
+        """The leading m_rows x m_cols block, on the first points of each set."""
+        sub = self.csr()[:m_rows, :m_cols].tocoo()
+        return LocalizedMatrix(self.rows.prefix(m_rows), self.cols.prefix(m_cols),
+                               sub.row, sub.col, sub.data)
 
     # -- serialization ---------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -189,12 +179,14 @@ class LocalizedMatrix:
         return cls(rows, cols, i, j, v)
 
     @classmethod
-    def from_dense(cls, rows: IndexSet, cols: IndexSet, dense: np.ndarray,
-                   drop_tol: float = 0.0) -> "LocalizedMatrix":
+    def from_dense(cls, rows: IndexSet, cols: IndexSet,
+                   dense: np.ndarray) -> "LocalizedMatrix":
+        """Every nonzero entry of ``dense``; a NaN is kept, so the
+        constructor rejects it."""
         dense = np.asarray(dense, dtype=float)
         if dense.shape != (len(rows), len(cols)):
             raise ValueError("dense shape mismatch")
-        i, j = np.nonzero(np.abs(dense) > drop_tol)
+        i, j = np.nonzero(dense)
         return cls(rows, cols, i, j, dense[i, j])
 
 

@@ -74,25 +74,13 @@ class Profile1D:
         fx = np.asarray(self(x), dtype=float)
         return np.maximum(mx - fx, fx - mn)
 
-    def amalgam_norm(self, tol: float = 1e-14) -> float:
-        return self.amalgam_norm_detail(tol)[0]
-
-    def amalgam_norm_detail(self, tol: float = 1e-14) -> tuple[float, float]:
-        """(value, truncation bound): sum over integer cells of sup |f|.
-
-        Cells are accumulated outward from the support/decay region in
-        ascending k order; sums below ``tol`` terminate the scan and the
-        reported truncation bound dominates what was dropped.
-        """
-        radius = self.decay_radius(min(tol, 1e-14))
-        k_lo = int(math.floor(-radius)) - 1
-        k_hi = int(math.ceil(radius)) + 1
-        ks = np.arange(k_lo, k_hi + 1)
+    def amalgam_norm(self) -> float:
+        """Sum over integer cells of sup |f|, over the cells that meet the
+        1e-14 decay radius (plus one on each side), in ascending k order."""
+        radius = self.decay_radius(1e-14)
+        ks = np.arange(int(math.floor(-radius)) - 1, int(math.ceil(radius)) + 2)
         sups = self.cell_sup(ks)
-        keep = sups > 0.0
-        value = float(np.sum(sups[keep]))
-        tail = float(self.tail_sum_bound(k_hi + 1) + self.tail_sum_bound(-k_lo + 1))
-        return value, tail
+        return float(np.sum(sups[sups > 0.0]))
 
 
 # ----------------------------------------------------------------------

@@ -23,12 +23,9 @@ from pathlib import Path
 import jsonschema
 from jsonschema.exceptions import best_match
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, integer_field
 
 REPORT_VERSION = 1
-
-ANALYSES = ("norms", "stab", "equiv", "conv", "invdecay", "density",
-            "synth", "kernel")
 
 STABILITY_CSV_HEADER = ("window", "p", "lower", "upper", "certified")
 
@@ -88,13 +85,13 @@ def csv_bytes(header, rows) -> bytes:
 
 def build_report(analysis: str, params: dict, seed, entries, verdicts,
                  meta=None) -> dict:
-    if analysis not in ANALYSES:
-        raise ValueError(f"unknown analysis {analysis!r}")
+    """The report envelope; the schema's ``analysis`` enum, which
+    validate_report enforces before any write, names the known analyses."""
     return {
         "analysis": analysis,
         "version": REPORT_VERSION,
         "params": dict(params),
-        "seed": None if seed is None else int(seed),
+        "seed": None if seed is None else integer_field(seed, "seed"),
         "entries": list(entries),
         "verdicts": dict(verdicts),
         "meta": dict(meta or {}),

@@ -38,9 +38,9 @@ DENSE_EIG_CUTOFF = 1200
 # bound m eps kappa^2 on the relative error of lambda_min(A^T A) above which
 # sigma_min comes from the Jordan-Wielandt band instead of the Gram band
 GRAM_MAX_REL_ERR = 1e-9
-MULTISTART_MAX_ITER = 5000
-MULTISTART_STEP_MIN = 1e-10
 INVERSE_BLOCK_COLS = 128
+# points on the torus at which convolution_stability samples a symbol
+SYMBOL_GRID = 65536
 # ladder verdicts: last-doubling change below STAB_TOL with a lower constant
 # above POS_THRESHOLD is "stabilized"; every doubling dropping by at least
 # DEGEN_DROP is "degenerating"
@@ -360,9 +360,7 @@ def _multistart_lower(A: LocalizedMatrix, p: float) -> float:
     the descent reaches from the p = 2 minimizer and from the best column
     of the Gram inverse."""
     starts = [_min_singular_vector(A), _gram_inverse_start(A, p)]
-    F, _ = _accel.descend_lp(A.csr(), np.array([s for s in starts if s is not None]),
-                             p, max_iter=MULTISTART_MAX_ITER,
-                             tmin=MULTISTART_STEP_MIN)
+    F, _ = _accel.descend_lp(A.csr(), np.array([s for s in starts if s is not None]), p)
     return float(np.min(F))
 
 
@@ -599,15 +597,16 @@ class SymbolCertificate:
     verdict: str
 
 
-def convolution_stability(offsets, values, grid_size: int = 65536,
-                          tol: float | None = None) -> SymbolCertificate:
+def convolution_stability(offsets, values,
+                          grid_size: int = SYMBOL_GRID) -> SymbolCertificate:
     """Certify min |sum_j a(j) e^{-i j xi}| over the torus from a fine grid.
 
     The symbol derivative is bounded by L = sum |a(j)| |j|, so the true
     minimum lies within L*h/2 of the grid minimum (h the grid spacing).
     Verdicts: ``stable`` when the certified interval excludes zero,
-    ``unstable`` when a real-symbol sign change or a numerically zero
-    grid minimum confirms a zero, else ``undetermined: refine grid``.
+    ``unstable`` when a real-symbol sign change or a grid minimum below
+    1e-9 max(1, sum |a(j)|) confirms a zero, else ``undetermined: refine
+    grid``.
     """
     offs = np.asarray(offsets, dtype=np.int64).reshape(-1)
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -633,9 +632,7 @@ def convolution_stability(offsets, values, grid_size: int = 65536,
     if real_symbol:
         re = symbol.real
         sign_change = bool((re * np.roll(re, -1) < 0).any())
-    scale = float(np.sum(np.abs(vals)))
-    if tol is None:
-        tol = 1e-9 * max(1.0, scale)
+    tol = 1e-9 * max(1.0, float(np.sum(np.abs(vals))))
     if interval[0] > 0.0:
         verdict = "stable"
     elif sign_change or grid_min <= tol:
@@ -660,14 +657,13 @@ class InverseDecayResult:
     usable_offsets: int
 
 
-def inverse_decay_profile(A: LocalizedMatrix, margin: float, *,
-                          cond_limit: float = 1e12,
-                          floor: float = 1e-13) -> InverseDecayResult:
+def inverse_decay_profile(A: LocalizedMatrix, margin: float) -> InverseDecayResult:
     """Offset profile of the inverse and its fitted decay rate.
 
     Rows of the inverse are restricted to points at least ``margin`` away
     from the window edge before binning (finite sections pollute the
-    boundary); log sup-values are least-squares fitted against ||k||_inf.
+    boundary); log sup-values above 1e-13 are least-squares fitted against
+    ||k||_inf.  A matrix with condition number above 1e12 is refused.
     The rows come from the sparse LU in blocks, each reduced to offset-cell
     maxima at once, so no dense inverse is held.
     """
@@ -675,9 +671,9 @@ def inverse_decay_profile(A: LocalizedMatrix, margin: float, *,
     if n != m:
         raise ValueError("inverse decay needs a square matrix")
     smin, smax = _singular_extremes(A)
-    if smin <= 0 or smax / smin > cond_limit:
+    if smin <= 0 or smax / smin > 1e12:
         raise NumericalError(
-            f"matrix condition {smax / max(smin, 1e-300):.3e} exceeds {cond_limit:.1e}")
+            f"matrix condition {smax / max(smin, 1e-300):.3e} exceeds 1.0e+12")
     # the inverse maps the row index set back to the column index set, so
     # its rows are A's columns
     idx = interior_column_indices(A, margin)
@@ -698,7 +694,7 @@ def inverse_decay_profile(A: LocalizedMatrix, margin: float, *,
     uk, sup = group_max(np.concatenate(keys), np.concatenate(sups))
     prof = OffsetProfile(A.dim, unpack_cells(uk, A.dim), sup)
     dist = np.abs(prof.cells).max(axis=1).astype(float)
-    usable = prof.sups > floor
+    usable = prof.sups > 1e-13
     if usable.sum() < 4:
         raise ValueError("fewer than 4 offsets above the fit floor")
     X = np.stack([np.ones(usable.sum()), dist[usable]], axis=1)

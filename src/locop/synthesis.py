@@ -22,6 +22,13 @@ from .matalg import LocalizedMatrix, sjostrand_norm
 from .profiles import Profile1D, profile_from_json_dict, gauss_legendre_integral
 from .stability import ladder_verdict, lower_constant, normalize_p, upper_constant
 
+# Sampled hypothesis checks (here and in kernelop) share one probe density
+# (points per unit length), one relative slack, and one delta grid on which
+# a modulus of continuity is both fitted and verified.
+PROBE_PER_UNIT = 64
+HYPOTHESIS_SLACK = 1e-9
+MODULUS_DELTAS = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
+
 
 # ----------------------------------------------------------------------
 # modulus bounds
@@ -155,39 +162,38 @@ class GeneratorFamily:
                 out.append(p)
         return out
 
-    def _probe_grid(self, prof, probe_per_unit: int) -> np.ndarray:
+    def _probe_grid(self, prof) -> np.ndarray:
         radius = max(prof.decay_radius(1e-13),
                      self.envelope.decay_radius(1e-13)) + 1.0
-        n_pts = max(int(2 * radius * probe_per_unit) + 1, 1024)
+        n_pts = max(int(2 * radius * PROBE_PER_UNIT) + 1, 1024)
         return np.linspace(-radius, radius, n_pts)
 
-    def validate(self, probe_per_unit: int = 64,
-                 deltas=(0.5, 0.25, 0.125, 0.0625, 0.03125),
-                 slack: float = 1e-9) -> dict:
+    def validate(self) -> dict:
         """Verify envelope dominance and (when given) the modulus bound.
 
         Shift-invariant families need each distinct profile checked once;
-        the probe grid carries at least 1000 points per generator.
+        the probe grid carries at least 1000 points per generator, and the
+        modulus is checked at every delta of MODULUS_DELTAS.
         Raises InvariantViolation on failure; returns a probe report.
         """
         h = self.envelope
         worst_env = 0.0
         worst_mod = 0.0
         for prof in self._distinct_profiles():
-            xs = self._probe_grid(prof, probe_per_unit)
+            xs = self._probe_grid(prof)
             fv = np.abs(np.asarray(prof(xs), dtype=float))
             hv = np.asarray(h(xs), dtype=float)
             gap = float((fv - hv).max())
             worst_env = max(worst_env, gap)
-            if gap > slack * max(1.0, float(np.abs(fv).max())):
+            if gap > HYPOTHESIS_SLACK * max(1.0, float(np.abs(fv).max())):
                 raise InvariantViolation(
                     f"envelope does not dominate profile (excess {gap:.3e})")
             if self.modulus is not None:
-                for d in deltas:
+                for d in MODULUS_DELTAS:
                     bound = self.modulus(d)
                     m = prof.modulus_of_continuity(d, xs)
                     excess = m - bound * hv
-                    bad = np.flatnonzero(excess > slack * np.maximum(1.0, m))
+                    bad = np.flatnonzero(excess > HYPOTHESIS_SLACK * np.maximum(1.0, m))
                     if bad.size:
                         i = bad[0]
                         raise InvariantViolation(
@@ -196,14 +202,13 @@ class GeneratorFamily:
                     worst_mod = max(worst_mod, float(excess.max()))
         object.__setattr__(self, "_validated", True)
         return {"envelope_excess": worst_env, "modulus_excess": worst_mod,
-                "deltas": list(deltas)}
+                "deltas": list(MODULUS_DELTAS)}
 
     def ensure_valid(self) -> None:
         if not self._validated:
             self.validate()
 
-    def calibrate_modulus(self, deltas=(0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625),
-                          probe_per_unit: int = 64) -> "GeneratorFamily":
+    def calibrate_modulus(self) -> "GeneratorFamily":
         """Fit a power modulus bound to measured moduli, then verify it.
 
         Measures needed(δ) = sup_x ω_δ(φ)(x) / h(x) on the same probe
@@ -213,10 +218,10 @@ class GeneratorFamily:
         """
         grids = []
         for prof in self._distinct_profiles():
-            xs = self._probe_grid(prof, probe_per_unit)
+            xs = self._probe_grid(prof)
             grids.append((prof, xs, np.asarray(self.envelope(xs), dtype=float)))
         needed = []
-        for d in deltas:
+        for d in MODULUS_DELTAS:
             worst = 0.0
             for prof, xs, hv in grids:
                 m = prof.modulus_of_continuity(d, xs)
@@ -235,13 +240,14 @@ class GeneratorFamily:
             return GeneratorFamily(self.index, self.profiles, self.envelope,
                                    self.rule, ModulusBound("power", c=0.0, alpha=1.0))
         mask = needed > 0
-        X = np.stack([np.ones(mask.sum()), np.log(np.asarray(deltas)[mask])], axis=1)
+        deltas = np.asarray(MODULUS_DELTAS)
+        X = np.stack([np.ones(mask.sum()), np.log(deltas[mask])], axis=1)
         coef, *_ = np.linalg.lstsq(X, np.log(needed[mask]), rcond=None)
         alpha = float(min(max(coef[1], 1e-6), 1.0))
-        c = float(np.max(needed / np.asarray(deltas) ** alpha)) * (1 + 1e-9)
+        c = float(np.max(needed / deltas ** alpha)) * (1 + 1e-9)
         out = GeneratorFamily(self.index, self.profiles, self.envelope,
                               self.rule, ModulusBound("power", c=c, alpha=alpha))
-        out.validate(probe_per_unit=probe_per_unit, deltas=deltas)
+        out.validate()
         return out
 
     # -- serialization --------------------------------------------------
@@ -438,20 +444,19 @@ def project_Pn(f, level: int, window=None) -> DyadicFunction:
 # discretization
 
 
-def discretize_synthesis(fam: GeneratorFamily, n0: int,
-                         tail_tol: float = 1e-14) -> LocalizedMatrix:
+def discretize_synthesis(fam: GeneratorFamily, n0: int) -> LocalizedMatrix:
     """Cell averages of each generator at scale 2^-n0.
 
-    Rows are the dyadic points covering every generator's (decay-radius)
-    support; column k holds 2^{n0} ∫ φ_k over each row cell.  The
-    localization norm of the result is bounded by 2 ||envelope||_W1 for
-    single-profile shift families.
+    Rows are the dyadic points covering every generator's support (out to
+    its 1e-14 decay radius); column k holds 2^{n0} ∫ φ_k over each row
+    cell.  The localization norm of the result is bounded by
+    2 ||envelope||_W1 for single-profile shift families.
     """
     h = 2.0 ** (-n0)
     spans = []
     for col in range(fam.n_columns):
         prof, shift = fam.column_profile(col)
-        r = prof.decay_radius(tail_tol)
+        r = prof.decay_radius(1e-14)
         spans.append((shift - r, shift + r))
     lo = min(s for s, _ in spans)
     hi = max(e for _, e in spans)
@@ -465,11 +470,10 @@ def discretize_synthesis(fam: GeneratorFamily, n0: int,
         if c_hi <= c_lo:
             continue
         edges = (c_lo + np.arange(c_hi - c_lo + 1)) * h
-        avgs = prof.cell_averages(edges - shift)
-        nz = np.abs(avgs) >= 1e-300
-        ii.extend((c_lo - k_lo + np.flatnonzero(nz)).tolist())
-        jj.extend([col] * int(nz.sum()))
-        vv.extend(avgs[nz].tolist())
+        # LocalizedMatrix drops the averages below its ENTRY_DROP_TOL
+        ii.extend(range(c_lo - k_lo, c_hi - k_lo))
+        jj.extend([col] * (c_hi - c_lo))
+        vv.extend(prof.cell_averages(edges - shift).tolist())
     return LocalizedMatrix(rows, fam.effective_index(), ii, jj, vv)
 
 

@@ -81,7 +81,7 @@ def family_validate(fam, probe_per_unit: int = 64,
     worst_env = 0.0
     worst_mod = 0.0
     for prof in fam._distinct_profiles():
-        xs = fam._probe_grid(prof, probe_per_unit)
+        xs = fam._probe_grid(prof)
         fv = np.abs(np.asarray(prof(xs), dtype=float))
         hv = np.asarray(h(xs), dtype=float)
         worst_env = max(worst_env, float((fv - hv).max()))
@@ -108,7 +108,7 @@ def calibrated_power(fam, deltas=(0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625),
     for d in deltas:
         worst = 0.0
         for prof in fam._distinct_profiles():
-            for x in fam._probe_grid(prof, probe_per_unit):
+            for x in fam._probe_grid(prof):
                 m = modulus_of_continuity(prof, d, float(x))
                 if m <= 1e-15:
                     continue

@@ -625,3 +625,84 @@ def test_cli_kernel_quick(tmp_path):
     rows = list(csv.reader(io.StringIO(sibling.read_text())))
     assert rows[0] == ["n", "ratio"]
     assert len(rows) == 3
+
+
+# ----------------------------------------------------------------------
+# integers a user supplies are never truncated
+
+
+def _assert_rejects_fraction(rc, capsys, *outputs):
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "InvariantViolation"
+    assert "is not an integer" in err["message"]
+    for path in outputs:
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("analysis,params", [
+    ("stab", {"p": "2", "windows": [8.7, 16.2]}),
+    ("synth", {"p": "2", "n0": [3.9], "window": [8]}),
+    ("conv", {"grid": 4096.9}),
+    ("stab", {"p": "2", "windows": [8, 16], "seed": 1.5}),
+], ids=["windows", "n0", "grid", "seed"])
+def test_cli_run_config_rejects_fractional_integers(tmp_path, capsys, t131_file,
+                                                    analysis, params):
+    inputs = {"stab": {"matrix": str(t131_file)},
+              "conv": {"seq": str(tmp_path / "taps.csv")}}
+    (tmp_path / "taps.csv").write_text("1\n3\n1\n")
+    if analysis == "synth":
+        fam = tmp_path / "fam.json"
+        fam.write_bytes(dump_json_bytes(corpus.hat_family(8).to_json_dict()))
+        inputs["synth"] = {"family": str(fam)}
+    out = tmp_path / "out.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(dump_json_bytes({"analysis": analysis,
+                                     "params": {**inputs[analysis], **params},
+                                     "out": str(out)}))
+    _assert_rejects_fraction(cli.main(["run", "--config", str(cfg)]), capsys, out)
+
+
+def test_cli_run_config_rejects_fractional_top_level_seed(tmp_path, capsys, t131_file):
+    out = tmp_path / "out.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(dump_json_bytes({
+        "analysis": "stab", "seed": 1.5, "out": str(out),
+        "params": {"matrix": str(t131_file), "p": "2", "windows": "8,16"}}))
+    _assert_rejects_fraction(cli.main(["run", "--config", str(cfg)]), capsys, out)
+
+
+@pytest.mark.parametrize("spec", [
+    {"seed": 5.7, "items": SPEC["items"]},
+    {"window": 16.9, "items": SPEC["items"]},
+    {"items": [{"name": "b", "family": "banded_random", "params": {"band": 1.5}}]},
+    {"items": [{"name": "g", "family": "gabor_gram", "params": {"time_count": 4.5}}]},
+    {"items": [{"name": "s", "family": "slanted",
+                "params": {"alpha": 2, "taps": [[0.5, 1.0]]}}]},
+], ids=["seed", "window", "band", "time_count", "tap_offset"])
+def test_cli_gen_rejects_fractional_integers(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_bytes(dump_json_bytes(spec))
+    out = tmp_path / "c"
+    rc = cli.main(["gen", "--spec", str(path), "--out", str(out)])
+    _assert_rejects_fraction(rc, capsys, out / "manifest.json")
+
+
+def test_cli_conv_rejects_fractional_offset(tmp_path, capsys):
+    # '0.5,3' used to become offset 0 and certify a different filter stable
+    seq = tmp_path / "seq.csv"
+    seq.write_text("-1,1\n0.5,3\n1,1\n")
+    out = tmp_path / "conv.json"
+    rc = cli.main(["conv", "--seq", str(seq), "--out", str(out)])
+    _assert_rejects_fraction(rc, capsys, out)
+
+
+def test_cli_oo_and_inf_exponents_write_identical_reports(tmp_path, t131_file):
+    outs = []
+    for tok in ("oo", "inf"):
+        out = tmp_path / f"stab_{tok}.json"
+        assert cli.main(["stab", "--matrix", str(t131_file), "--p", f"2,{tok}",
+                         "--windows", "8,16", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["params"]["p"] == ["2", "inf"]

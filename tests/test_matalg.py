@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locop import corpus
+from locop.errors import InvariantViolation
 from locop.lattice import CutoffOperator, IndexSet
 from locop.matalg import (LocalizedMatrix, Weight, apply,
                           commutator_with_cutoff, group_max, offset_profile,
@@ -46,6 +47,15 @@ def test_duplicate_entries_rejected():
 def test_json_round_trip(t131_64):
     again = LocalizedMatrix.from_json_dict(t131_64.to_json_dict())
     assert np.array_equal(again.dense(), t131_64.dense())
+
+
+def test_from_dense_rejects_nan_entry():
+    # a NaN used to be dropped with the zeros: the 3 x 3 matrix below came
+    # out with 6 entries and a p = 2 lower constant of 0.732 labelled certified
+    s = IndexSet.integer_range(0, 2)
+    dense = np.array([[2.0, 1.0, 0.0], [1.0, np.nan, 1.0], [0.0, 1.0, 2.0]])
+    with pytest.raises(InvariantViolation, match=r"non-finite entry .* at \(1, 1\)"):
+        LocalizedMatrix.from_dense(s, s, dense)
 
 
 def test_window_prefix_is_leading_block():

@@ -10,10 +10,11 @@ from hypothesis.extra.numpy import arrays
 from locop import corpus
 from locop.errors import InvariantViolation
 from locop.lattice import IndexSet
-from locop.profiles import GaussianProfile, bspline_profile, trapezoid_profile
-from locop.synthesis import (DyadicFunction, GeneratorFamily, ModulusBound,
-                             discretize_synthesis, project_Pn, synthesize,
-                             synthesis_stability)
+from locop.profiles import (ExponentialProfile, GaussianProfile, bspline_profile,
+                            gauss_legendre_integral, trapezoid_profile)
+from locop.synthesis import (MODULUS_DELTAS, DyadicFunction, GeneratorFamily,
+                             ModulusBound, discretize_synthesis, project_Pn,
+                             synthesize, synthesis_stability)
 
 import oracles
 
@@ -119,7 +120,7 @@ def _gaussian_family():
                          ids=["hat", "gaussian"])
 def test_validate_equals_per_point_loop(make):
     fam = make()
-    assert fam.validate() == oracles.family_validate(fam)
+    assert fam.validate() == oracles.family_validate(fam, deltas=MODULUS_DELTAS)
 
 
 @pytest.mark.parametrize("make", [lambda: corpus.hat_family(16), _gaussian_family],
@@ -151,6 +152,20 @@ def test_calibrate_modulus_names_the_first_vanishing_envelope_point():
         fam.calibrate_modulus()
     assert str(got.value) == str(want.value)
     assert "envelope vanishes" in str(got.value)
+
+
+def test_validate_checks_the_finest_calibration_delta():
+    # a modulus that holds for delta >= 1/32 but not at 1/64, the last delta
+    # calibrate_modulus fits on, used to pass validation, and synthesis at
+    # n0 = 6 reported a bias bound of 4e-9
+    entries = tuple((2.0 ** -k, 2.0 ** (1 - k)) for k in range(1, 6))
+    modulus = ModulusBound("table", entries=entries + ((2.0 ** -6, 1e-9),))
+    fam = GeneratorFamily(IndexSet.integer_range(0, 7), (hat(),),
+                          trapezoid_profile(0.0, 2.0, 1.0, 1.0), "shift", modulus)
+    with pytest.raises(InvariantViolation, match="delta=0.015625"):
+        fam.validate()
+    with pytest.raises(InvariantViolation, match="delta=0.015625"):
+        synthesis_stability(fam, 2, [5, 6], [8])
 
 
 def test_family_json_round_trip():
@@ -281,6 +296,50 @@ def test_discretized_synthesis_columns_are_cell_averages():
     col = D[:, 2]
     nz = col[col != 0.0]
     assert np.allclose(sorted(nz), [0.5, 0.5], atol=1e-14)
+
+
+@pytest.mark.parametrize("n0", [0, 3, 5])
+def test_table_family_of_hats_discretizes_like_the_shift_family(n0):
+    shift = corpus.hat_family(8)
+    table = GeneratorFamily(shift.index, tuple(hat() for _ in range(8)),
+                            shift.envelope, "table", shift.modulus)
+    A, B = discretize_synthesis(shift, n0), discretize_synthesis(table, n0)
+    assert np.array_equal(A.rows.points, B.rows.points)
+    assert np.array_equal(A.cols.points, B.cols.points)
+    for a, b in ((A.i, B.i), (A.j, B.j), (A.values, B.values)):
+        assert np.array_equal(a, b)
+
+
+def test_two_profile_shift_family_interleaves_and_is_not_stable():
+    # equal profiles at each point give two equal columns, so no lower
+    # constant survives
+    fam = GeneratorFamily(IndexSet.integer_range(0, 5), (hat(), hat()),
+                          trapezoid_profile(0.0, 2.0, 1.0, 1.0))
+    pts = fam.effective_index().points[:, 0]
+    assert np.array_equal(pts, np.arange(12) / 2.0)
+    assert [fam.column_profile(c)[1] for c in range(4)] == [0.0, 0.0, 1.0, 1.0]
+    rep = synthesis_stability(fam, 2, [3], [6])
+    assert rep.entries[0].lower == pytest.approx(0.0, abs=1e-12)
+    assert rep.entries[0].upper > 1.0
+
+
+def test_table_family_on_irregular_points_matches_cell_quadrature():
+    pts = np.array([0.0, 0.7, 1.9, 3.25, 4.0])
+    profs = (hat(), GaussianProfile(0.5), ExponentialProfile(3.0, 0.5),
+             trapezoid_profile(0.0, 0.5, 0.25, 0.8), hat())
+    fam = GeneratorFamily(IndexSet(1, pts, np.array([[0.0, 5.0]])), profs,
+                          GaussianProfile(4.0), "table")
+    n0 = 3
+    h = 2.0 ** -n0
+    A = discretize_synthesis(fam, n0)
+    ref = np.zeros(A.shape)
+    for col, (prof, x0) in enumerate(zip(profs, pts)):
+        kinks = x0 + prof.smooth_breakpoints()
+        for row, lo in enumerate(A.rows.points[:, 0]):
+            ref[row, col] = gauss_legendre_integral(
+                lambda x: prof(x - x0), lo, lo + h, splits=kinks) / h
+    assert np.abs(A.dense() - ref).max() <= 1e-12
+    assert np.abs(ref).max() > 0.5
 
 
 def test_synthesis_constants_match_gram_eigenvalues():
