@@ -304,12 +304,26 @@ def _emit(report: dict, out, csv_header, csv_rows) -> None:
 
 
 def _dispatch(analysis: str, params: dict, out) -> None:
-    try:
-        runner = _RUNNERS[analysis]
-    except KeyError:
-        raise ValueError(f"unknown analysis {analysis!r}") from None
-    report, header, rows = runner(params)
+    report, header, rows = _RUNNERS[analysis](params)
     _emit(report, out, header, rows)
+
+
+def _config_params(parser: argparse.ArgumentParser, cfg: dict) -> dict:
+    """A `locop run` config's params; a key that is no flag of the analysis's
+    subcommand is an error."""
+    analysis = cfg["analysis"]
+    if analysis not in _RUNNERS:
+        raise ValueError(f"unknown analysis {analysis!r}")
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    allowed = {a.dest for a in sub.choices[analysis]._actions} - {"help", "out"}
+    params = dict(cfg["params"])
+    unknown = sorted(set(params) - allowed)
+    if unknown:
+        raise ValueError(f"{analysis} has no parameter {unknown[0]!r}; "
+                         f"it takes {sorted(allowed)}")
+    if "seed" in cfg:
+        params.setdefault("seed", cfg["seed"])
+    return params
 
 
 # ----------------------------------------------------------------------
@@ -323,8 +337,15 @@ def _add_out(sp):
                          "exists); default prints JSON to stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors exit 2 with a JSON error, like any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="locop",
         description="Finite-section stability toolkit for localized operators.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -335,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("norms", help="Schur/Sjostrand/slant norms of a matrix")
     n.add_argument("--matrix", required=True)
-    n.add_argument("--alpha", type=float, default=None,
+    n.add_argument("--alpha", default=None,
                    help="slant to weight (omit to skip the slant norm)")
     _add_out(n)
 
@@ -345,27 +366,27 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--matrix", required=True)
         s.add_argument("--p", required=True, help="comma list, e.g. 1,2,inf")
         s.add_argument("--windows", required=True, help="comma list, e.g. 32,64,128")
-        s.add_argument("--seed", type=int, default=None,
+        s.add_argument("--seed", default=None,
                        help="recorded in the report's seed field only")
         _add_out(s)
 
     c = sub.add_parser("conv", help="certify min |symbol| of a filter")
     c.add_argument("--seq", required=True, help="CSV: 'j,value' rows, or one "
                                                 "value per line (odd, centered)")
-    c.add_argument("--grid", type=int, default=None,
+    c.add_argument("--grid", default=None,
                    help=f"symbol grid size (default {SYMBOL_GRID})")
     _add_out(c)
 
     i = sub.add_parser("invdecay", help="off-diagonal decay profile of the inverse")
     i.add_argument("--matrix", required=True)
-    i.add_argument("--margin", type=float, required=True,
+    i.add_argument("--margin", required=True,
                    help="boundary columns excluded from the fit")
     _add_out(i)
 
     d = sub.add_parser("density", help="necessary counting condition")
     d.add_argument("--rows", required=True, help="row IndexSet JSON")
     d.add_argument("--cols", required=True, help="column IndexSet JSON")
-    d.add_argument("--r0", type=float, required=True)
+    d.add_argument("--r0", required=True)
     d.add_argument("--boxes", required=True, help="JSON list of boxes")
     _add_out(d)
 
@@ -374,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     y.add_argument("--p", required=True)
     y.add_argument("--n0", required=True, help="comma list of scales, e.g. 4,5,6")
     y.add_argument("--window", required=True, help="comma list of window sizes")
-    y.add_argument("--seed", type=int, default=None,
+    y.add_argument("--seed", default=None,
                    help="recorded in the report's seed field only")
     _add_out(y)
 
@@ -384,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--p", required=True)
     k.add_argument("--n", required=True, help="scales, e.g. 3..8 or 3,4,5")
     k.add_argument("--window", required=True)
-    k.add_argument("--seed", type=int, default=None,
+    k.add_argument("--seed", default=None,
                    help="recorded in the report's seed field only")
     _add_out(k)
 
@@ -395,17 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)
         if args.command == "gen":
             manifest = corpus.generate(_load_json(args.spec), args.out)
             sys.stdout.buffer.write(dump_json_bytes(manifest))
         elif args.command == "run":
             cfg = _load_json(args.config)
-            params = dict(cfg["params"])
-            if "seed" in cfg:
-                params.setdefault("seed", cfg["seed"])
-            _dispatch(cfg["analysis"], params, cfg.get("out"))
+            _dispatch(cfg["analysis"], _config_params(parser, cfg), cfg.get("out"))
         else:
             params = {k: v for k, v in vars(args).items()
                       if k not in ("command", "out") and v is not None}

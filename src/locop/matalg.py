@@ -39,15 +39,13 @@ class Weight:
 
 
 class OffsetProfile:
-    """Per-cell suprema sup {|a(λ, λ')| : λ - λ' in k + [0,1)^d}."""
+    """Per-cell suprema sup {|a(λ, λ')| : λ - λ' in k + [0,1)^d}, over
+    distinct cells in lexicographic order (as :func:`group_max` returns them)."""
 
     def __init__(self, dim: int, cells: np.ndarray, sups: np.ndarray):
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, dim)
-        sups = np.asarray(sups, dtype=np.float64).reshape(-1)
-        order = np.lexsort(cells.T[::-1])
         self.dim = dim
-        self.cells = cells[order]
-        self.sups = sups[order]
+        self.cells = np.asarray(cells, dtype=np.int64).reshape(-1, dim)
+        self.sups = np.asarray(sups, dtype=np.float64).reshape(-1)
 
     def __len__(self) -> int:
         return self.cells.shape[0]
@@ -72,7 +70,7 @@ def _index_array(idx, axis: str) -> np.ndarray:
         bad = ~np.isfinite(f) | (f != np.trunc(f))
         if bad.any():
             t = int(np.flatnonzero(bad)[0])
-            raise InvariantViolation(f"{axis} index {f[t]!r} is not an integer")
+            raise InvariantViolation(f"{axis} index {float(f[t])!r} is not an integer")
     return arr.astype(np.int64)
 
 
@@ -94,7 +92,7 @@ class LocalizedMatrix:
                 raise ValueError("column index out of range")
         if not np.isfinite(v).all():
             t = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise InvariantViolation(f"non-finite entry {v[t]!r} at ({i[t]}, {j[t]})")
+            raise InvariantViolation(f"non-finite entry {float(v[t])!r} at ({i[t]}, {j[t]})")
         keep = np.abs(v) >= ENTRY_DROP_TOL
         i, j, v = i[keep], j[keep], v[keep]
         order = np.lexsort((j, i))
@@ -191,49 +189,26 @@ class LocalizedMatrix:
 
 
 # ----------------------------------------------------------------------
-# offset cells: integer cell labels (one row per stored entry) are packed
-# into single int64 keys, so per-cell maxima are one sort and one reduceat.
-
-_PACK_OFFSET = 1 << 20
-_PACK_SHIFT = 21
+# offset cells
 
 
-def pack_cells(cells: np.ndarray) -> np.ndarray:
-    """Pack integer offset cells (n, d) into sortable int64 keys."""
+def group_max(cells: np.ndarray, values: np.ndarray):
+    """Maximum of ``values`` per distinct integer cell.
+
+    ``cells`` is (n, d), or (n,) for one axis.  The distinct cells come back
+    in the same form, in lexicographic order, with their maxima.
+    """
     cells = np.asarray(cells, dtype=np.int64)
-    if cells.ndim == 1:
-        cells = cells[:, None]
-    d = cells.shape[1]
-    if d * _PACK_SHIFT > 62:
-        raise ValueError(f"cell packing supports dim <= {62 // _PACK_SHIFT}, got {d}")
-    if cells.size and (np.abs(cells) >= _PACK_OFFSET).any():
-        raise ValueError("offset cell coordinate out of packable range (|k| < 2^20)")
-    keys = np.zeros(cells.shape[0], dtype=np.int64)
-    for axis in range(d):
-        keys = (keys << _PACK_SHIFT) | (cells[:, axis] + _PACK_OFFSET)
-    return keys
-
-
-def unpack_cells(keys: np.ndarray, dim: int) -> np.ndarray:
-    keys = np.asarray(keys, dtype=np.int64)
-    out = np.empty((keys.shape[0], dim), dtype=np.int64)
-    for axis in range(dim - 1, -1, -1):
-        out[:, axis] = (keys & (2 * _PACK_OFFSET - 1)) - _PACK_OFFSET
-        keys = keys >> _PACK_SHIFT
-    return out
-
-
-def group_max(keys: np.ndarray, values: np.ndarray):
-    """Per-key maximum of ``values``; keys returned sorted ascending."""
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    vs = values[order]
-    if ks.size == 0:
-        return ks, vs
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ks)) + 1))
-    return ks[starts], np.maximum.reduceat(vs, starts)
+    values = np.asarray(values, dtype=np.float64)
+    flat = cells.ndim == 1
+    cols = cells[:, None] if flat else cells
+    order = np.lexsort(cols.T[::-1])
+    cols, values = cols[order], values[order]
+    if values.size:
+        new = (cols[1:] != cols[:-1]).any(axis=1)
+        starts = np.concatenate(([0], np.flatnonzero(new) + 1))
+        cols, values = cols[starts], np.maximum.reduceat(values, starts)
+    return (cols[:, 0] if flat else cols), values
 
 
 # ----------------------------------------------------------------------
@@ -244,9 +219,7 @@ def offset_profile(A: LocalizedMatrix) -> OffsetProfile:
     prof = A._cache.get("profile")
     if prof is None:
         cells = np.floor(A.offsets()).astype(np.int64)
-        keys = pack_cells(cells) if A.nnz else np.empty(0, dtype=np.int64)
-        uk, sups = group_max(keys, np.abs(A.values))
-        prof = OffsetProfile(A.dim, unpack_cells(uk, A.dim), sups)
+        prof = OffsetProfile(A.dim, *group_max(cells, np.abs(A.values)))
         A._cache["profile"] = prof
     return prof
 
@@ -280,16 +253,11 @@ def slant_norm(A: LocalizedMatrix, alpha: float, weight: Weight | None = None) -
     for pts, name in ((A.rows.points, "row"), (A.cols.points, "column")):
         if pts.size and np.abs(pts - np.round(pts)).max() > 1e-9:
             raise ValueError(f"slant norm needs integer {name} lattice points")
-    if A.nnz == 0:
-        return 0.0
     off = A.cols.points[A.j] - alpha * A.rows.points[A.i]
-    cells = np.floor(off).astype(np.int64)
-    uk, sups = group_max(pack_cells(cells), np.abs(A.values))
-    ks = unpack_cells(uk, A.dim)
+    ks, sups = group_max(np.floor(off).astype(np.int64), np.abs(A.values))
     if weight is None:
         return float(np.sum(sups))
-    w = np.asarray([weight(k) for k in ks.astype(float)])
-    return float(np.sum(w * sups))
+    return float(np.sum(weight(ks.astype(float)) * sups))
 
 
 # ----------------------------------------------------------------------
@@ -311,21 +279,14 @@ def truncation_tail(A: LocalizedMatrix, s_values: Iterable[float]) -> list[tuple
     s_list = [float(s) for s in s_values]
     if any(b < a for a, b in zip(s_list, s_list[1:])):
         raise ValueError("truncation radii must be ascending")
-    if A.nnz:
-        dist = np.abs(A.offsets()).max(axis=1)
-        cells = np.floor(A.offsets()).astype(np.int64)
-        keys = pack_cells(cells)
-        absv = np.abs(A.values)
+    off = A.offsets()
+    dist = np.abs(off).max(axis=1, initial=0.0)
+    cells = np.floor(off).astype(np.int64)
+    absv = np.abs(A.values)
     out = []
     for s in s_list:
-        if A.nnz == 0:
-            out.append((s, 0.0))
-            continue
         mask = dist >= s
-        if not mask.any():
-            out.append((s, 0.0))
-            continue
-        _, sups = group_max(keys[mask], absv[mask])
+        _, sups = group_max(cells[mask], absv[mask])
         out.append((s, float(np.sum(sups))))
     return out
 

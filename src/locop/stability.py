@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -30,8 +31,7 @@ from scipy.optimize import linprog
 from . import _accel
 from .errors import InvariantViolation, NumericalError
 from .lattice import IndexSet
-from .matalg import (ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, group_max,
-                     pack_cells, unpack_cells)
+from .matalg import ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, group_max
 
 LP_MAX_COLS = 14
 DENSE_EIG_CUTOFF = 1200
@@ -617,8 +617,11 @@ def convolution_stability(offsets, values,
     support_width = int(offs.max() - offs.min() + 1)
     if grid_size < 4 * support_width:
         raise ValueError(f"grid_size must be >= 4 * support width = {4 * support_width}")
-    xi = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    symbol = np.exp(-1j * np.outer(xi, offs)) @ vals.astype(complex)
+    # on the grid xi_k = 2 pi k / N the symbol is the DFT of the
+    # coefficients wrapped onto it
+    wrapped = np.zeros(grid_size)
+    wrapped[offs % grid_size] = vals
+    symbol = scipy.fft.fft(wrapped)
     mags = np.abs(symbol)
     k = int(np.argmin(mags))
     grid_min = float(mags[k])
@@ -639,7 +642,7 @@ def convolution_stability(offsets, values,
         verdict = "unstable"
     else:
         verdict = "undetermined: refine grid"
-    return SymbolCertificate(int(grid_size), grid_min, float(xi[k]), L,
+    return SymbolCertificate(int(grid_size), grid_min, 2.0 * np.pi * k / grid_size, L,
                              interval, sign_change, real_symbol, verdict)
 
 
@@ -682,17 +685,16 @@ def inverse_decay_profile(A: LocalizedMatrix, margin: float) -> InverseDecayResu
     lu = _square_lu(A.csr())
     if lu is None:
         raise NumericalError("inverse decay of a singular matrix")
-    keys, sups = [], []
+    cells, sups = [], []
     for lo, X in zip(range(0, n, INVERSE_BLOCK_COLS), _inverse_blocks(lu, n, "T")):
         rows = idx[(idx >= lo) & (idx < lo + X.shape[1])]
         vals = np.abs(X[:, rows - lo].T)
-        cells = np.floor(A.cols.points[rows, None, :] - A.rows.points[None, :, :])
+        off = np.floor(A.cols.points[rows, None, :] - A.rows.points[None, :, :])
         kept = vals >= ENTRY_DROP_TOL
-        k, s = group_max(pack_cells(cells[kept].astype(np.int64)), vals[kept])
-        keys.append(k)
+        k, s = group_max(off[kept].astype(np.int64), vals[kept])
+        cells.append(k)
         sups.append(s)
-    uk, sup = group_max(np.concatenate(keys), np.concatenate(sups))
-    prof = OffsetProfile(A.dim, unpack_cells(uk, A.dim), sup)
+    prof = OffsetProfile(A.dim, *group_max(np.concatenate(cells), np.concatenate(sups)))
     dist = np.abs(prof.cells).max(axis=1).astype(float)
     usable = prof.sups > 1e-13
     if usable.sum() < 4:

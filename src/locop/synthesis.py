@@ -178,7 +178,6 @@ class GeneratorFamily:
         """
         h = self.envelope
         worst_env = 0.0
-        worst_mod = 0.0
         for prof in self._distinct_profiles():
             xs = self._probe_grid(prof)
             fv = np.abs(np.asarray(prof(xs), dtype=float))
@@ -188,21 +187,32 @@ class GeneratorFamily:
             if gap > HYPOTHESIS_SLACK * max(1.0, float(np.abs(fv).max())):
                 raise InvariantViolation(
                     f"envelope does not dominate profile (excess {gap:.3e})")
-            if self.modulus is not None:
-                for d in MODULUS_DELTAS:
-                    bound = self.modulus(d)
-                    m = prof.modulus_of_continuity(d, xs)
-                    excess = m - bound * hv
-                    bad = np.flatnonzero(excess > HYPOTHESIS_SLACK * np.maximum(1.0, m))
-                    if bad.size:
-                        i = bad[0]
-                        raise InvariantViolation(
-                            f"modulus bound fails at x={xs[i]:.4f}, delta={d}: "
-                            f"{m[i]:.3e} > {bound * hv[i]:.3e}")
-                    worst_mod = max(worst_mod, float(excess.max()))
+        worst_mod = self._check_modulus(MODULUS_DELTAS)
         object.__setattr__(self, "_validated", True)
         return {"envelope_excess": worst_env, "modulus_excess": worst_mod,
                 "deltas": list(MODULUS_DELTAS)}
+
+    def _check_modulus(self, deltas) -> float:
+        """Largest excess over the modulus bound at ``deltas`` on the probe
+        grids; InvariantViolation names the first point beyond the slack."""
+        if self.modulus is None or not deltas:
+            return 0.0
+        worst = 0.0
+        for prof in self._distinct_profiles():
+            xs = self._probe_grid(prof)
+            hv = np.asarray(self.envelope(xs), dtype=float)
+            for d in deltas:
+                bound = self.modulus(d)
+                m = prof.modulus_of_continuity(d, xs)
+                excess = m - bound * hv
+                bad = np.flatnonzero(excess > HYPOTHESIS_SLACK * np.maximum(1.0, m))
+                if bad.size:
+                    i = bad[0]
+                    raise InvariantViolation(
+                        f"modulus bound fails at x={xs[i]:.4f}, delta={d}: "
+                        f"{m[i]:.3e} > {bound * hv[i]:.3e}")
+                worst = max(worst, float(excess.max()))
+        return worst
 
     def ensure_valid(self) -> None:
         if not self._validated:
@@ -510,6 +520,8 @@ def synthesis_stability(fam: GeneratorFamily, p, n0_values,
     fam.ensure_valid()
     p = normalize_p(p)
     n0_values = [int(n) for n in n0_values]
+    # the bias bound reads the modulus at 2^-n0; validate checks MODULUS_DELTAS
+    fam._check_modulus([2.0 ** -n for n in n0_values if 2.0 ** -n not in MODULUS_DELTAS])
     windows = [len(fam.index)] if window_sizes is None else [int(w) for w in window_sizes]
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     hnorm = fam.envelope.amalgam_norm()

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from locop import corpus
+from locop.lattice import IndexSet
+from locop.matalg import LocalizedMatrix
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +18,16 @@ def gaussian_op():
     # calibrated once per session: validation + amalgam calibration is the
     # expensive part, the operator itself is immutable
     return corpus.gaussian_kernel_op(0.1, 1.0)
+
+
+@pytest.fixture(scope="session")
+def stencil_3d():
+    """The 7-point stencil (diagonal 8, neighbours 1) on the 6 x 6 x 6 lattice."""
+    pts = np.array(list(itertools.product(range(6), repeat=3)), dtype=float)
+    s = IndexSet(3, pts, [[0.0, 6.0]] * 3)
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    i, j = np.nonzero(dist <= 1)
+    return LocalizedMatrix(s, s, i, j, np.where(i == j, 8.0, 1.0))
 
 
 @pytest.fixture

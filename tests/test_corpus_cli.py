@@ -461,10 +461,16 @@ _FUZZ_INPUTS = {
 }
 
 
+# a `locop run` params key that the analysis has no flag for (each is the
+# other analyses' spelling of the window flag)
+_UNKNOWN_KEYS = {"stab": "window", "synth": "windows", "kernel": "windows"}
+
+
 def _fuzz_cases():
     """(input, path, replacement) for every scalar field of the inputs above
-    and every replacement that makes the field invalid."""
-    cases = []
+    and every replacement that makes the field invalid; a path of None runs
+    the analysis through a config with the replacement as an unknown key."""
+    cases = [(name, None, key) for name, key in _UNKNOWN_KEYS.items()]
     for name, (obj, _) in _FUZZ_INPUTS.items():
         for path, value in _json_leaves(obj):
             bad = [float("nan"), float("inf"), "x", None, [1]]
@@ -481,20 +487,35 @@ def _fuzz_cases():
 @example(("stab", ("rows", "dim"), 1.5))
 @example(("synth", ("index", "dim"), float("inf")))
 @example(("synth", ("envelope", "coeffs", 1, 0), [1]))
+# config keys that were ignored, with exit 0
+@example(("stab", None, "window"))
+@example(("synth", None, "windows"))
+@example(("kernel", None, "windows"))
 def test_cli_rejects_every_mutated_input_field(capsys, case):
     name, path, bad = case
     obj, argv = _FUZZ_INPUTS[name]
     obj = copy.deepcopy(obj)
-    target = obj
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = bad
+    if path is not None:
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "in.json"
         src.write_text(json.dumps(obj))   # writes NaN / Infinity literals
-        rc = cli.main([a.format(src) for a in argv]
-                      + ["--out", str(Path(tmp) / "report.json")])
-        assert [f.name for f in Path(tmp).iterdir()] == ["in.json"]
+        out = str(Path(tmp) / "report.json")
+        argv = [a.format(src) for a in argv]
+        if path is None:
+            params = dict(zip((flag[2:] for flag in argv[1::2]), argv[2::2]))
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({"analysis": name, "out": out,
+                                       "params": {**params, bad: "8"}}))
+            argv = ["run", "--config", str(cfg)]
+        else:
+            argv = argv + ["--out", out]
+        inputs = sorted(f.name for f in Path(tmp).iterdir())
+        rc = cli.main(argv)
+        assert sorted(f.name for f in Path(tmp).iterdir()) == inputs
     captured = capsys.readouterr()
     assert rc == 2, case
     assert captured.out == ""
@@ -570,6 +591,36 @@ def test_cli_exit_code_three_on_numerical_failure(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "NumericalError"
+
+
+def test_cli_norms_and_invdecay_on_a_3d_lattice(tmp_path, capsys, stencil_3d):
+    # both exited 2 while offset cells were packed into 21-bit keys (d <= 2)
+    path = tmp_path / "stencil.json"
+    path.write_bytes(dump_json_bytes(stencil_3d.to_json_dict()))
+    assert cli.main(["norms", "--matrix", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {e["norm"]: e["value"] for e in report["entries"]}["sjostrand"] == 14.0
+    out = tmp_path / "inv.json"
+    assert cli.main(["invdecay", "--matrix", str(path), "--margin", "1",
+                     "--out", str(out)]) == 0
+    assert _load_report(out)["entries"][0]["usable_offsets"] == 1000
+    rows = list(csv.reader(io.StringIO((tmp_path / "inv.csv").read_text())))
+    assert rows[0] == ["k_1", "k_2", "k_3", "sup_value"] and len(rows) == 1001
+
+
+def test_cli_synth_checks_the_modulus_at_n0_7(tmp_path, capsys):
+    # the table modulus holds down to 1/64 but is 1e-9 at 1/128; n0 = 7 read
+    # it unchecked and reported a bias bound of 4e-9
+    obj = corpus.hat_family(8).to_json_dict()
+    obj["modulus"] = {"form": "table",
+                      "entries": [[2.0 ** -k, 2.0 ** (1 - k)] for k in range(1, 7)]
+                      + [[2.0 ** -7, 1e-9]]}
+    path = tmp_path / "fam.json"
+    path.write_bytes(dump_json_bytes(obj))
+    argv = ["synth", "--family", str(path), "--p", "2", "--window", "8"]
+    err = _assert_rejects(argv + ["--n0", "6,7"], tmp_path, capsys)
+    assert "delta=0.0078125" in err["message"]
+    assert cli.main(argv + ["--n0", "5,6"]) == 0
 
 
 def test_cli_run_config_matches_flag_invocation(tmp_path, t131_file):
@@ -686,6 +737,57 @@ def test_cli_gen_rejects_fractional_integers(tmp_path, capsys, spec):
     out = tmp_path / "c"
     rc = cli.main(["gen", "--spec", str(path), "--out", str(out)])
     _assert_rejects_fraction(rc, capsys, out / "manifest.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["conv", "--seq", "{taps}", "--grid", "4096.5"],
+    ["stab", "--matrix", "{matrix}", "--p", "2", "--windows", "8", "--seed", "1.5"],
+], ids=["grid", "seed"])
+def test_cli_flags_reject_fractional_integers(tmp_path, capsys, t131_file, argv):
+    # argparse's own int conversion printed usage text instead of a JSON error
+    taps = tmp_path / "taps.csv"
+    taps.write_text("1\n3\n1\n")
+    out = tmp_path / "out.json"
+    argv = [a.format(taps=taps, matrix=t131_file) for a in argv]
+    _assert_rejects_fraction(cli.main(argv + ["--out", str(out)]), capsys, out)
+
+
+@pytest.mark.parametrize("analysis,params,key", [
+    ("norms", {"alpah": 1}, "alpah"),
+    ("stab", {"p": "2", "windows": "8,16", "sed": 3}, "sed"),
+    ("conv", {"gird": 4096}, "gird"),
+], ids=["alpah", "sed", "gird"])
+def test_cli_run_config_rejects_unknown_keys(tmp_path, capsys, t131_file,
+                                             analysis, params, key):
+    # these ran with exit 0: without the slant norm, with seed null, and on
+    # the default grid
+    (tmp_path / "taps.csv").write_text("1\n3\n1\n")
+    inputs = {"norms": {"matrix": str(t131_file)}, "stab": {"matrix": str(t131_file)},
+              "conv": {"seq": str(tmp_path / "taps.csv")}}
+    out = tmp_path / "out.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(dump_json_bytes({"analysis": analysis,
+                                     "params": {**inputs[analysis], **params},
+                                     "out": str(out)}))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "ValueError"
+    assert f"{analysis} has no parameter {key!r}" in err["message"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["stab", "--p", "2", "--windows", "8"],
+    ["norms", "--matrix", "m.json", "--alhpa", "1"],
+    ["frobnicate"],
+], ids=["no-command", "missing-flag", "unknown-flag", "unknown-command"])
+def test_cli_flag_errors_are_json(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ValueError"
 
 
 def test_cli_conv_rejects_fractional_offset(tmp_path, capsys):

@@ -10,9 +10,8 @@ from locop.errors import InvariantViolation
 from locop.lattice import CutoffOperator, IndexSet
 from locop.matalg import (LocalizedMatrix, Weight, apply,
                           commutator_with_cutoff, group_max, offset_profile,
-                          pack_cells, schur_norm, sjostrand_norm, slant_norm,
-                          truncate, truncation_tail, unpack_cells,
-                          vector_pnorm)
+                          schur_norm, sjostrand_norm, slant_norm, truncate,
+                          truncation_tail, vector_pnorm)
 
 
 def small(sequence=(1, 3, 1), window=8):
@@ -56,6 +55,21 @@ def test_from_dense_rejects_nan_entry():
     dense = np.array([[2.0, 1.0, 0.0], [1.0, np.nan, 1.0], [0.0, 1.0, 2.0]])
     with pytest.raises(InvariantViolation, match=r"non-finite entry .* at \(1, 1\)"):
         LocalizedMatrix.from_dense(s, s, dense)
+
+
+@pytest.mark.parametrize("bad,text", [(np.nan, "nan"), (-np.inf, "-inf")])
+def test_non_finite_entry_message_prints_the_plain_number(bad, text):
+    s = IndexSet.integer_range(0, 1)
+    with pytest.raises(InvariantViolation) as err:
+        LocalizedMatrix(s, s, [0, 1], [0, 1], [1.0, bad])
+    assert str(err.value) == f"non-finite entry {text} at (1, 1)"
+
+
+def test_fractional_index_message_prints_the_plain_number():
+    s = IndexSet.integer_range(0, 1)
+    with pytest.raises(InvariantViolation) as err:
+        LocalizedMatrix(s, s, [0, 0.5], [0, 1], [1.0, 2.0])
+    assert str(err.value) == "row index 0.5 is not an integer"
 
 
 def test_window_prefix_is_leading_block():
@@ -188,24 +202,25 @@ def test_commutator_bound_on_random_banded(scale):
 
 
 # ----------------------------------------------------------------------
-# cell packing and grouped maxima
+# grouped maxima
 
 
-def test_pack_unpack_round_trip(rng):
-    for dim in (1, 2):
-        cells = rng.integers(-(1 << 19), 1 << 19, size=(200, dim))
-        keys = pack_cells(cells)
-        assert np.array_equal(unpack_cells(keys, dim), cells)
-        # equal cells collapse to equal keys
-        assert np.array_equal(pack_cells(cells[:1].repeat(3, axis=0)),
-                              np.repeat(keys[:1], 3))
-
-
-def test_pack_rejects_out_of_range():
-    with pytest.raises(ValueError, match="packable range"):
-        pack_cells(np.array([[1 << 20]]))
-    with pytest.raises(ValueError, match="dim"):
-        pack_cells(np.zeros((1, 3), dtype=np.int64))
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 60), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([3, 1 << 20, 1 << 40]))
+def test_group_max_matches_dict_oracle_in_every_dimension(dim, n, seed, span):
+    rng = np.random.default_rng(seed)
+    # few distinct coordinates per axis, so cells repeat
+    axis_values = rng.integers(-span, span + 1, size=(dim, 4))
+    cells = np.stack([rng.choice(axis_values[a], size=n) for a in range(dim)], axis=1)
+    values = rng.standard_normal(n)
+    expect = {}
+    for k, v in zip(map(tuple, cells.tolist()), values.tolist()):
+        expect[k] = max(expect.get(k, -math.inf), v)
+    out_k, out_v = group_max(cells, values)
+    assert out_k.shape == (len(expect), dim)
+    assert [tuple(k) for k in out_k.tolist()] == sorted(expect)
+    assert out_v.tolist() == [expect[k] for k in sorted(expect)]
 
 
 def test_group_max_matches_dict_oracle(rng):
@@ -223,3 +238,55 @@ def test_group_max_empty():
     out_k, out_v = group_max(np.array([], dtype=np.int64),
                              np.array([], dtype=np.float64))
     assert out_k.size == 0 and out_v.size == 0
+
+
+# ----------------------------------------------------------------------
+# offset cells in three dimensions and far from the origin
+
+
+def _brute_cell_sups(A, off):
+    """{cell: sup |a|} by a Python loop over the entries."""
+    sups = {}
+    for k, v in zip(map(tuple, np.floor(off).astype(int).tolist()), A.values.tolist()):
+        sups[k] = max(sups.get(k, 0.0), abs(v))
+    return sups
+
+
+def test_sjostrand_norm_of_3d_stencil(stencil_3d):
+    A = stencil_3d
+    assert A.dim == 3
+    assert sjostrand_norm(A) == 14.0 == sum(_brute_cell_sups(A, A.offsets()).values())
+    prof = offset_profile(A)
+    assert len(prof) == 7
+    assert prof[[0, 0, 0]] == 8.0 and prof[[0, -1, 0]] == 1.0 and prof[[2, 0, 0]] == 0.0
+
+
+def test_truncation_tail_of_3d_stencil_matches_brute_force(stencil_3d):
+    A = stencil_3d
+    off = A.offsets()
+    for s, tail in truncation_tail(A, [0, 0.5, 1, 2]):
+        far = np.abs(off).max(axis=1) >= s
+        sub = LocalizedMatrix(A.rows, A.cols, A.i[far], A.j[far], A.values[far])
+        assert tail == pytest.approx(sum(_brute_cell_sups(sub, off[far]).values()),
+                                     rel=1e-15)
+    assert [t for _, t in truncation_tail(A, [0, 1, 2])] == [14.0, 6.0, 0.0]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5])
+def test_slant_norm_of_3d_stencil_matches_brute_force(stencil_3d, alpha):
+    A = stencil_3d
+    off = A.cols.points[A.j] - alpha * A.rows.points[A.i]
+    sups = _brute_cell_sups(A, off)
+    assert slant_norm(A, alpha) == pytest.approx(sum(sups.values()), rel=1e-14)
+    w = Weight(exponent=1.0)
+    assert slant_norm(A, alpha, w) == pytest.approx(
+        sum(w(np.array(k, dtype=float)) * v for k, v in sups.items()), rel=1e-14)
+
+
+def test_sjostrand_norm_with_an_offset_beyond_2_pow_20():
+    # offsets of 2^21 were refused by the 21-bit packed cell keys
+    far = 1 << 21
+    s = IndexSet(1, [0.0, 1.0, float(far)], window=[[0.0, far + 1.0]])
+    A = LocalizedMatrix(s, s, [0, 1, 2, 2], [0, 1, 2, 0], [2.0, -3.0, 1.0, 0.5])
+    assert sjostrand_norm(A) == 3.0 + 0.5
+    assert offset_profile(A).cells.tolist() == [[0], [far]]

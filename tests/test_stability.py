@@ -751,6 +751,32 @@ def test_symbol_certificate_rejects_bad_input():
         convolution_stability([-4, 0, 4], [1.0, 3.0, 1.0], grid_size=16)
 
 
+def test_symbol_matches_the_direct_sum_on_a_small_grid():
+    rng = np.random.default_rng(5)
+    offs = np.arange(-30, 31)
+    values = rng.standard_normal(offs.size)
+    cert = convolution_stability(offs, values, grid_size=257)
+    xi = 2.0 * np.pi * np.arange(257) / 257
+    direct = np.abs(np.exp(-1j * np.outer(xi, offs)) @ values.astype(complex))
+    assert cert.grid_min == pytest.approx(direct.min(), abs=1e-12)
+    assert cert.argmin == xi[np.argmin(direct)]
+
+
+def test_symbol_memory_does_not_grow_with_grid_times_taps():
+    # the grid x taps exponential matrix peaked at 802 MiB for 401 taps
+    import tracemalloc
+    offs = np.arange(-200, 201)
+    values = 1.0 / (1.0 + np.abs(offs))
+    tracemalloc.start()
+    try:
+        cert = convolution_stability(offs, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.grid_size == 65536
+    assert peak < 64 * 2 ** 20
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
 def test_certified_interval_contains_sampled_symbol_minimum(values):

@@ -168,6 +168,26 @@ def test_validate_checks_the_finest_calibration_delta():
         synthesis_stability(fam, 2, [5, 6], [8])
 
 
+def _table_family_wrong_at_1_128():
+    """A hat family whose table modulus (delta, 2 delta) holds down to 1/64
+    and is 1e-9 at 1/128, a delta that validate does not check."""
+    entries = tuple((2.0 ** -k, 2.0 ** (1 - k)) for k in range(1, 7))
+    modulus = ModulusBound("table", entries=entries + ((2.0 ** -7, 1e-9),))
+    return GeneratorFamily(IndexSet.integer_range(0, 7), (hat(),),
+                           trapezoid_profile(0.0, 2.0, 1.0, 1.0), "shift", modulus)
+
+
+def test_synthesis_checks_the_modulus_at_scales_finer_than_validate():
+    # n0 = 7 used to report a bias bound of 4e-9 from the unchecked entry
+    fam = _table_family_wrong_at_1_128()
+    fam.validate()
+    with pytest.raises(InvariantViolation, match="delta=0.0078125"):
+        synthesis_stability(fam, 2, [6, 7], [8])
+    # checked scales still run, and their bias bound follows the table
+    b5, b6 = [e.bias_bound for e in synthesis_stability(fam, 2, [5, 6], [8]).entries]
+    assert b5 == 2.0 * b6 > 0.0
+
+
 def test_family_json_round_trip():
     fam = corpus.hat_family(8)
     again = GeneratorFamily.from_json_dict(fam.to_json_dict())
