@@ -26,7 +26,7 @@ from .reporting import (STABILITY_CSV_HEADER, build_report, dump_json_bytes,
                         write_csv, write_report)
 from .stability import (SYMBOL_GRID, convolution_stability, density_check,
                         equivalence_report, inverse_decay_profile,
-                        normalize_p, stability_ladder)
+                        normalize_p)
 from .synthesis import GeneratorFamily, synthesis_stability
 
 
@@ -49,6 +49,8 @@ def _parse_p_list(value) -> list[float]:
     out = [normalize_p(str(tok)) for tok in value]
     if not out:
         raise ValueError("empty exponent list")
+    if len(set(out)) < len(out):
+        raise ValueError(f"exponent list repeats an exponent: {value!r}")
     return out
 
 
@@ -110,15 +112,6 @@ def _read_sequence_csv(path) -> tuple[list[int], list[float]]:
     raise ValueError("sequence CSV must be 'j,value' rows or one value per line")
 
 
-def _build_ladder(A: LocalizedMatrix, windows) -> list[LocalizedMatrix]:
-    windows = _parse_int_list(windows)
-    n_rows, n_cols = A.shape
-    limit = min(n_rows, n_cols)
-    if windows[-1] > limit:
-        raise ValueError(f"window {windows[-1]} exceeds stored size {limit}")
-    return [A.window_prefix(w, w) for w in windows]
-
-
 # ----------------------------------------------------------------------
 # analysis runners (shared by subcommands and `locop run`)
 
@@ -139,34 +132,18 @@ def _run_norms(params: dict):
 
 
 def _stability_entries(per_p: dict) -> list[dict]:
-    entries = []
-    for p in sorted(per_p):
-        rep = per_p[p]
-        for i, w in enumerate(rep.window_sizes):
-            inner = rep.interior_lower[i]
-            entries.append({
-                "p": p_label(p), "window": int(w),
-                "lower": rep.lower_constants[i],
-                "upper": rep.upper_constants[i],
-                "lower_certified": rep.lower_certified[i],
-                "upper_certified": rep.upper_certified[i],
-                "method": rep.methods[i],
-                "interior_lower": None if inner is None else inner.value,
-                "interior_certified": None if inner is None else inner.certified,
-                "interior_method": None if inner is None else inner.method,
-            })
-    return entries
+    return [{"p": p_label(p), **e.__dict__}
+            for p in sorted(per_p) for e in per_p[p].entries]
 
 
 def _run_stab(params: dict):
     A = _load_matrix(params["matrix"])
-    ladder = _build_ladder(A, params["windows"])
+    windows = _parse_int_list(params["windows"])
     ps = _parse_p_list(params["p"])
     seed = params.get("seed")
-    per_p = {p: stability_ladder(ladder, p) for p in ps}
+    per_p = equivalence_report(A, ps, windows).per_p  # one set of windows
     norm_params = {"matrix": str(params["matrix"]),
-                   "p": [p_label(p) for p in ps],
-                   "windows": [A.shape[1] for A in ladder]}
+                   "p": [p_label(p) for p in ps], "windows": windows}
     report = build_report("stab", norm_params, seed, _stability_entries(per_p),
                           {p_label(p): rep.verdict for p, rep in per_p.items()})
     return report, STABILITY_CSV_HEADER, stability_csv_rows(per_p)
@@ -174,15 +151,14 @@ def _run_stab(params: dict):
 
 def _run_equiv(params: dict):
     A = _load_matrix(params["matrix"])
-    ladder = _build_ladder(A, params["windows"])
+    windows = _parse_int_list(params["windows"])
     ps = _parse_p_list(params["p"])
     seed = params.get("seed")
-    eq = equivalence_report(ladder, ps)
+    eq = equivalence_report(A, ps, windows)
     verdicts = {p_label(p): v for p, v in eq.verdicts.items()}
     verdicts["consistent"] = eq.consistent
     norm_params = {"matrix": str(params["matrix"]),
-                   "p": [p_label(p) for p in ps],
-                   "windows": list(eq.window_sizes)}
+                   "p": [p_label(p) for p in ps], "windows": windows}
     meta = {"counterexample_candidates": eq.counterexample_candidates}
     report = build_report("equiv", norm_params, seed,
                           _stability_entries(eq.per_p), verdicts, meta)
@@ -309,8 +285,13 @@ def _dispatch(analysis: str, params: dict, out) -> None:
 
 
 def _config_params(parser: argparse.ArgumentParser, cfg: dict) -> dict:
-    """A `locop run` config's params; a key that is no flag of the analysis's
-    subcommand is an error."""
+    """A `locop run` config's params; a top-level key other than analysis,
+    params, seed and out, or a param that is no flag of the analysis's
+    subcommand, is an error."""
+    keys = ["analysis", "out", "params", "seed"]
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ValueError(f"config has no key {unknown[0]!r}; it takes {keys}")
     analysis = cfg["analysis"]
     if analysis not in _RUNNERS:
         raise ValueError(f"unknown analysis {analysis!r}")

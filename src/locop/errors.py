@@ -22,8 +22,13 @@ class NumericalError(LocopError, RuntimeError):
 
 
 def integer_field(value, name: str) -> int:
-    """An integer read from JSON.  A fractional or non-finite number is an
-    error, not something to truncate; a null or a list raises TypeError."""
+    """An integer read from JSON or a flag, exact at any size.  A fractional
+    or non-finite number is an error, not something to truncate; a null or a
+    list raises TypeError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.strip().lstrip("+-").isdecimal():
+        return int(value)
     f = float(value)
     if not (math.isfinite(f) and f == math.floor(f)):
         raise InvariantViolation(f"{name} {value!r} is not an integer")

@@ -21,8 +21,8 @@ from .errors import InvariantViolation, NumericalError
 from .lattice import IndexSet
 from .matalg import ENTRY_DROP_TOL, LocalizedMatrix, truncation_tail
 from .profiles import Profile1D, gauss_legendre_rule, profile_from_json_dict
-from .stability import (ladder_verdict, lower_constant, normalize_p,
-                        upper_constant)
+from .stability import (check_constant_order, ladder_verdict, lower_constant,
+                        normalize_p, upper_constant)
 from .synthesis import (HYPOTHESIS_SLACK, PROBE_PER_UNIT, DyadicFunction,
                         SampledFunction, project_Pn)
 
@@ -507,6 +507,9 @@ class PerturbedEntry:
     upper_certified: bool
     method: str
     uncertainty: float | None
+
+    def __post_init__(self):
+        check_constant_order(self)
 
 
 @dataclass(frozen=True)

@@ -121,12 +121,6 @@ def stability_csv_rows(per_p: dict) -> list[tuple]:
     """Flatten {p: StabilityReport} into (window, p, lower, upper, certified)
     rows sorted by (p, window); a row is certified only when both bounds are.
     """
-    rows = []
-    for p in sorted(per_p):
-        rep = per_p[p]
-        for i, w in enumerate(rep.window_sizes):
-            rows.append((int(w), p_label(p),
-                         float(rep.lower_constants[i]),
-                         float(rep.upper_constants[i]),
-                         bool(rep.lower_certified[i] and rep.upper_certified[i])))
-    return rows
+    return [(int(e.window), p_label(p), float(e.lower), float(e.upper),
+             bool(e.lower_certified and e.upper_certified))
+            for p in sorted(per_p) for e in per_p[p].entries]

@@ -19,7 +19,7 @@ stabilization / degeneration verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -477,24 +477,38 @@ def lower_constant_interior(A: LocalizedMatrix, p) -> ConstantEstimate | None:
 # window ladders
 
 
+def check_constant_order(entry) -> None:
+    """Reject an entry whose lower constant exceeds its upper constant."""
+    if entry.lower > entry.upper * (1 + 1e-9) + 1e-300:
+        raise ValueError("lower constant exceeds upper constant")
+
+
+@dataclass(frozen=True)
+class LadderEntry:
+    """Constants of one prefix window at one exponent; the fields are the
+    report entry's keys."""
+
+    window: int
+    lower: float
+    upper: float
+    lower_certified: bool
+    upper_certified: bool
+    method: str
+    interior_lower: float | None
+    interior_certified: bool | None
+    interior_method: str | None
+
+    def __post_init__(self):
+        check_constant_order(self)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Constants along one window ladder at a fixed exponent."""
 
     p: float
-    window_sizes: list[int]
-    lower_constants: list[float]
-    upper_constants: list[float]
-    lower_certified: list[bool]
-    upper_certified: list[bool]
-    methods: list[str]
-    interior_lower: list[ConstantEstimate | None] = field(default_factory=list)
-    verdict: str = "undetermined"
-
-    def __post_init__(self):
-        for lo, hi in zip(self.lower_constants, self.upper_constants):
-            if lo > hi * (1 + 1e-9) + 1e-300:
-                raise ValueError("lower constant exceeds upper constant")
+    entries: list[LadderEntry]
+    verdict: str
 
 
 def ladder_verdict(lowers: list[float]) -> str:
@@ -510,64 +524,56 @@ def ladder_verdict(lowers: list[float]) -> str:
     return "undetermined"
 
 
-def _check_nested(ladder: list[LocalizedMatrix]) -> None:
-    for small, big in zip(ladder, ladder[1:]):
-        mr, mc = small.shape
-        nr, nc = big.shape
-        if nr < mr or nc < mc:
-            raise ValueError("windows not nested: ladder must be ascending")
-        if not (np.array_equal(small.rows.points, big.rows.points[:mr])
-                and np.array_equal(small.cols.points, big.cols.points[:mc])):
-            raise ValueError("windows not nested: point sets are not prefixes")
-        sub = big.csr()[:mr, :mc]
-        if (abs(sub - small.csr())).max() > 0:
-            raise ValueError("windows not nested: entries disagree on the overlap")
+def _prefix_windows(A: LocalizedMatrix, windows) -> list[LocalizedMatrix]:
+    """The leading w x w windows of A, for strictly increasing sizes w in
+    [1, min(A.shape)]: a ladder nested by construction."""
+    windows = list(windows)
+    if not windows:
+        raise ValueError("empty window ladder")
+    if any(b <= a for a, b in zip(windows, windows[1:])):
+        raise ValueError(f"window sizes must be strictly increasing: {windows}")
+    limit = min(A.shape)
+    if windows[0] < 1 or windows[-1] > limit:
+        raise ValueError(f"window sizes must lie in [1, {limit}]: {windows}")
+    return [A.window_prefix(w, w) for w in windows]
+
+
+def _ladder(windows: list[LocalizedMatrix], p: float) -> StabilityReport:
+    entries = []
+    for W in windows:
+        lo, hi = lower_constant(W, p), upper_constant(W, p)
+        inner = lower_constant_interior(W, p)
+        interior = ((None,) * 3 if inner is None
+                    else (inner.value, inner.certified, inner.method))
+        entries.append(LadderEntry(W.shape[1], lo.value, hi.value, lo.certified,
+                                   hi.certified, lo.method, *interior))
+    return StabilityReport(p, entries, ladder_verdict([e.lower for e in entries]))
+
+
+def stability_ladder(A: LocalizedMatrix, p, window_sizes) -> StabilityReport:
+    """Lower/upper constants of the leading w x w windows of A at one exponent."""
+    return _ladder(_prefix_windows(A, window_sizes), normalize_p(p))
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     ps: list[float]
-    window_sizes: list[int]
     per_p: dict
     verdicts: dict
     consistent: bool
     counterexample_candidates: list
 
 
-def stability_ladder(ladder: list[LocalizedMatrix], p) -> StabilityReport:
-    """Lower/upper constants along a nested window ladder at one exponent."""
-    p = normalize_p(p)
-    _check_nested(ladder)
-
-    results = [(lower_constant(A, p), upper_constant(A, p),
-                lower_constant_interior(A, p)) for A in ladder]
-    lowers = [r[0].value for r in results]
-    return StabilityReport(
-        p=p,
-        window_sizes=[A.shape[1] for A in ladder],
-        lower_constants=lowers,
-        upper_constants=[r[1].value for r in results],
-        lower_certified=[r[0].certified for r in results],
-        upper_certified=[r[1].certified for r in results],
-        methods=[r[0].method for r in results],
-        interior_lower=[r[2] for r in results],
-        verdict=ladder_verdict(lowers),
-    )
-
-
-def equivalence_report(ladder: list[LocalizedMatrix], ps) -> EquivalenceReport:
-    """Cross-exponent comparison of window ladders.
+def equivalence_report(A: LocalizedMatrix, ps, window_sizes) -> EquivalenceReport:
+    """Cross-exponent comparison of the ladders of A's leading windows.
 
     Exponents whose constants stabilize while another degenerates are
     flagged as counterexample candidates rather than silently averaged.
     """
     ps = [normalize_p(p) for p in ps]
-    per_p = {}
-    verdicts = {}
-    for p in ps:
-        rep = stability_ladder(ladder, p)
-        per_p[p] = rep
-        verdicts[p] = rep.verdict
+    windows = _prefix_windows(A, window_sizes)
+    per_p = {p: _ladder(windows, p) for p in ps}
+    verdicts = {p: rep.verdict for p, rep in per_p.items()}
     kinds = set(verdicts.values())
     candidates = []
     if "stabilized" in kinds and "degenerating" in kinds:
@@ -576,8 +582,7 @@ def equivalence_report(ladder: list[LocalizedMatrix], ps) -> EquivalenceReport:
         candidates = [{"stabilized_p": "inf" if math.isinf(a) else a,
                        "degenerating_p": "inf" if math.isinf(b) else b}
                       for a in stab for b in degen]
-    return EquivalenceReport(ps, [A.shape[1] for A in ladder], per_p, verdicts,
-                             consistent=not candidates,
+    return EquivalenceReport(ps, per_p, verdicts, consistent=not candidates,
                              counterexample_candidates=candidates)
 
 

@@ -20,7 +20,8 @@ from .errors import InvariantViolation
 from .lattice import IndexSet, separation_constant
 from .matalg import LocalizedMatrix, sjostrand_norm
 from .profiles import Profile1D, profile_from_json_dict, gauss_legendre_integral
-from .stability import ladder_verdict, lower_constant, normalize_p, upper_constant
+from .stability import (check_constant_order, ladder_verdict, lower_constant,
+                        normalize_p, upper_constant)
 
 # Sampled hypothesis checks (here and in kernelop) share one probe density
 # (points per unit length), one relative slack, and one delta grid on which
@@ -497,6 +498,9 @@ class SynthesisEntry:
     upper_certified: bool
     method: str
     bias_bound: float | None
+
+    def __post_init__(self):
+        check_constant_order(self)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from locop import cli, corpus, reporting
+from locop.errors import InvariantViolation, integer_field
 from locop.kernelop import KernelOperator, SeparableRule
 from locop.matalg import LocalizedMatrix, schur_norm
 from locop.profiles import GaussianProfile, bspline_profile
@@ -808,3 +809,71 @@ def test_cli_oo_and_inf_exponents_write_identical_reports(tmp_path, t131_file):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["params"]["p"] == ["2", "inf"]
+
+
+def test_cli_run_config_rejects_unknown_top_level_key(tmp_path, capsys, t131_file):
+    # a misspelt "out" printed the report on stdout with exit 0 and wrote no file
+    out = tmp_path / "r.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(dump_json_bytes({
+        "analysis": "stab", "ouput": str(out),
+        "params": {"matrix": str(t131_file), "p": "2", "windows": "8,16"}}))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "ValueError" and "'ouput'" in err["message"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("analysis", ["stab", "equiv"])
+@pytest.mark.parametrize("p", ["2,2", "2,2.0", "1,inf,oo"])
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_cli_rejects_repeated_exponents(tmp_path, capsys, t131_file, analysis, p,
+                                        via):
+    # stab --p 2,2,2.0 recorded p ["2", "2", "2"] next to a single ladder
+    out = tmp_path / "out.json"
+    if via == "flags":
+        rc = cli.main([analysis, "--matrix", str(t131_file), "--p", p,
+                       "--windows", "8,16", "--out", str(out)])
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(dump_json_bytes({
+            "analysis": analysis, "out": str(out),
+            "params": {"matrix": str(t131_file), "p": p.split(","),
+                       "windows": [8, 16]}}))
+        rc = cli.main(["run", "--config", str(cfg)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError" and "repeats" in err["message"]
+    assert not out.exists()
+
+
+def test_integer_field_is_exact_above_two_to_the_53():
+    big = 2 ** 53 + 1
+    assert integer_field(big, "n") == big
+    assert integer_field(str(big), "n") == big
+    assert integer_field("-7", "n") == -7 and integer_field("16.0", "n") == 16
+    for bad in ("1.5", "nan", "inf", 1.5, float("inf")):
+        with pytest.raises(InvariantViolation):
+            integer_field(bad, "n")
+    for bad in (None, [1]):
+        with pytest.raises(TypeError):
+            integer_field(bad, "n")
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_cli_seed_above_two_to_the_53_is_recorded_exactly(tmp_path, t131_file, via):
+    # the seed went through float and was recorded as 9007199254740992
+    seed = 9007199254740993
+    out = tmp_path / "out.json"
+    params = {"matrix": str(t131_file), "p": "2", "windows": "8,16"}
+    if via == "flags":
+        rc = cli.main(["stab", "--matrix", params["matrix"], "--p", "2",
+                       "--windows", "8,16", "--seed", str(seed), "--out", str(out)])
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(dump_json_bytes({"analysis": "stab", "params": params,
+                                         "seed": seed, "out": str(out)}))
+        rc = cli.main(["run", "--config", str(cfg)])
+    assert rc == 0
+    assert _load_report(out)["seed"] == seed

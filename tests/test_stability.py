@@ -18,7 +18,7 @@ from locop.lattice import IndexSet
 from locop.matalg import LocalizedMatrix, offset_profile, vector_pnorm
 from locop.profiles import GaussianProfile
 from locop.stability import (DENSE_EIG_CUTOFF, INVERSE_BLOCK_COLS,
-                             LP_MAX_COLS, ConstantEstimate,
+                             LP_MAX_COLS, ConstantEstimate, LadderEntry,
                              _inverse_norm_lower, _left_inverse_lower,
                              _multistart_lower, _singular_extremes,
                              convolution_stability, density_check,
@@ -26,7 +26,8 @@ from locop.stability import (DENSE_EIG_CUTOFF, INVERSE_BLOCK_COLS,
                              ladder_verdict, lower_constant,
                              lower_constant_interior, stability_ladder,
                              upper_constant)
-from locop.synthesis import GeneratorFamily, discretize_synthesis
+from locop.kernelop import PerturbedEntry
+from locop.synthesis import GeneratorFamily, SynthesisEntry, discretize_synthesis
 
 
 def toeplitz(seq, w):
@@ -485,7 +486,6 @@ def test_descent_draws_no_random_numbers(request):
     windows = _wide_tall_windows()
     # a ladder whose 30-column interior reaches the descent at every p != 2
     B = corpus.banded_random(32, band=2, seed=3)
-    ladder = [B.window_prefix(w, w) for w in (16, 32)]
     # and a tall p = 2 window above the cut-off
     big = discretize_synthesis(corpus.hat_family(200), 5)
     assert big.shape[0] > 4 * DENSE_EIG_CUTOFF
@@ -494,9 +494,9 @@ def test_descent_draws_no_random_numbers(request):
         for p in (1.0, 1.5, math.inf):
             est = lower_constant(A, p)
             assert est.method == "multistart" and est.value > 0.0
-    report = equivalence_report(ladder, [1.0, 1.5, 2.0, 3.0, math.inf])
+    report = equivalence_report(B, [1.0, 1.5, 2.0, 3.0, math.inf], [16, 32])
     for p, rep in report.per_p.items():
-        assert (rep.interior_lower[-1].method == "multistart") == (p != 2.0)
+        assert (rep.entries[-1].interior_method == "multistart") == (p != 2.0)
     assert lower_constant(big, 2.0).value > 0.0
 
 
@@ -584,9 +584,9 @@ def test_codim_one_ladders_never_search(p, monkeypatch):
     monkeypatch.setattr(stability, "_min_singular_vector", forbidden)
     for A in (toeplitz([1, 2, 1], 64), toeplitz([1, 3, 1], 64),
               corpus.banded_random(64, band=1, seed=2)):
-        rep = stability_ladder([A.window_prefix(w, w) for w in (16, 32, 64)], p)
-        assert all(est.certified and est.method == "codim-one"
-                   for est in rep.interior_lower)
+        rep = stability_ladder(A, p, [16, 32, 64])
+        assert all(e.interior_certified and e.interior_method == "codim-one"
+                   for e in rep.entries)
 
 
 def test_codim_one_on_a_large_window_sits_between_its_bounds():
@@ -672,35 +672,66 @@ def test_ladder_verdict_classification():
 
 def test_stability_ladder_stable_matrix():
     A = toeplitz([1, 3, 1], 128)
-    ladder = [A.window_prefix(w, w) for w in (32, 64, 128)]
-    rep = stability_ladder(ladder, 2.0)
+    rep = stability_ladder(A, 2.0, [32, 64, 128])
     assert rep.verdict == "stabilized"
-    assert rep.window_sizes == [32, 64, 128]
-    assert all(rep.lower_certified)
-    assert rep.lower_constants[-1] > 0.99
+    assert [e.window for e in rep.entries] == [32, 64, 128]
+    assert all(e.lower_certified for e in rep.entries)
+    assert rep.entries[-1].lower > 0.99
 
 
 def test_stability_ladder_degenerating_matrix():
     # symbol 2 + 2cos xi vanishes at pi: the finite sections lose their
     # smallest singular value like 1/n^2
     A = toeplitz([1, 2, 1], 128)
-    ladder = [A.window_prefix(w, w) for w in (32, 64, 128)]
-    rep = stability_ladder(ladder, 2.0)
+    rep = stability_ladder(A, 2.0, [32, 64, 128])
     assert rep.verdict == "degenerating"
-    assert rep.lower_constants[2] < 0.55 * rep.lower_constants[1]
+    assert rep.entries[2].lower < 0.55 * rep.entries[1].lower
 
 
-def test_stability_ladder_rejects_non_nested():
+@pytest.mark.parametrize("windows, match", [
+    ([32, 16], "strictly increasing"), ([16, 16], "strictly increasing"),
+    ([16, 128], r"\[1, 64\]"), ([0, 16], r"\[1, 64\]"), ([], "empty")])
+def test_prefix_windows_rejects_bad_sizes(windows, match):
     A = toeplitz([1, 3, 1], 64)
-    B = toeplitz([1, 4, 1], 32)
-    with pytest.raises(ValueError, match="nested"):
-        stability_ladder([B, A], 2.0)
+    with pytest.raises(ValueError, match=match):
+        stability._prefix_windows(A, windows)
+    with pytest.raises(ValueError, match=match):
+        stability_ladder(A, 2.0, windows)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_ladder_entries_are_the_window_constants(p):
+    A = corpus.banded_random(40, band=2, seed=5)
+    windows = [10, 20, 40]
+    rep = stability_ladder(A, p, windows)
+    assert rep.p == p and [e.window for e in rep.entries] == windows
+    for w, e in zip(windows, rep.entries):
+        W = A.window_prefix(w, w)
+        lo, hi = lower_constant(W, p), upper_constant(W, p)
+        inner = lower_constant_interior(W, p)
+        assert (e.lower, e.lower_certified, e.method) == (lo.value, lo.certified,
+                                                          lo.method)
+        assert (e.upper, e.upper_certified) == (hi.value, hi.certified)
+        assert (e.interior_lower, e.interior_certified, e.interior_method) == (
+            inner.value, inner.certified, inner.method)
+
+
+@pytest.mark.parametrize("entry_type, extra", [
+    (LadderEntry, dict(interior_lower=None, interior_certified=None,
+                       interior_method=None)),
+    (SynthesisEntry, dict(n0=3, bias_bound=None)),
+    (PerturbedEntry, dict(n=3, uncertainty=None))])
+def test_every_entry_type_rejects_lower_above_upper(entry_type, extra):
+    fields = dict(window=8, lower_certified=True, upper_certified=True,
+                  method="singular-value", **extra)
+    entry_type(lower=1.0, upper=1.0, **fields)
+    with pytest.raises(ValueError, match="lower constant exceeds upper"):
+        entry_type(lower=1.001, upper=1.0, **fields)
 
 
 def test_equivalence_report_consistent_for_symmetric_toeplitz():
     A = toeplitz([1, 3, 1], 96)
-    ladder = [A.window_prefix(w, w) for w in (24, 48, 96)]
-    eq = equivalence_report(ladder, [1.0, 2.0, math.inf])
+    eq = equivalence_report(A, [1.0, 2.0, math.inf], [24, 48, 96])
     assert eq.consistent
     assert set(eq.verdicts.values()) == {"stabilized"}
     assert eq.counterexample_candidates == []
