@@ -49,8 +49,6 @@ def _parse_p_list(value) -> list[float]:
     out = [normalize_p(str(tok)) for tok in value]
     if not out:
         raise ValueError("empty exponent list")
-    if len(set(out)) < len(out):
-        raise ValueError(f"exponent list repeats an exponent: {value!r}")
     return out
 
 

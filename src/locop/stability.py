@@ -1,10 +1,12 @@
 """Stability-constant estimation on finite windows.
 
 Lower constants (inf ||Ac||_p / ||c||_p) come from sigma_min at p = 2 (a
-dense SVD, or on large localized windows a banded eigensolve of A^T A, or
-of [[0, A], [A^T, 0]] when A is ill-conditioned), from the exact inverse
-norm 1 / ||A^-1||_p on square windows at p in {1, inf}, and from
-Riesz-Thorin interpolation of those on square windows in between.  A square
+dense SVD, or one dense symmetric eigensolve widened by Weyl's bound when a
+square window is symmetric up to rounding, or on large localized windows a
+banded eigensolve of A^T A, or of [[0, A], [A^T, 0]] when A is
+ill-conditioned), from the exact inverse norm 1 / ||A^-1||_p on square
+windows at p in {1, inf}, and from Riesz-Thorin interpolation of those on
+square windows in between.  A square
 window without one column (the interior of a ladder window) has an exact
 constant at p in {1, inf} in closed form from the window's own inverse.
 Tall windows at p in {1, inf} with few columns use one left-inverse linear
@@ -75,11 +77,13 @@ def _singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
     """(sigma_min, sigma_max) of A, computed once per matrix.
 
     Windows within DENSE_EIG_CUTOFF, and larger ones whose bands would cost
-    more than a dense SVD, take ``svdvals``; the others take the extreme
-    eigenvalues of a band (``_banded_singular_extremes``).  The pair is kept
-    in ``A._cache`` next to ``"csr"`` and ``"band"``: the entry arrays of a
-    LocalizedMatrix are write-protected, so it cannot go stale, and the lower
-    and upper constants at p = 2 share one solve.
+    more than a dense solve, are solved dense: a square window symmetric up
+    to rounding by ``_symmetric_singular_extremes``, any other by
+    ``svdvals``.  The others take the extreme eigenvalues of a band
+    (``_banded_singular_extremes``).  The pair is kept in ``A._cache`` next
+    to ``"csr"`` and ``"band"``: the entry arrays of a LocalizedMatrix are
+    write-protected, so it cannot go stale, and the lower and upper
+    constants at p = 2 share one solve.
     """
     n, m = A.shape
     if m > n:
@@ -90,10 +94,58 @@ def _singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
     if m > DENSE_EIG_CUTOFF or n > 4 * DENSE_EIG_CUTOFF:
         ext = _banded_singular_extremes(A.csr())
     if ext is None:
-        svals = scipy.linalg.svdvals(A.dense())
-        ext = float(svals[-1]), float(svals[0])
+        D = A.dense()
+        if n == m:
+            ext = _symmetric_singular_extremes(D)
+        if ext is None:
+            svals = scipy.linalg.svdvals(D)
+            ext = float(svals[-1]), float(svals[0])
     A._cache["singular_extremes"] = ext
     return ext
+
+
+def _asymmetry_bounds(D: np.ndarray) -> tuple[float, float]:
+    """(asym, scale) of a square D, read in blocks of rows so that no
+    second n x n array is held.
+
+    asym = sqrt(||E||_1 ||E||_inf) bounds ||E||_2 for E the strict upper
+    triangle of D - D^T, and scale = sqrt(||D||_1 ||D||_inf) bounds ||D||_2.
+    """
+    n = D.shape[0]
+    e_rows, e_cols, d_rows, d_cols = np.zeros((4, n))
+    buf = np.empty((min(n, INVERSE_BLOCK_COLS), n))
+    for lo in range(0, n, INVERSE_BLOCK_COLS):
+        rows = D[lo:lo + INVERSE_BLOCK_COLS]
+        hi = lo + len(rows)
+        blk = np.abs(rows, out=buf[:len(rows)])
+        d_rows[lo:hi] = blk.sum(axis=1)
+        d_cols += blk.sum(axis=0)
+        np.subtract(rows, D[:, lo:hi].T, out=blk)
+        blk[np.tri(*blk.shape, lo, dtype=bool)] = 0.0  # keep column > row
+        np.abs(blk, out=blk)
+        e_rows[lo:hi] = blk.sum(axis=1)
+        e_cols += blk.sum(axis=0)
+    return (math.sqrt(e_cols.max() * e_rows.max()),
+            math.sqrt(d_cols.max() * d_rows.max()))
+
+
+def _symmetric_singular_extremes(D: np.ndarray) -> tuple[float, float] | None:
+    """(sigma_min, sigma_max) of a square D from one eigenvalue solve of its
+    lower triangle S, or None when D is not symmetric to rounding level.
+
+    D = S + E with E the strict upper triangle of D - D^T.  The solve runs
+    only when asym, which bounds ||E||_2, is at most eps times a bound on
+    ||D||_2.  By Weyl, |sigma_i(D) - sigma_i(S)| <= ||E||_2, and the
+    singular values of S are |lambda|, so the pair is widened by asym (0
+    for an exactly symmetric D) and stays certified.  LAPACK reads the
+    F-ordered D^T in place and overwrites it, so no copy of D is made.
+    """
+    asym, scale = _asymmetry_bounds(D)
+    if asym > np.finfo(float).eps * scale:
+        return None
+    lam = np.abs(scipy.linalg.eigvalsh(D.T, lower=False, overwrite_a=True,
+                                       check_finite=False))
+    return max(float(lam.min()) - asym, 0.0), float(lam.max()) + asym
 
 
 def _dense_svd_cheaper(n: int, m: int, size: int, bw: int, calls: int) -> bool:
@@ -568,9 +620,13 @@ def equivalence_report(A: LocalizedMatrix, ps, window_sizes) -> EquivalenceRepor
     """Cross-exponent comparison of the ladders of A's leading windows.
 
     Exponents whose constants stabilize while another degenerates are
-    flagged as counterexample candidates rather than silently averaged.
+    flagged as counterexample candidates rather than silently averaged.  An
+    exponent that repeats after ``normalize_p`` (2 and 2.0, inf and "oo") is
+    a ValueError: ``per_p`` would hold one ladder for two entries of ``ps``.
     """
     ps = [normalize_p(p) for p in ps]
+    if len(set(ps)) < len(ps):
+        raise ValueError(f"exponent list repeats an exponent: {ps}")
     windows = _prefix_windows(A, window_sizes)
     per_p = {p: _ladder(windows, p) for p in ps}
     verdicts = {p: rep.verdict for p, rep in per_p.items()}

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from locop import corpus
 from locop.lattice import IndexSet
@@ -28,6 +29,22 @@ def stencil_3d():
     dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
     i, j = np.nonzero(dist <= 1)
     return LocalizedMatrix(s, s, i, j, np.where(i == j, 8.0, 1.0))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name) wraps scipy.linalg.<name> for the test and returns
+    the list of the argument shapes it is called with."""
+    def install(name):
+        calls, fn = [], getattr(scipy.linalg, name)
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counting)
+        return calls
+    return install
 
 
 @pytest.fixture

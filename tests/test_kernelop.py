@@ -339,6 +339,15 @@ def test_gaussian_perturbation_stays_near_identity(gaussian_op):
         assert e.uncertainty is not None and e.uncertainty < 0.01
 
 
+def test_perturbed_identity_at_p2_takes_no_svd(gaussian_op, count_calls):
+    # I + 2^-n A_n of an even kernel is symmetric up to rounding, so each
+    # window's p = 2 constants come from one symmetric eigensolve
+    svd_calls, eig_calls = count_calls("svdvals"), count_calls("eigvalsh")
+    rep = perturbed_identity_stability(gaussian_op, 2.0, [2, 3], [16.0])
+    assert svd_calls == []
+    assert len(eig_calls) == len(rep.entries) == 2
+
+
 def test_perturbed_identity_needs_room_for_probes(gaussian_op):
     with pytest.raises(ValueError, match="window too small"):
         perturbed_identity_stability(gaussian_op, 2.0, [3], [4.0])

@@ -151,24 +151,20 @@ def test_p2_constants_match_eigenvalue_formula():
     assert hi.value == pytest.approx(3.0 + 2.0 * math.cos(math.pi / (n + 1)), rel=1e-9)
 
 
-def test_p2_lower_and_upper_share_one_svd(monkeypatch):
-    calls = []
+def test_p2_lower_and_upper_share_one_svd(count_calls):
+    # a symmetric window: one eigvalsh serves both constants, and no SVD runs
     svdvals = scipy.linalg.svdvals
-
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return svdvals(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+    eig_calls, svd_calls = count_calls("eigvalsh"), count_calls("svdvals")
     A = toeplitz([1, 3, 1], 40)
     lo = lower_constant(A, 2.0)
     hi = upper_constant(A, 2.0)
-    assert calls == [(40, 40)]
+    assert eig_calls == [(40, 40)] and svd_calls == []
     s = svdvals(A.dense())
-    assert (lo.value, hi.value) == (s[-1], s[0])
+    assert lo.value == pytest.approx(s[-1], rel=1e-14)
+    assert hi.value == pytest.approx(s[0], rel=1e-14)
     # a second matrix with the same entries gets its own solve
     upper_constant(toeplitz([1, 3, 1], 40), 2.0)
-    assert len(calls) == 2
+    assert len(eig_calls) == 2
 
 
 def test_p2_iterative_path_matches_dense_oracle():
@@ -224,13 +220,67 @@ def test_singular_extremes_draw_no_random_numbers(request):
         assert 0.0 < lo.value < hi.value
 
 
-def test_wide_band_window_takes_the_dense_svd():
-    # Gram band 300: two banded eigensolves cost more flops than one SVD
+def test_wide_band_window_takes_the_dense_svd(count_calls):
+    # Gram band 300: two banded eigensolves cost more flops than one dense
+    # solve, which for this symmetric window is one eigvalsh
     A = corpus.banded_random(1300, band=150, seed=2)
     assert A.shape[1] > DENSE_EIG_CUTOFF
     assert stability._banded_singular_extremes(A.csr()) is None
     svals = scipy.linalg.svdvals(A.dense())
+    eig_calls, svd_calls = count_calls("eigvalsh"), count_calls("svdvals")
+    smin, smax = _singular_extremes(A)
+    assert eig_calls == [(1300, 1300)] and svd_calls == []
+    assert smin == pytest.approx(svals[-1], rel=1e-14)
+    assert smax == pytest.approx(svals[0], rel=1e-14)
+
+
+def _with_asymmetry(ulps):
+    """toeplitz (1,3,1) on 40 points with entry (2, 3) raised by ulps * eps,
+    so E = that one entry and the gate compares ulps * eps with about
+    5 eps (||A||_1 = ||A||_inf = 5)."""
+    A = toeplitz([1, 3, 1], 40)
+    v = A.values.copy()
+    v[(A.i == 2) & (A.j == 3)] += ulps * np.finfo(float).eps
+    return LocalizedMatrix(A.rows, A.cols, A.i, A.j, v)
+
+
+@pytest.mark.parametrize("A", [corpus.permuted_rows(toeplitz([1, 3, 1], 40), seed=21),
+                               _with_asymmetry(6)],
+                         ids=["row-permuted", "just-above-the-gate"])
+def test_asymmetric_square_window_takes_svdvals(A, count_calls):
+    asym, scale = stability._asymmetry_bounds(A.dense())
+    assert asym > np.finfo(float).eps * scale
+    svals = scipy.linalg.svdvals(A.dense())
+    eig_calls = count_calls("eigvalsh")
     assert _singular_extremes(A) == (svals[-1], svals[0])
+    assert eig_calls == []
+
+
+def test_asymmetry_below_the_gate_is_widened_by_its_bound(count_calls):
+    A = _with_asymmetry(4)
+    asym, scale = stability._asymmetry_bounds(A.dense())
+    assert 0.0 < asym == 4 * np.finfo(float).eps <= np.finfo(float).eps * scale
+    svals = scipy.linalg.svdvals(A.dense())
+    eig_calls = count_calls("eigvalsh")
+    smin, smax = _singular_extremes(A)
+    assert eig_calls == [(40, 40)]
+    assert smin <= svals[-1] and smax >= svals[0]
+    assert smin == pytest.approx(svals[-1], rel=1e-14)
+    assert smax == pytest.approx(svals[0], rel=1e-14)
+
+
+def test_symmetric_solve_holds_one_copy_of_the_window():
+    # a C-ordered window handed to LAPACK is copied to Fortran order, and a
+    # symmetrized temporary is a second n x n array: either doubles the peak
+    n = 1024
+    A = toeplitz([1, 3, 1], n)
+    tracemalloc.start()
+    try:
+        _singular_extremes(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
 
 
 def test_ill_conditioned_window_keeps_sigma_min_digits():
@@ -735,6 +785,14 @@ def test_equivalence_report_consistent_for_symmetric_toeplitz():
     assert eq.consistent
     assert set(eq.verdicts.values()) == {"stabilized"}
     assert eq.counterexample_candidates == []
+
+
+@pytest.mark.parametrize("ps", [[2, 2.0], [1, math.inf, "oo"]])
+def test_equivalence_report_rejects_a_repeated_exponent(ps):
+    # per_p holds one ladder per distinct exponent, so a repeat would leave
+    # ps and per_p disagreeing
+    with pytest.raises(ValueError, match="repeats"):
+        equivalence_report(toeplitz([1, 3, 1], 32), ps, [8, 16])
 
 
 def test_row_permutation_leaves_constants_unchanged():
