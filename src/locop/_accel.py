@@ -14,16 +14,6 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _pnorm_rows(Y: np.ndarray, p: float) -> np.ndarray:
-    if np.isinf(p):
-        return np.abs(Y).max(axis=1)
-    if p == 1.0:
-        return np.abs(Y).sum(axis=1)
-    if p == 2.0:
-        return np.sqrt((Y * Y).sum(axis=1))
-    return (np.abs(Y) ** p).sum(axis=1) ** (1.0 / p)
-
-
 def descend_lp(csr, starts: np.ndarray, p: float):
     """Run projected subgradient descent from each start.
 
@@ -39,9 +29,9 @@ def descend_lp(csr, starts: np.ndarray, p: float):
     p = float(p)
     t0, tmin, max_iter = 0.25, 1e-10, 5000
     C = np.array(starts, dtype=np.float64, order="C")
-    C /= _pnorm_rows(C, p)[:, None]
+    C /= np.linalg.norm(C, ord=p, axis=1)[:, None]
     Y = (A @ C.T).T
-    F = _pnorm_rows(Y, p)
+    F = np.linalg.norm(Y, ord=p, axis=1)
     T = np.full(C.shape[0], t0)
     active = np.ones(C.shape[0], dtype=bool)
     for _ in range(max_iter):
@@ -49,16 +39,14 @@ def descend_lp(csr, starts: np.ndarray, p: float):
             break
         idx = np.flatnonzero(active)
         Ya = Y[idx]
-        if np.isinf(p):
-            top = np.abs(Ya).argmax(axis=1)
-            s = np.sign(Ya[np.arange(len(idx)), top])
-            G = A[top, :].multiply(s[:, None]).toarray()
-        elif p == 1.0:
-            G = (A.T @ np.sign(Ya).T).T
+        if np.isinf(p):  # the sign of one largest entry per row
+            W = np.zeros_like(Ya)
+            rows, top = np.arange(len(idx)), np.abs(Ya).argmax(axis=1)
+            W[rows, top] = np.sign(Ya[rows, top])
         else:
             W = np.abs(Ya) ** (p - 1.0) * np.sign(Ya)
-            G = (A.T @ W.T).T
-        gn = np.sqrt((G * G).sum(axis=1))
+        G = (A.T @ W.T).T
+        gn = np.linalg.norm(G, axis=1)
         dead = gn <= 0.0
         if dead.any():
             active[idx[dead]] = False
@@ -68,9 +56,9 @@ def descend_lp(csr, starts: np.ndarray, p: float):
                 continue
         D = G / gn[:, None]
         Ct = C[idx] - T[idx, None] * D
-        Ct /= _pnorm_rows(Ct, p)[:, None]
+        Ct /= np.linalg.norm(Ct, ord=p, axis=1)[:, None]
         Yt = (A @ Ct.T).T
-        Ft = _pnorm_rows(Yt, p)
+        Ft = np.linalg.norm(Yt, ord=p, axis=1)
         acc = Ft < F[idx]
         iacc = idx[acc]
         C[iacc] = Ct[acc]

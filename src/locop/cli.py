@@ -1,8 +1,10 @@
 """Command-line front end: corpus generation and analysis reports.
 
-Every analysis subcommand funnels into a ``_run_<name>(params)`` function
-returning ``(report, csv_header, csv_rows)``; ``locop run --config c.json``
-dispatches to the same functions, so flag and config invocations produce
+Every analysis is declared once, in ``_ANALYSES``: its runner, its help
+text and its flags.  The subcommand's flags and the params a ``locop run
+--config c.json`` file may hold are the same names, read from that one
+table, and both reach the same runner, which returns ``(report,
+csv_header, csv_rows)``; so flag and config invocations produce
 byte-identical files.  Exit codes: 0 success, 2 precondition/invariant
 failure (including missing inputs), 3 numerical failure; failures print
 ``{"error": {"type", "message"}}`` on stderr.
@@ -14,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import corpus
@@ -129,37 +132,24 @@ def _run_norms(params: dict):
     return report, None, None
 
 
-def _stability_entries(per_p: dict) -> list[dict]:
-    return [{"p": p_label(p), **e.__dict__}
-            for p in sorted(per_p) for e in per_p[p].entries]
-
-
-def _run_stab(params: dict):
+def _run_ladder(params: dict, analysis: str):
+    """`stab` and `equiv`: one ladder per exponent over the same windows;
+    `equiv` adds the cross-exponent verdict and its candidates."""
     A = _load_matrix(params["matrix"])
     windows = _parse_int_list(params["windows"])
     ps = _parse_p_list(params["p"])
-    seed = params.get("seed")
-    per_p = equivalence_report(A, ps, windows).per_p  # one set of windows
-    norm_params = {"matrix": str(params["matrix"]),
-                   "p": [p_label(p) for p in ps], "windows": windows}
-    report = build_report("stab", norm_params, seed, _stability_entries(per_p),
-                          {p_label(p): rep.verdict for p, rep in per_p.items()})
-    return report, STABILITY_CSV_HEADER, stability_csv_rows(per_p)
-
-
-def _run_equiv(params: dict):
-    A = _load_matrix(params["matrix"])
-    windows = _parse_int_list(params["windows"])
-    ps = _parse_p_list(params["p"])
-    seed = params.get("seed")
     eq = equivalence_report(A, ps, windows)
     verdicts = {p_label(p): v for p, v in eq.verdicts.items()}
-    verdicts["consistent"] = eq.consistent
+    meta = None
+    if analysis == "equiv":
+        verdicts["consistent"] = eq.consistent
+        meta = {"counterexample_candidates": eq.counterexample_candidates}
+    entries = [{"p": p_label(p), **e.__dict__}
+               for p in sorted(eq.per_p) for e in eq.per_p[p].entries]
     norm_params = {"matrix": str(params["matrix"]),
                    "p": [p_label(p) for p in ps], "windows": windows}
-    meta = {"counterexample_candidates": eq.counterexample_candidates}
-    report = build_report("equiv", norm_params, seed,
-                          _stability_entries(eq.per_p), verdicts, meta)
+    report = build_report(analysis, norm_params, params.get("seed"), entries,
+                          verdicts, meta)
     return report, STABILITY_CSV_HEADER, stability_csv_rows(eq.per_p)
 
 
@@ -216,13 +206,12 @@ def _run_synth(params: dict):
     p = _parse_single_p(params["p"])
     n0_values = _parse_int_list(params["n0"])
     windows = _parse_int_list(params["window"])
-    seed = params.get("seed")
     rep = synthesis_stability(fam, p, n0_values, windows)
     entries = [dict(e.__dict__) for e in rep.entries]
     norm_params = {"family": str(params["family"]), "p": p_label(p),
                    "n0": n0_values, "window": windows}
     meta = {"sjostrand_bound_ratio": rep.sjostrand_bound_ratio}
-    report = build_report("synth", norm_params, seed, entries,
+    report = build_report("synth", norm_params, params.get("seed"), entries,
                           {p_label(p): rep.verdict}, meta)
     finest = max(n0_values)
     rows = [(int(e.window), p_label(p), e.lower, e.upper,
@@ -236,7 +225,6 @@ def _run_kernel(params: dict):
     p = _parse_single_p(params["p"])
     n_values = _parse_int_list(params["n"])
     windows = [float(w) for w in _parse_int_list(params["window"])]
-    seed = params.get("seed")
     rep = perturbed_identity_stability(op, p, n_values, windows)
     entries = [dict(e.__dict__) for e in rep.entries]
     curve = rep.error_curve
@@ -245,15 +233,55 @@ def _run_kernel(params: dict):
     meta = {"error_curve": {"r": p_label(p),
                             "entries": [[n, u] for n, u in curve.entries],
                             "slope": curve.slope}}
-    report = build_report("kernel", norm_params, seed, entries,
+    report = build_report("kernel", norm_params, params.get("seed"), entries,
                           {p_label(p): rep.verdict}, meta)
     return report, ("n", "ratio"), curve.entries
 
 
-_RUNNERS = {"norms": _run_norms, "stab": _run_stab, "equiv": _run_equiv,
-            "conv": _run_conv, "invdecay": _run_invdecay,
-            "density": _run_density, "synth": _run_synth,
-            "kernel": _run_kernel}
+# ----------------------------------------------------------------------
+# the analyses: runner, help text and flags as (name, required, help);
+# the subcommands' flags and the `locop run` params both come from here
+
+
+_SEED = ("seed", False, "recorded in the report's seed field only")
+
+_ANALYSES = {
+    "norms": (_run_norms, "Schur/Sjostrand/slant norms of a matrix", (
+        ("matrix", True, None),
+        ("alpha", False, "slant to weight (omit to skip the slant norm)"))),
+    "stab": (partial(_run_ladder, analysis="stab"),
+             "stability ladder over prefix windows", (
+        ("matrix", True, None),
+        ("p", True, "comma list, e.g. 1,2,inf"),
+        ("windows", True, "comma list, e.g. 32,64,128"), _SEED)),
+    "equiv": (partial(_run_ladder, analysis="equiv"),
+              "cross-exponent equivalence of ladders", (
+        ("matrix", True, None),
+        ("p", True, "comma list, e.g. 1,2,inf"),
+        ("windows", True, "comma list, e.g. 32,64,128"), _SEED)),
+    "conv": (_run_conv, "certify min |symbol| of a filter", (
+        ("seq", True, "CSV: 'j,value' rows, or one value per line (odd, centered)"),
+        ("grid", False, f"symbol grid size (default {SYMBOL_GRID})"))),
+    "invdecay": (_run_invdecay, "off-diagonal decay profile of the inverse", (
+        ("matrix", True, None),
+        ("margin", True, "boundary columns excluded from the fit"))),
+    "density": (_run_density, "necessary counting condition", (
+        ("rows", True, "row IndexSet JSON"),
+        ("cols", True, "column IndexSet JSON"),
+        ("r0", True, None),
+        ("boxes", True, "JSON list of boxes"))),
+    "synth": (_run_synth, "stability of a discretized synthesis map", (
+        ("family", True, "generator family JSON"),
+        ("p", True, None),
+        ("n0", True, "comma list of scales, e.g. 4,5,6"),
+        ("window", True, "comma list of window sizes"), _SEED)),
+    "kernel": (_run_kernel, "kernel discretization error and "
+                            "perturbed-identity stability", (
+        ("kernel", True, "kernel operator JSON"),
+        ("p", True, None),
+        ("n", True, "scales, e.g. 3..8 or 3,4,5"),
+        ("window", True, None), _SEED)),
+}
 
 
 # ----------------------------------------------------------------------
@@ -278,23 +306,22 @@ def _emit(report: dict, out, csv_header, csv_rows) -> None:
 
 
 def _dispatch(analysis: str, params: dict, out) -> None:
-    report, header, rows = _RUNNERS[analysis](params)
+    report, header, rows = _ANALYSES[analysis][0](params)
     _emit(report, out, header, rows)
 
 
-def _config_params(parser: argparse.ArgumentParser, cfg: dict) -> dict:
+def _config_params(cfg: dict) -> dict:
     """A `locop run` config's params; a top-level key other than analysis,
-    params, seed and out, or a param that is no flag of the analysis's
-    subcommand, is an error."""
+    params, seed and out, or a param that is no flag of the analysis, is an
+    error."""
     keys = ["analysis", "out", "params", "seed"]
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ValueError(f"config has no key {unknown[0]!r}; it takes {keys}")
     analysis = cfg["analysis"]
-    if analysis not in _RUNNERS:
+    if analysis not in _ANALYSES:
         raise ValueError(f"unknown analysis {analysis!r}")
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    allowed = {a.dest for a in sub.choices[analysis]._actions} - {"help", "out"}
+    allowed = {name for name, _, _ in _ANALYSES[analysis][2]}
     params = dict(cfg["params"])
     unknown = sorted(set(params) - allowed)
     if unknown:
@@ -307,13 +334,6 @@ def _config_params(parser: argparse.ArgumentParser, cfg: dict) -> dict:
 
 # ----------------------------------------------------------------------
 # argument surface
-
-
-def _add_out(sp):
-    sp.add_argument("--out", default=None,
-                    help="output path; .csv writes curve + sibling .json, "
-                         "otherwise JSON report (+ sibling .csv when a curve "
-                         "exists); default prints JSON to stdout")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -333,60 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--spec", required=True, help="corpus spec JSON")
     g.add_argument("--out", required=True, help="output directory")
 
-    n = sub.add_parser("norms", help="Schur/Sjostrand/slant norms of a matrix")
-    n.add_argument("--matrix", required=True)
-    n.add_argument("--alpha", default=None,
-                   help="slant to weight (omit to skip the slant norm)")
-    _add_out(n)
-
-    for name, text in (("stab", "stability ladder over prefix windows"),
-                       ("equiv", "cross-exponent equivalence of ladders")):
-        s = sub.add_parser(name, help=text)
-        s.add_argument("--matrix", required=True)
-        s.add_argument("--p", required=True, help="comma list, e.g. 1,2,inf")
-        s.add_argument("--windows", required=True, help="comma list, e.g. 32,64,128")
-        s.add_argument("--seed", default=None,
-                       help="recorded in the report's seed field only")
-        _add_out(s)
-
-    c = sub.add_parser("conv", help="certify min |symbol| of a filter")
-    c.add_argument("--seq", required=True, help="CSV: 'j,value' rows, or one "
-                                                "value per line (odd, centered)")
-    c.add_argument("--grid", default=None,
-                   help=f"symbol grid size (default {SYMBOL_GRID})")
-    _add_out(c)
-
-    i = sub.add_parser("invdecay", help="off-diagonal decay profile of the inverse")
-    i.add_argument("--matrix", required=True)
-    i.add_argument("--margin", required=True,
-                   help="boundary columns excluded from the fit")
-    _add_out(i)
-
-    d = sub.add_parser("density", help="necessary counting condition")
-    d.add_argument("--rows", required=True, help="row IndexSet JSON")
-    d.add_argument("--cols", required=True, help="column IndexSet JSON")
-    d.add_argument("--r0", required=True)
-    d.add_argument("--boxes", required=True, help="JSON list of boxes")
-    _add_out(d)
-
-    y = sub.add_parser("synth", help="stability of a discretized synthesis map")
-    y.add_argument("--family", required=True, help="generator family JSON")
-    y.add_argument("--p", required=True)
-    y.add_argument("--n0", required=True, help="comma list of scales, e.g. 4,5,6")
-    y.add_argument("--window", required=True, help="comma list of window sizes")
-    y.add_argument("--seed", default=None,
-                   help="recorded in the report's seed field only")
-    _add_out(y)
-
-    k = sub.add_parser("kernel", help="kernel discretization error and "
-                                      "perturbed-identity stability")
-    k.add_argument("--kernel", required=True, help="kernel operator JSON")
-    k.add_argument("--p", required=True)
-    k.add_argument("--n", required=True, help="scales, e.g. 3..8 or 3,4,5")
-    k.add_argument("--window", required=True)
-    k.add_argument("--seed", default=None,
-                   help="recorded in the report's seed field only")
-    _add_out(k)
+    for analysis, (_, text, flags) in _ANALYSES.items():
+        sp = sub.add_parser(analysis, help=text)
+        for name, required, help_text in flags:
+            sp.add_argument(f"--{name}", required=required, help=help_text)
+        sp.add_argument("--out", default=None,
+                        help="output path; .csv writes curve + sibling .json, "
+                             "otherwise JSON report (+ sibling .csv when a curve "
+                             "exists); default prints JSON to stdout")
 
     r = sub.add_parser("run", help="run an analysis described by a config file")
     r.add_argument("--config", required=True,
@@ -395,15 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "gen":
             manifest = corpus.generate(_load_json(args.spec), args.out)
             sys.stdout.buffer.write(dump_json_bytes(manifest))
         elif args.command == "run":
             cfg = _load_json(args.config)
-            _dispatch(cfg["analysis"], _config_params(parser, cfg), cfg.get("out"))
+            _dispatch(cfg["analysis"], _config_params(cfg), cfg.get("out"))
         else:
             params = {k: v for k, v in vars(args).items()
                       if k not in ("command", "out") and v is not None}

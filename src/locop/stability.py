@@ -673,6 +673,10 @@ def convolution_stability(offsets, values,
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if offs.size == 0 or offs.size != vals.size:
         raise ValueError("need matching nonempty offset/value sequences")
+    if not np.isfinite(vals).all():
+        t = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise InvariantViolation(f"filter tap {float(vals[t])!r} at offset {offs[t]} "
+                                 "is not finite")
     if np.unique(offs).size != offs.size:
         raise ValueError("duplicate offsets in sequence")
     support_width = int(offs.max() - offs.min() + 1)
@@ -731,6 +735,8 @@ def inverse_decay_profile(A: LocalizedMatrix, margin: float) -> InverseDecayResu
     The rows come from the sparse LU in blocks, each reduced to offset-cell
     maxima at once, so no dense inverse is held.
     """
+    if not math.isfinite(margin):
+        raise InvariantViolation(f"inverse decay margin must be finite, got {margin!r}")
     n, m = A.shape
     if n != m:
         raise ValueError("inverse decay needs a square matrix")
@@ -800,13 +806,15 @@ def density_check(rows: IndexSet, cols: IndexSet, r0: float,
         raise InvariantViolation(f"density radius r0 must be finite, got {r0!r}")
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    out = []
-    for raw in boxes:
-        box = np.asarray(raw, dtype=float)
-        if box.ndim == 1:
-            box = box[None, :]
+    boxes = [np.atleast_2d(np.asarray(raw, dtype=float)) for raw in boxes]
+    for box in boxes:  # every box is checked before any is counted
+        if not np.isfinite(box).all():
+            raise InvariantViolation(
+                f"density box bounds must be finite, got {box.tolist()!r}")
         if box.shape != (rows.dim, 2) or (box[:, 1] < box[:, 0]).any():
             raise ValueError(f"box must be ({rows.dim}, 2) with lo <= hi")
+    out = []
+    for box in boxes:
         in_nbhd = int((_dist_to_box(rows.points, box) < r0).sum())
         inside = np.ones(len(cols), dtype=bool)
         for ax in range(cols.dim):

@@ -512,7 +512,7 @@ class SynthesisStabilityReport:
 
 
 def synthesis_stability(fam: GeneratorFamily, p, n0_values,
-                        window_sizes=None) -> SynthesisStabilityReport:
+                        window_sizes) -> SynthesisStabilityReport:
     """Stability constants of the discretized synthesis operator.
 
     Constants at scale n0 are 2^{-n0/p} times those of the cell-average
@@ -526,12 +526,11 @@ def synthesis_stability(fam: GeneratorFamily, p, n0_values,
     n0_values = [int(n) for n in n0_values]
     # the bias bound reads the modulus at 2^-n0; validate checks MODULUS_DELTAS
     fam._check_modulus([2.0 ** -n for n in n0_values if 2.0 ** -n not in MODULUS_DELTAS])
-    windows = [len(fam.index)] if window_sizes is None else [int(w) for w in window_sizes]
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     hnorm = fam.envelope.amalgam_norm()
     entries = []
     worst_ratio = 0.0
-    for w in windows:
+    for w in map(int, window_sizes):
         sub = fam.prefix(w)
         r_sep = separation_constant(sub.effective_index())
         for n0 in n0_values:

@@ -381,6 +381,57 @@ def test_cli_density_rejects_non_finite_radius(tmp_path, capsys, bad):
     assert "r0" in err["message"]
 
 
+@pytest.mark.parametrize("taps", ["1\nnan\n1\n", "-1,1\n0,inf\n1,1\n"],
+                         ids=["nan", "inf"])
+def test_cli_conv_rejects_non_finite_tap(tmp_path, capsys, taps):
+    # the symbol was computed on NaN and the run failed only when the report
+    # was written: "Out of range float values are not JSON compliant: nan"
+    seq = tmp_path / "taps.csv"
+    seq.write_text(taps)
+    err = _assert_rejects(["conv", "--seq", str(seq)], tmp_path, capsys)
+    assert "filter tap" in err["message"]
+
+
+@pytest.mark.parametrize("boxes", ["[[[NaN, 30.0]]]", "[[[5.0, Infinity]]]",
+                                   "[[[5.0, 30.0]], [[-Infinity, 8.0]]]"],
+                         ids=["nan", "inf", "second-box"])
+def test_cli_density_rejects_non_finite_box(tmp_path, capsys, monkeypatch, boxes):
+    # a NaN box ran and failed only when the report was written; an infinite
+    # bound is no compact box.  No box is counted before every box is checked
+    from locop import stability
+    from locop.lattice import IndexSet
+
+    def counted(*args):
+        raise AssertionError("a box was counted before all were checked")
+
+    monkeypatch.setattr(stability, "_dist_to_box", counted)
+    rows = tmp_path / "rows.json"
+    rows.write_bytes(dump_json_bytes(IndexSet.integer_range(0, 40).to_json_dict()))
+    path = tmp_path / "boxes.json"
+    path.write_text(boxes)
+    err = _assert_rejects(["density", "--rows", str(rows), "--cols", str(rows),
+                           "--r0", "2", "--boxes", str(path)], tmp_path, capsys)
+    assert "box" in err["message"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_invdecay_rejects_non_finite_margin(tmp_path, capsys, monkeypatch, bad):
+    # --margin nan reported "margin leaves no interior rows" after the
+    # matrix's singular values were computed
+    from locop import stability
+
+    def solved(*args):
+        raise AssertionError("the matrix was solved before the margin was checked")
+
+    monkeypatch.setattr(stability, "_singular_extremes", solved)
+    path = tmp_path / "t.json"
+    path.write_bytes(dump_json_bytes(
+        corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()))
+    err = _assert_rejects(["invdecay", "--matrix", str(path), f"--margin={bad}"],
+                          tmp_path, capsys)
+    assert "margin" in err["message"]
+
+
 def test_cli_synth_rejects_non_finite_profile_coefficient(tmp_path, capsys):
     # a NaN hat coefficient used to give a certified "zero-matrix" lower 0.0
     obj = corpus.hat_family(16).to_json_dict()
@@ -624,22 +675,54 @@ def test_cli_synth_checks_the_modulus_at_n0_7(tmp_path, capsys):
     assert cli.main(argv + ["--n0", "5,6"]) == 0
 
 
-def test_cli_run_config_matches_flag_invocation(tmp_path, t131_file):
-    flag_out = tmp_path / "flags.json"
-    rc = cli.main(["stab", "--matrix", str(t131_file), "--p", "2",
-                   "--windows", "8,16", "--out", str(flag_out)])
-    assert rc == 0
+# every flag of every analysis, on small inputs; "{name}" is an input file
+_EVERY_FLAG = {
+    "norms": ["--matrix", "{t131}", "--alpha", "2"],
+    "stab": ["--matrix", "{t131}", "--p", "1,2", "--windows", "8,16", "--seed", "3"],
+    "equiv": ["--matrix", "{t131}", "--p", "2,inf", "--windows", "8,16",
+              "--seed", "3"],
+    "conv": ["--seq", "{taps}", "--grid", "512"],
+    "invdecay": ["--matrix", "{t131}", "--margin", "2"],
+    "density": ["--rows", "{rows}", "--cols", "{rows}", "--r0", "2",
+                "--boxes", "{boxes}"],
+    "synth": ["--family", "{hat}", "--p", "2", "--n0", "3", "--window", "8",
+              "--seed", "3"],
+    "kernel": ["--kernel", "{kernel}", "--p", "2", "--n", "3", "--window", "16",
+               "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("analysis", sorted(_EVERY_FLAG))
+def test_cli_run_config_matches_flag_invocation(tmp_path, t131_file, gaussian_op,
+                                                analysis):
+    from locop.lattice import IndexSet
+
+    inputs = {"t131": t131_file, "taps": tmp_path / "taps.csv",
+              "rows": tmp_path / "rows.json", "boxes": tmp_path / "boxes.json",
+              "hat": tmp_path / "hat.json", "kernel": tmp_path / "kernel.json"}
+    inputs["taps"].write_text("1\n3\n1\n")
+    inputs["rows"].write_bytes(dump_json_bytes(
+        IndexSet.integer_range(0, 20).to_json_dict()))
+    inputs["boxes"].write_text("[[2, 5], [10, 12]]\n")
+    inputs["hat"].write_bytes(dump_json_bytes(corpus.hat_family(16).to_json_dict()))
+    inputs["kernel"].write_bytes(dump_json_bytes(gaussian_op.to_json_dict()))
+    argv = [a.format(**inputs) for a in _EVERY_FLAG[analysis]]
+    assert set(argv[::2]) == {f"--{name}" for name, _, _ in cli._ANALYSES[analysis][2]}
+    flag_dir, cfg_dir = tmp_path / "flags", tmp_path / "config"
+    flag_dir.mkdir()
+    cfg_dir.mkdir()
+    assert cli.main([analysis] + argv + ["--out", str(flag_dir / "r.json")]) == 0
     cfg = tmp_path / "cfg.json"
-    cfg_out = tmp_path / "config.json"
     cfg.write_bytes(dump_json_bytes({
-        "analysis": "stab",
-        "params": {"matrix": str(t131_file), "p": "2", "windows": "8,16"},
-        "seed": None,
-        "out": str(cfg_out),
+        "analysis": analysis,
+        "params": dict(zip((flag[2:] for flag in argv[::2]), argv[1::2])),
+        "out": str(cfg_dir / "r.json"),
     }))
-    rc = cli.main(["run", "--config", str(cfg)])
-    assert rc == 0
-    assert flag_out.read_bytes() == cfg_out.read_bytes()
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    written = sorted(f.name for f in flag_dir.iterdir())
+    assert written == sorted(f.name for f in cfg_dir.iterdir())
+    for name in written:
+        assert (flag_dir / name).read_bytes() == (cfg_dir / name).read_bytes()
 
 
 def test_cli_density_counts(tmp_path, capsys):
