@@ -343,6 +343,29 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+_FLAGS = ({"--spec", "--out", "--config"}
+          | {f"--{name}" for _, _, flags in _ANALYSES.values() for name, _, _ in flags})
+
+
+def _attach_flag_values(argv: list[str]) -> list[str]:
+    """``--flag value`` as ``--flag=value``.  Every locop flag takes one
+    value, so the token after a flag is its value even when it starts with
+    '-' (argparse reads ``--alpha -inf`` as a second flag); a following
+    flag name or -h/--help is left alone, so a missing value stays a flag
+    error."""
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        if (tok in _FLAGS and i + 1 < len(argv)
+                and argv[i + 1] not in _FLAGS | {"-h", "--help"}):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="locop",
@@ -370,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser().parse_args(_attach_flag_values(argv))
         if args.command == "gen":
             manifest = corpus.generate(_load_json(args.spec), args.out)
             sys.stdout.buffer.write(dump_json_bytes(manifest))

@@ -24,11 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import linprog
 
 from . import _accel
 from .errors import InvariantViolation, NumericalError
@@ -337,6 +335,17 @@ def _codim_one_lower(A: LocalizedMatrix, j: int, p: float) -> float | None:
 
 # ----------------------------------------------------------------------
 # small tall windows at p = 1 and p = inf
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at its first call.
+
+    scipy.optimize, and the scipy.spatial it loads, would add about 0.08 s
+    to every cold start, and only the left-inverse LP needs it.  It stays a
+    module-level name so that tests and tracers can patch it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def _left_inverse_lower(A: LocalizedMatrix, p: float) -> float:
@@ -683,10 +692,12 @@ def convolution_stability(offsets, values,
     if grid_size < 4 * support_width:
         raise ValueError(f"grid_size must be >= 4 * support width = {4 * support_width}")
     # on the grid xi_k = 2 pi k / N the symbol is the DFT of the
-    # coefficients wrapped onto it
+    # coefficients wrapped onto it: the real FFT and its conjugate mirror,
+    # bit for bit what scipy.fft.fft returns for real input
     wrapped = np.zeros(grid_size)
     wrapped[offs % grid_size] = vals
-    symbol = scipy.fft.fft(wrapped)
+    half = np.fft.rfft(wrapped)
+    symbol = np.concatenate([half, half[1:(grid_size + 1) // 2][::-1].conj()])
     mags = np.abs(symbol)
     k = int(np.argmin(mags))
     grid_min = float(mags[k])
@@ -737,6 +748,9 @@ def inverse_decay_profile(A: LocalizedMatrix, margin: float) -> InverseDecayResu
     """
     if not math.isfinite(margin):
         raise InvariantViolation(f"inverse decay margin must be finite, got {margin!r}")
+    if margin < 0:
+        raise InvariantViolation(
+            f"inverse decay margin must be non-negative, got {margin!r}")
     n, m = A.shape
     if n != m:
         raise ValueError("inverse decay needs a square matrix")

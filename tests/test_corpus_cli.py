@@ -432,6 +432,39 @@ def test_cli_invdecay_rejects_non_finite_margin(tmp_path, capsys, monkeypatch, b
     assert "margin" in err["message"]
 
 
+def test_cli_invdecay_rejects_negative_margin(tmp_path, capsys, monkeypatch):
+    # a negative margin exited 0 and fitted the margin-0 rows under its name
+    from locop import stability
+
+    def solved(*args):
+        raise AssertionError("the matrix was solved before the margin was checked")
+
+    monkeypatch.setattr(stability, "_singular_extremes", solved)
+    path = tmp_path / "t.json"
+    path.write_bytes(dump_json_bytes(
+        corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()))
+    err = _assert_rejects(["invdecay", "--matrix", str(path), "--margin=-0.5"],
+                          tmp_path, capsys)
+    assert "non-negative" in err["message"]
+
+
+@pytest.mark.parametrize("analysis,flag,value", [
+    ("norms", "alpha", "-inf"),
+    ("invdecay", "margin", "-inf"),
+    ("invdecay", "margin", "-1"),
+], ids=["alpha-inf", "margin-inf", "margin-1"])
+def test_cli_flag_value_may_start_with_dash(tmp_path, capsys, analysis, flag, value):
+    # `--alpha -inf` was read as a second flag ("expected one argument");
+    # the space form must give the `=` form's error
+    path = tmp_path / "t.json"
+    path.write_bytes(dump_json_bytes(
+        corpus.toeplitz_matrix([1.0, 3.0, 1.0], 8).to_json_dict()))
+    base = [analysis, "--matrix", str(path)]
+    joined = _assert_rejects(base + [f"--{flag}={value}"], tmp_path, capsys)
+    spaced = _assert_rejects(base + [f"--{flag}", value], tmp_path, capsys)
+    assert spaced == joined and flag in spaced["message"]
+
+
 def test_cli_synth_rejects_non_finite_profile_coefficient(tmp_path, capsys):
     # a NaN hat coefficient used to give a certified "zero-matrix" lower 0.0
     obj = corpus.hat_family(16).to_json_dict()
@@ -866,7 +899,9 @@ def test_cli_run_config_rejects_unknown_keys(tmp_path, capsys, t131_file,
     ["stab", "--p", "2", "--windows", "8"],
     ["norms", "--matrix", "m.json", "--alhpa", "1"],
     ["frobnicate"],
-], ids=["no-command", "missing-flag", "unknown-flag", "unknown-command"])
+    ["norms", "--matrix", "--alpha", "1"],
+], ids=["no-command", "missing-flag", "unknown-flag", "unknown-command",
+        "flag-without-value"])
 def test_cli_flag_errors_are_json(capsys, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

@@ -4,23 +4,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import locop
+from locop import corpus, lower_constant
+from locop.reporting import dump_json_bytes
 
 
-def _loaded_by_cold_import(module: str) -> bool:
+def _run_cold(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    locop from this checkout."""
     src = str(Path(locop.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = f"import sys, locop; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip() == "True"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _loaded_by_cold_import(module: str) -> bool:
+    return _run_cold(f"import sys, locop; print({module!r} in sys.modules)") == "True"
 
 
 def test_cold_import_does_not_load_scipy_signal():
     # scipy.signal pulls in scipy.stats and costs about 0.6 s of every cold
-    # start; the one convolution that needs an FFT uses scipy.fft instead
+    # start; the one convolution that needs an FFT uses numpy.fft instead
     assert not _loaded_by_cold_import("scipy.signal")
 
 
@@ -28,6 +36,47 @@ def test_cold_import_does_not_load_scipy_sparse_csgraph():
     # only the Jordan-Wielandt ordering and structurally singular LUs need
     # it, so both import it where they use it
     assert not _loaded_by_cold_import("scipy.sparse.csgraph")
+
+
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.fft", "scipy.special"])
+def test_cold_import_defers_lp_and_fft_modules(module):
+    # scipy.optimize (with scipy.spatial) and scipy.fft (with scipy.special)
+    # cost about 0.15 s of every cold start; the LP loads scipy.optimize
+    # where it is called, and the FFTs run on numpy.fft
+    assert not _loaded_by_cold_import(module)
+
+
+@pytest.mark.parametrize("analysis", ["stab", "kernel"])
+def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
+    # a p = 2 ladder solves no LP; the kernel analysis at scale 5 takes the
+    # FFT branch of apply_discretized at its reference scale 8
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    if analysis == "stab":
+        obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 16)
+        argv = ["stab", "--matrix", str(path), "--p", "2", "--windows", "8,16"]
+        unloaded = ["scipy.optimize"]
+    else:
+        obj = corpus.gaussian_kernel_op(0.1, 1.0)
+        argv = ["kernel", "--kernel", str(path), "--p", "2", "--n", "5",
+                "--window", "16"]
+        unloaded = ["scipy.optimize", "scipy.fft", "scipy.special"]
+    path.write_bytes(dump_json_bytes(obj.to_json_dict()))
+    code = ("import sys; from locop import cli; "
+            f"rc = cli.main({argv + ['--out', str(out)]!r}); "
+            f"print(rc, [m for m in {unloaded!r} if m in sys.modules])")
+    assert _run_cold(code) == "0 []"
+    assert out.exists()
+
+
+def test_left_inverse_lp_loads_the_solver_at_first_call():
+    code = ("import sys, locop; "
+            "A = locop.toeplitz_matrix([1.0, 3.0, 1.0], 12).window_prefix(12, 8); "
+            "est = locop.lower_constant(A, 'inf'); "
+            "print(est.method, repr(est.value), 'scipy.optimize' in sys.modules)")
+    A = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 12).window_prefix(12, 8)
+    est = lower_constant(A, "inf")
+    assert est.method == "left-inverse-lp"
+    assert _run_cold(code) == f"left-inverse-lp {est.value!r} True"
 
 
 def test_perfbench_trace_targets_resolve():

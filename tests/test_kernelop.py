@@ -6,7 +6,7 @@ import pytest
 from locop import corpus, kernelop
 from locop.errors import InvariantViolation, NumericalError
 from locop.kernelop import (ConvolutionRule, KernelOperator, SeparableRule,
-                            _conv_offset_table, _envelope_ring_sum,
+                            _conv_offset_table, _envelope_ring_sum, _next_fast_len,
                             _verify_offset_quadrature, apply_discretized,
                             apply_kernel, discretization_error_curve,
                             discretize_kernel, kernel_truncation_tail,
@@ -285,6 +285,13 @@ def test_fft_branch_matches_direct_convolution(gaussian_op):
     assert out.values.shape == ref.shape
     assert np.allclose(out.values, ref, rtol=0.0,
                        atol=1e-12 * np.abs(ref).max())
+
+
+def test_next_fast_len_matches_scipy():
+    import scipy.fft
+
+    for n in list(range(1, 3000)) + [87479, 87480, 87481, 1 << 20, 3 ** 13 + 1]:
+        assert _next_fast_len(n) == scipy.fft.next_fast_len(n, True), n
 
 
 def test_empty_window_is_rejected(gaussian_op):

@@ -851,6 +851,28 @@ def test_symbol_matches_the_direct_sum_on_a_small_grid():
     assert cert.argmin == xi[np.argmin(direct)]
 
 
+@pytest.mark.parametrize("grid", [256, 257])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_symbol_is_bit_identical_to_scipy_fft(grid, symmetric):
+    import scipy.fft
+
+    rng = np.random.default_rng(11)
+    offs = np.arange(-20, 21)
+    values = rng.standard_normal(offs.size)
+    if symmetric:
+        values = values + values[::-1]
+    cert = convolution_stability(offs, values, grid_size=grid)
+    wrapped = np.zeros(grid)
+    wrapped[offs % grid] = values
+    symbol = scipy.fft.fft(wrapped)
+    mags = np.abs(symbol)
+    assert cert.grid_min == mags.min()
+    assert cert.argmin == 2.0 * np.pi * int(np.argmin(mags)) / grid
+    assert cert.real_symbol == symmetric
+    re = symbol.real
+    assert cert.sign_change == (symmetric and bool((re * np.roll(re, -1) < 0).any()))
+
+
 def test_symbol_memory_does_not_grow_with_grid_times_taps():
     # the grid x taps exponential matrix peaked at 802 MiB for 401 taps
     import tracemalloc
