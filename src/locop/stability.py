@@ -9,8 +9,11 @@ windows at p in {1, inf}, and from Riesz-Thorin interpolation of those on
 square windows in between.  A square
 window without one column (the interior of a ladder window) has an exact
 constant at p in {1, inf} in closed form from the window's own inverse.
-Tall windows at p in {1, inf} with few columns use one left-inverse linear
-program; intermediate p and larger tall windows use a projected descent from
+A one-column window has the exact constant ||a||_p at every p.  Tall
+windows at p in {1, inf} with few columns solve one linear program, the
+dual of the least-norm left inverse problem, and certify the left inverse
+L read from its multipliers by (1 - ||LA - I||_p) / ||L||_p; intermediate
+p and larger tall windows use a projected descent from
 two deterministic starts, the p = 2 minimizer and the best column of the
 Gram inverse (A^T A)^-1.  Upper constants are closed-form at p in {1, inf},
 spectral at p = 2, and interpolation bounds in between.  No path draws a
@@ -31,7 +34,8 @@ import scipy.sparse.linalg as spla
 from . import _accel
 from .errors import InvariantViolation, NumericalError
 from .lattice import IndexSet
-from .matalg import ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, group_max
+from .matalg import (ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, group_max,
+                     vector_pnorm)
 
 LP_MAX_COLS = 14
 DENSE_EIG_CUTOFF = 1200
@@ -349,35 +353,50 @@ def linprog(*args, **kwargs):
 
 
 def _left_inverse_lower(A: LocalizedMatrix, p: float) -> float:
-    """Lower constant (1 - ||LA - I||_p) / ||L||_p from one linear program.
+    """Lower constant (1 - ||LA - I||_p) / ||L||_p, with the left inverse L
+    read from the multipliers of one linear program.
 
-    Every left inverse L (LA = I) gives ||c||_p <= ||L||_p ||Ac||_p.  The
-    LP writes L = P - N with P, N >= 0 and minimizes t subject to
-    (P - N)A = I and every column (p = 1) or row (p = inf) abs-sum of L at
-    most t.  At p = inf the minimum is exactly 1 / (lower constant), since
-    l-inf is injective; at p = 1 it is a certified lower bound.  The
-    solver's residual LA - I counts against the bound, and a matrix with no
-    left inverse (an infeasible LP) gives 0.
+    Every left inverse L (LA = I) gives ||c||_p <= ||L||_p ||Ac||_p, and
+    the least ||L||_p, the largest column (p = 1) or row (p = inf) abs-sum
+    of L, is by LP duality the optimum of
+
+        max tr(Y)  s.t.  |(Y a_j)_k| <= s_g,  sum_g s_g <= 1,  s >= 0
+
+    over free Y (m x m), with a_j row j of A and g the column j (p = 1) or
+    the row k (p = inf) of L that (j, k) belongs to.  It has m^2 + n (or
+    m^2 + m) variables where the primal over L = P - N has 2mn + 1.  The
+    multipliers mu+ and mu- of the two |.| <= s rows of (j, k) give
+    L[k, j] = mu+ - mu-.  At p = inf the optimum is exactly
+    1 / (lower constant), since l-inf is injective; at p = 1 it is a
+    certified lower bound.  The solver's residual LA - I counts against
+    the bound, so a bad solve raises NumericalError instead of certifying.
+    Y = 0 is feasible, so an unbounded LP means A has no left inverse: 0.
     """
     n, m = A.shape
     mn = m * n
-    # row-major vec(L): vec(LA) = kron(I_m, A^T) vec(L)
-    K = sp.kron(sp.identity(m, format="csr"), A.csr().T, format="csr")
-    if p == 1.0:
-        S = sp.kron(np.ones((1, m)), sp.identity(n), format="csr")
-    else:
-        S = sp.kron(sp.identity(m), np.ones((1, n)), format="csr")
-    c_obj = np.zeros(2 * mn + 1)
-    c_obj[-1] = 1.0
-    A_eq = sp.hstack([K, -K, sp.csr_matrix((m * m, 1))], format="csr")
-    A_ub = sp.hstack([S, S, -np.ones((S.shape[0], 1))], format="csr")
-    res = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(S.shape[0]), A_eq=A_eq,
-                  b_eq=np.eye(m).ravel(), bounds=(0, None), method="highs")
-    if res.status == 2:
+    groups = n if p == 1.0 else m
+    # row j * m + k of kron(A, I_m) gives (Y a_j)_k, with vec(Y) in
+    # column-major order; s_g is column m^2 + g
+    K = sp.kron(A.csr(), sp.identity(m), format="coo")
+    r = np.arange(mn)
+    g = m * m + (r // m if p == 1.0 else r % m)
+    rows = np.concatenate([K.row, K.row + mn, r, r + mn, np.full(groups, 2 * mn)])
+    cols = np.concatenate([K.col, K.col, g, g, m * m + np.arange(groups)])
+    vals = np.concatenate([K.data, -K.data, -np.ones(2 * mn), np.ones(groups)])
+    A_ub = sp.csr_matrix((vals, (rows, cols)), shape=(2 * mn + 1, m * m + groups))
+    b_ub = np.zeros(2 * mn + 1)
+    b_ub[-1] = 1.0
+    c_obj = np.concatenate([-np.eye(m).ravel(), np.zeros(groups)])
+    bounds = [(None, None)] * (m * m) + [(0, None)] * groups
+    res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    # scipy reports HiGHS's "unbounded or infeasible" as status 4
+    if res.status == 3 or (res.status == 4 and "unbounded or infeasible" in res.message):
         return 0.0
     if res.status != 0:
         raise NumericalError(f"left-inverse linear program failed: {res.message}")
-    L = (res.x[:mn] - res.x[mn:2 * mn]).reshape(m, n)
+    # the marginals of a minimization's <= rows are the multipliers negated
+    mu = -res.ineqlin.marginals
+    L = (mu[:mn] - mu[mn:2 * mn]).reshape(n, m).T
     axis = 0 if p == 1.0 else 1
     resid = float(np.abs((A.csr().T @ L.T).T - np.eye(m)).sum(axis=axis).max())
     if not resid < 1.0:
@@ -446,7 +465,8 @@ def _riesz_thorin(p: float, at_end: float, at_2: float) -> float:
 def lower_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
     """inf ||Ac||_p / ||c||_p over nonzero coefficient vectors.
 
-    Certified: p = 2 (``singular-value``), square windows at p in {1, inf}
+    Certified: one column at every p (``column-norm``), p = 2
+    (``singular-value``), square windows at p in {1, inf}
     (``inverse-norm``), square windows at other p (``interpolation-bound``)
     and tall windows at p in {1, inf} with at most LP_MAX_COLS columns
     (``left-inverse-lp``).  Other tall windows use the multistart descent
@@ -460,6 +480,9 @@ def lower_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
         raise ValueError("lower constant needs rows >= cols")
     if A.nnz == 0:
         return ConstantEstimate(0.0, True, "zero-matrix")
+    if m == 1:
+        # Ac = c a, so ||Ac||_p / |c| is ||a||_p for every c
+        return ConstantEstimate(vector_pnorm(A.csr().data, p), True, "column-norm")
     if p == 2.0:
         smin, _ = _singular_extremes(A)
         return ConstantEstimate(smin, True, "singular-value")

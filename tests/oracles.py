@@ -4,12 +4,14 @@ These are the one-interval, one-point forms that the array code in
 ``locop.profiles`` and the masked loops in ``locop.synthesis`` replaced.
 They evaluate each interval or probe point on its own, so the array code
 is checked against an independent, obviously-correct loop.  The perturbed
-identity is checked against a sparse matrix sum, and the descent against
-its earlier form with one norm formula and one subgradient per exponent.
+identity is checked against a sparse matrix sum, the descent against its
+earlier form with one norm formula and one subgradient per exponent, and
+the left-inverse LP, which solves the dual, against the primal over L.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from locop.errors import InvariantViolation
 from locop.matalg import LocalizedMatrix
@@ -193,3 +195,31 @@ def descend_lp(csr, starts: np.ndarray, p: float):
         T[irej] *= 0.5
         active[T < tmin] = False
     return F, C
+
+
+def left_inverse_primal(A, p: float) -> float:
+    """(1 - ||LA - I||_p) / ||L||_p for the left inverse L of least p-norm,
+    p in {1, inf}, from the primal LP over L = P - N with P, N >= 0: minimize
+    t subject to (P - N)A = I and every column (p = 1) or row (p = inf)
+    abs-sum of L at most t.  0 when A has no left inverse."""
+    n, m = A.shape
+    mn = m * n
+    # row-major vec(L): vec(LA) = kron(I_m, A^T) vec(L)
+    K = sp.kron(sp.identity(m, format="csr"), A.csr().T, format="csr")
+    if p == 1.0:
+        S = sp.kron(np.ones((1, m)), sp.identity(n), format="csr")
+    else:
+        S = sp.kron(sp.identity(m), np.ones((1, n)), format="csr")
+    c_obj = np.zeros(2 * mn + 1)
+    c_obj[-1] = 1.0
+    A_eq = sp.hstack([K, -K, sp.csr_matrix((m * m, 1))], format="csr")
+    A_ub = sp.hstack([S, S, -np.ones((S.shape[0], 1))], format="csr")
+    res = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(S.shape[0]), A_eq=A_eq,
+                  b_eq=np.eye(m).ravel(), bounds=(0, None), method="highs")
+    if res.status == 2:
+        return 0.0
+    assert res.status == 0, res.message
+    L = (res.x[:mn] - res.x[mn:2 * mn]).reshape(m, n)
+    axis = 0 if p == 1.0 else 1
+    resid = float(np.abs(L @ A.dense() - np.eye(m)).sum(axis=axis).max())
+    return (1.0 - resid) / float(np.abs(L).sum(axis=axis).max())

@@ -1,13 +1,16 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import locop
 from locop import corpus, lower_constant
+from locop.matalg import LocalizedMatrix
 from locop.reporting import dump_json_bytes
 
 
@@ -46,14 +49,31 @@ def test_cold_import_defers_lp_and_fft_modules(module):
     assert not _loaded_by_cold_import(module)
 
 
-@pytest.mark.parametrize("analysis", ["stab", "kernel"])
+def _block_swapped_toeplitz131():
+    """toeplitz (1, 3, 1) on 32 points with rows 0, 15 and rows 16, 31
+    swapped: windows 16 and 32 are row permutations of nonsingular windows,
+    and each has a one-column interior."""
+    A = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 32)
+    perm = np.arange(32)
+    perm[[0, 15, 16, 31]] = [15, 0, 31, 16]
+    return LocalizedMatrix(A.rows, A.cols, perm[A.i], A.j, A.values.copy())
+
+
+@pytest.mark.parametrize("analysis", ["stab", "equiv", "kernel"])
 def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
-    # a p = 2 ladder solves no LP; the kernel analysis at scale 5 takes the
-    # FFT branch of apply_discretized at its reference scale 8
+    # a p = 2 ladder solves no LP, nor does a p = 1, inf ladder whose
+    # windows are square and whose interiors are one column; the kernel
+    # analysis at scale 5 takes the FFT branch of apply_discretized at its
+    # reference scale 8
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     if analysis == "stab":
         obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 16)
         argv = ["stab", "--matrix", str(path), "--p", "2", "--windows", "8,16"]
+        unloaded = ["scipy.optimize"]
+    elif analysis == "equiv":
+        obj = _block_swapped_toeplitz131()
+        argv = ["equiv", "--matrix", str(path), "--p", "1,inf",
+                "--windows", "16,32"]
         unloaded = ["scipy.optimize"]
     else:
         obj = corpus.gaussian_kernel_op(0.1, 1.0)
@@ -66,6 +86,9 @@ def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
             f"print(rc, [m for m in {unloaded!r} if m in sys.modules])")
     assert _run_cold(code) == "0 []"
     assert out.exists()
+    if analysis == "equiv":
+        entries = json.loads(out.read_text())["entries"]
+        assert {e["interior_method"] for e in entries} == {"column-norm"}
 
 
 def test_left_inverse_lp_loads_the_solver_at_first_call():

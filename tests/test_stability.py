@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import oracles
 from locop import _accel, corpus, stability
 from locop.errors import NumericalError
 from locop.lattice import IndexSet
@@ -489,17 +490,73 @@ def test_left_inverse_lp_of_rank_deficient_window_is_zero(p):
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
+def test_unbounded_or_infeasible_left_inverse_lp_is_zero(p, monkeypatch):
+    # Y = 0 is feasible, so HiGHS's "unbounded or infeasible" means unbounded
+    A = corpus.banded_random(12, band=2, seed=9).window_prefix(12, 10)
+    monkeypatch.setattr(stability, "linprog", lambda *a, **k: SimpleNamespace(
+        status=4, message="The problem is unbounded or infeasible. (HiGHS Status 9)",
+        ineqlin=SimpleNamespace(marginals=None)))
+    assert _left_inverse_lower(A, p) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
 def test_failing_left_inverse_lp_is_numerical_error(p, monkeypatch):
     A = corpus.banded_random(12, band=2, seed=9).window_prefix(12, 10)
     monkeypatch.setattr(stability, "linprog", lambda *a, **k: SimpleNamespace(
-        status=4, message="numerical difficulties", x=None))
+        status=4, message="numerical difficulties",
+        ineqlin=SimpleNamespace(marginals=None)))
     with pytest.raises(NumericalError, match="left-inverse linear program failed"):
         lower_constant(A, p)
-    # a "solution" whose residual ||LA - I|| reaches 1 certifies nothing
+    # multipliers whose L has a residual ||LA - I|| of 1 certify nothing
     monkeypatch.setattr(stability, "linprog", lambda c, **k: SimpleNamespace(
-        status=0, message="", x=np.zeros(c.size)))
+        status=0, message="",
+        ineqlin=SimpleNamespace(marginals=np.zeros(k["A_ub"].shape[0]))))
     with pytest.raises(NumericalError, match="residual"):
         _left_inverse_lower(A, p)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("name,A", _tall_lp_windows())
+def test_left_inverse_lp_dual_matches_primal(name, A, p, monkeypatch):
+    results = []
+
+    def spy(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(stability, "linprog", spy)
+    value = _left_inverse_lower(A, p)
+    assert len(results) == 1
+    # L[k, j] = mu+ - mu- from the multipliers of the (j, k) rows
+    n, m = A.shape
+    mu = -results[0].ineqlin.marginals
+    L = (mu[:m * n] - mu[m * n:2 * m * n]).reshape(n, m).T
+    axis = 0 if p == 1.0 else 1
+    resid = float(np.abs(L @ A.dense() - np.eye(m)).sum(axis=axis).max())
+    assert resid <= 1e-8
+    assert value == pytest.approx(
+        (1.0 - resid) / float(np.abs(L).sum(axis=axis).max()), rel=1e-12)
+    assert value >= oracles.left_inverse_primal(A, p) * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_one_column_window_is_its_column_norm(p, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a one-column window needs no solver")
+
+    monkeypatch.setattr(_accel, "descend_lp", forbidden)
+    monkeypatch.setattr(stability, "linprog", forbidden)
+    A = corpus.banded_random(12, band=2, seed=9).window_prefix(12, 1)
+    est = lower_constant(A, p)
+    assert est.certified and est.method == "column-norm"
+    assert est.value == pytest.approx(vector_pnorm(A.dense()[:, 0], p), rel=1e-15)
+    # Ac = c a, so the lower constant is the norm, which the upper constant
+    # gives exactly at p in {1, 2, inf} and bounds in between
+    upper = upper_constant(A, p).value
+    assert est.value <= upper * (1.0 + 1e-12)
+    if p in (1.0, 2.0, math.inf):
+        assert est.value == pytest.approx(upper, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
