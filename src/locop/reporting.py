@@ -1,10 +1,13 @@
-"""Report envelopes, schema validation, and canonical JSON/CSV emission.
+"""Report envelopes, their validation, and canonical JSON/CSV emission.
 
 Every analysis writes the same envelope::
 
     {"analysis": ..., "version": 1, "params": {...}, "seed": int|null,
      "entries": [...], "verdicts": {...}, "meta": {...}}
 
+``schemas/report.schema.json`` publishes it.  ``validate_report`` checks
+the schema's rules itself, a few type tests on a closed set of keys, so
+locop needs no schema engine; a test holds it to ``jsonschema``'s verdict.
 JSON bytes are canonical (sorted keys, two-space indent, trailing
 newline) and files are written atomically, so identical (config, seed)
 pairs produce byte-identical outputs.  CSV uses ``.`` decimals, LF line
@@ -13,30 +16,22 @@ endings, and shortest round-trip float formatting.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import numbers
 import os
-from importlib import resources
 from pathlib import Path
-
-import jsonschema
-from jsonschema.exceptions import best_match
 
 from .errors import InvariantViolation, integer_field
 
 REPORT_VERSION = 1
 
+# the schema's ``analysis`` enum
+ANALYSES = ("norms", "stab", "equiv", "conv", "invdecay", "density", "synth", "kernel")
+
+_REPORT_KEYS = {"analysis", "version", "params", "seed", "entries", "verdicts", "meta"}
+
 STABILITY_CSV_HEADER = ("window", "p", "lower", "upper", "certified")
-
-
-@functools.cache
-def report_validator() -> jsonschema.Draft7Validator:
-    """Validator for the published report schema, loaded and checked once."""
-    text = (resources.files("locop") / "schemas" / "report.schema.json").read_text()
-    schema = json.loads(text)
-    jsonschema.Draft7Validator.check_schema(schema)
-    return jsonschema.Draft7Validator(schema)
 
 
 # ----------------------------------------------------------------------
@@ -85,8 +80,8 @@ def csv_bytes(header, rows) -> bytes:
 
 def build_report(analysis: str, params: dict, seed, entries, verdicts,
                  meta=None) -> dict:
-    """The report envelope; the schema's ``analysis`` enum, which
-    validate_report enforces before any write, names the known analyses."""
+    """The report envelope; ``ANALYSES``, which validate_report enforces
+    before any write, names the known analyses."""
     return {
         "analysis": analysis,
         "version": REPORT_VERSION,
@@ -98,10 +93,39 @@ def build_report(analysis: str, params: dict, seed, entries, verdicts,
     }
 
 
+def _envelope_error(report) -> str | None:
+    """The first rule of the report schema that ``report`` breaks, if any."""
+    if not isinstance(report, dict):
+        return "the report is not an object"
+    if report.keys() != _REPORT_KEYS:
+        return f"keys {sorted(map(str, report))} are not {sorted(_REPORT_KEYS)}"
+    if report["analysis"] not in ANALYSES:
+        return f"unknown analysis {report['analysis']!r}"
+    version = report["version"]
+    if isinstance(version, bool) or version != REPORT_VERSION:
+        return f"version {version!r} is not {REPORT_VERSION}"
+    seed = report["seed"]
+    # JSON Schema draft 7: an integral float is an integer, a boolean is not
+    if isinstance(seed, bool) or not (seed is None or isinstance(seed, int)
+                                      or isinstance(seed, float) and seed.is_integer()):
+        return f"seed {seed!r} is not an integer or null"
+    for key in ("params", "meta", "verdicts"):
+        if not isinstance(report[key], dict):
+            return f"{key} is not an object"
+    entries = report["entries"]
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        return "entries is not a list of objects"
+    for name, value in report["verdicts"].items():
+        # numbers.Number includes bool
+        if not isinstance(value, (str, numbers.Number)):
+            return f"verdict {name!r} is {value!r}, not a string, boolean or number"
+    return None
+
+
 def validate_report(report: dict) -> None:
-    error = best_match(report_validator().iter_errors(report))
+    error = _envelope_error(report)
     if error is not None:
-        raise InvariantViolation(f"report fails schema: {error.message}") from error
+        raise InvariantViolation(f"report fails schema: {error}")
 
 
 def write_report(path, report: dict) -> None:

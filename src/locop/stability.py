@@ -501,12 +501,16 @@ def lower_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
 def upper_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
     """sup ||Ac||_p / ||c||_p (the induced p-norm, or a certified bound).
 
-    Exact at p in {1, 2, inf}; Riesz-Thorin interpolation against the
-    neighboring exact exponents otherwise (certified upper bound).
+    Exact at p in {1, 2, inf} and for one column at every p
+    (``column-norm``); Riesz-Thorin interpolation against the neighboring
+    exact exponents otherwise (certified upper bound).
     """
     p = normalize_p(p)
     if A.nnz == 0:
         return ConstantEstimate(0.0, True, "zero-matrix")
+    if A.shape[1] == 1:
+        # Ac = c a, so ||Ac||_p / |c| is ||a||_p for every c
+        return ConstantEstimate(vector_pnorm(A.csr().data, p), True, "column-norm")
     absA = abs(A.csr())
     col_sum = float((absA.T @ np.ones(A.shape[0])).max(initial=0.0))
     row_sum = float((absA @ np.ones(A.shape[1])).max(initial=0.0))

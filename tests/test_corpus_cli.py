@@ -628,6 +628,80 @@ def test_cli_validates_each_report_once(tmp_path, capsys, monkeypatch):
     assert calls == [1]
 
 
+SCHEMA_PATH = Path(reporting.__file__).resolve().parent / "schemas" / "report.schema.json"
+_DROP = object()
+
+
+def _envelope_case(name, **changes):
+    return pytest.param(changes, id=name)
+
+
+_ENVELOPE_CASES = [
+    _envelope_case("valid"),
+    *(_envelope_case(f"missing-{key}", **{key: _DROP})
+      for key in ("analysis", "version", "params", "seed", "entries", "verdicts", "meta")),
+    _envelope_case("extra-key", extra=1),
+    _envelope_case("analysis-foo", analysis="foo"),
+    _envelope_case("version-2", version=2),
+    _envelope_case("version-1.0", version=1.0),
+    _envelope_case("version-true", version=True),
+    _envelope_case("seed-none", seed=None),
+    _envelope_case("seed-7", seed=7),
+    _envelope_case("seed-2**60", seed=2**60),
+    _envelope_case("seed-1.0", seed=1.0),
+    _envelope_case("seed-true", seed=True),
+    _envelope_case("seed-str", seed="7"),
+    _envelope_case("params-list", params=[]),
+    _envelope_case("meta-null", meta=None),
+    _envelope_case("entries-object", entries={}),
+    _envelope_case("entries-of-number", entries=[1]),
+    _envelope_case("verdict-null", verdicts={"x": None}),
+    _envelope_case("verdict-list", verdicts={"x": []}),
+    _envelope_case("verdict-nan", verdicts={"x": float("nan")}),
+]
+
+
+@pytest.mark.parametrize("changes", _ENVELOPE_CASES)
+def test_validate_report_agrees_with_jsonschema(changes):
+    # validate_report checks the schema's rules without a schema engine;
+    # jsonschema's verdict on the published schema is the reference
+    import jsonschema
+
+    report = reporting.build_report(
+        "stab", {"p": [2.0]}, 3, [{"window": 8}],
+        {"2": "stabilized", "consistent": True, "n": 2, "rate": 0.5}, {"k": [1]})
+    for key, value in changes.items():
+        if value is _DROP:
+            del report[key]
+        else:
+            report[key] = value
+    schema = json.loads(SCHEMA_PATH.read_text())
+    if jsonschema.Draft7Validator(schema).is_valid(report):
+        validate_report(report)
+    else:
+        with pytest.raises(InvariantViolation, match="^report fails schema: "):
+            validate_report(report)
+
+
+def test_analysis_names_match_schema_and_cli():
+    enum = json.loads(SCHEMA_PATH.read_text())["properties"]["analysis"]["enum"]
+    assert list(reporting.ANALYSES) == enum == list(cli._ANALYSES)
+
+
+def test_cli_rejects_a_bad_envelope_before_writing(tmp_path, capsys, monkeypatch):
+    def with_extra_key(*args, **kwargs):
+        return {**reporting.build_report(*args, **kwargs), "extra": 1}
+
+    monkeypatch.setattr(cli, "build_report", with_extra_key)
+    seq = tmp_path / "seq.csv"
+    seq.write_text("1\n3\n1\n")
+    out = tmp_path / "conv.json"
+    assert cli.main(["conv", "--seq", str(seq), "--out", str(out)]) == 2
+    assert not out.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"].startswith("report fails schema: ")
+
+
 def test_stab_without_seed_is_byte_identical_across_interpreters(tmp_path):
     # p = 1.5 sends the tall interior windows to the multistart descent;
     # two fresh interpreters (own hash seeds, own numpy state) must agree

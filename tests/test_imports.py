@@ -49,6 +49,12 @@ def test_cold_import_defers_lp_and_fft_modules(module):
     assert not _loaded_by_cold_import(module)
 
 
+def test_cold_import_does_not_load_jsonschema():
+    # jsonschema (with referencing, rpds and attrs) cost 60-100 ms of every
+    # cold start; validate_report checks the closed envelope itself
+    assert not _loaded_by_cold_import("jsonschema")
+
+
 def _block_swapped_toeplitz131():
     """toeplitz (1, 3, 1) on 32 points with rows 0, 15 and rows 16, 31
     swapped: windows 16 and 32 are row permutations of nonsingular windows,
@@ -59,12 +65,12 @@ def _block_swapped_toeplitz131():
     return LocalizedMatrix(A.rows, A.cols, perm[A.i], A.j, A.values.copy())
 
 
-@pytest.mark.parametrize("analysis", ["stab", "equiv", "kernel"])
+@pytest.mark.parametrize("analysis", ["stab", "equiv", "synth", "kernel"])
 def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
     # a p = 2 ladder solves no LP, nor does a p = 1, inf ladder whose
     # windows are square and whose interiors are one column; the kernel
     # analysis at scale 5 takes the FFT branch of apply_discretized at its
-    # reference scale 8
+    # reference scale 8; no analysis needs a schema engine to write its report
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     if analysis == "stab":
         obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 16)
@@ -75,11 +81,17 @@ def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
         argv = ["equiv", "--matrix", str(path), "--p", "1,inf",
                 "--windows", "16,32"]
         unloaded = ["scipy.optimize"]
+    elif analysis == "synth":
+        obj = corpus.hat_family(16)
+        argv = ["synth", "--family", str(path), "--p", "1", "--n0", "3",
+                "--window", "8"]
+        unloaded = []
     else:
         obj = corpus.gaussian_kernel_op(0.1, 1.0)
         argv = ["kernel", "--kernel", str(path), "--p", "2", "--n", "5",
                 "--window", "16"]
         unloaded = ["scipy.optimize", "scipy.fft", "scipy.special"]
+    unloaded.append("jsonschema")
     path.write_bytes(dump_json_bytes(obj.to_json_dict()))
     code = ("import sys; from locop import cli; "
             f"rc = cli.main({argv + ['--out', str(out)]!r}); "

@@ -551,12 +551,8 @@ def test_one_column_window_is_its_column_norm(p, monkeypatch):
     est = lower_constant(A, p)
     assert est.certified and est.method == "column-norm"
     assert est.value == pytest.approx(vector_pnorm(A.dense()[:, 0], p), rel=1e-15)
-    # Ac = c a, so the lower constant is the norm, which the upper constant
-    # gives exactly at p in {1, 2, inf} and bounds in between
-    upper = upper_constant(A, p).value
-    assert est.value <= upper * (1.0 + 1e-12)
-    if p in (1.0, 2.0, math.inf):
-        assert est.value == pytest.approx(upper, rel=1e-12)
+    # Ac = c a, so both constants are the norm
+    assert upper_constant(A, p) == est
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
