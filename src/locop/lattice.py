@@ -3,14 +3,13 @@
 An :class:`IndexSet` is a finite list of distinct points inside an axis
 box, standing in for a window of a relatively-separated subset of R^d.
 The separation constant is the largest number of points any half-open
-unit cube can contain; cutoff operators multiply coefficient vectors by
-a plateau bump evaluated on the points.
+unit cube can contain; a cutoff operator is a plateau bump centred on
+the coarse grid, evaluated on points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -204,19 +203,8 @@ class CutoffOperator:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "scale", int(self.scale))
 
-    def weights(self) -> np.ndarray:
-        return cutoff_psi((self.target.points - self.center) / self.scale)
-
     def weights_on(self, points: np.ndarray) -> np.ndarray:
         return cutoff_psi((np.asarray(points, dtype=float) - self.center) / self.scale)
-
-
-def apply_cutoff(op: CutoffOperator, c: Sequence[float]) -> np.ndarray:
-    """Multiply coefficients by the cutoff weights (index-aligned)."""
-    arr = np.asarray(c, dtype=np.float64)
-    if arr.shape[0] != len(op.target):
-        raise ValueError(f"coefficient length {arr.shape[0]} != index size {len(op.target)}")
-    return op.weights() * arr
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvariantViolation
 from .lattice import IndexSet, CutoffOperator, separation_constant
@@ -124,9 +123,13 @@ class LocalizedMatrix:
     def dim(self) -> int:
         return self.rows.dim
 
-    def csr(self) -> sp.csr_matrix:
+    def csr(self):
+        """The entries as a ``scipy.sparse.csr_matrix``, imported at the
+        first call: nothing on the dense p = 2, norm or density paths needs
+        scipy."""
         m = self._cache.get("csr")
         if m is None:
+            import scipy.sparse as sp
             m = sp.csr_matrix((self.values, (self.i, self.j)), shape=self.shape)
             self._cache["csr"] = m
         return m
@@ -150,9 +153,18 @@ class LocalizedMatrix:
 
     def window_prefix(self, m_rows: int, m_cols: int) -> "LocalizedMatrix":
         """The leading m_rows x m_cols block, on the first points of each set."""
-        sub = self.csr()[:m_rows, :m_cols].tocoo()
+        keep = (self.i < m_rows) & (self.j < m_cols)
         return LocalizedMatrix(self.rows.prefix(m_rows), self.cols.prefix(m_cols),
-                               sub.row, sub.col, sub.data)
+                               self.i[keep], self.j[keep], self.values[keep])
+
+    def restrict_cols(self, idx: np.ndarray) -> "LocalizedMatrix":
+        """The columns ``idx`` (ascending), on those points of the column set."""
+        # column j is column pos[j] of the restriction, or dropped at -1
+        pos = np.full(len(self.cols), -1)
+        pos[idx] = np.arange(len(idx))
+        keep = pos[self.j] >= 0
+        return LocalizedMatrix(self.rows, self.cols.restrict(idx), self.i[keep],
+                               pos[self.j[keep]], self.values[keep])
 
     # -- serialization ---------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -229,15 +241,18 @@ def sjostrand_norm(A: LocalizedMatrix) -> float:
     return offset_profile(A).total()
 
 
+def abs_sums(A: LocalizedMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) sums of |a|.  Each sum adds its entries in stored
+    (row-major) order, as a CSR product with a ones vector does."""
+    absv = np.abs(A.values)
+    return (np.bincount(A.i, absv, minlength=A.shape[0]),
+            np.bincount(A.j, absv, minlength=A.shape[1]))
+
+
 def schur_norm(A: LocalizedMatrix) -> float:
     """max(max absolute row sum, max absolute column sum)."""
-    c = A.csr()
-    absA = abs(c)
-    ones_r = np.ones(A.shape[1])
-    ones_l = np.ones(A.shape[0])
-    row = float((absA @ ones_r).max(initial=0.0))
-    col = float((absA.T @ ones_l).max(initial=0.0))
-    return max(row, col)
+    row, col = abs_sums(A)
+    return max(float(row.max(initial=0.0)), float(col.max(initial=0.0)))
 
 
 def slant_norm(A: LocalizedMatrix, alpha: float, weight: Weight | None = None) -> float:

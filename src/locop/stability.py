@@ -19,6 +19,11 @@ Gram inverse (A^T A)^-1.  Upper constants are closed-form at p in {1, inf},
 spectral at p = 2, and interpolation bounds in between.  No path draws a
 random number.  Window ladders aggregate the per-window constants into
 stabilization / degeneration verdicts.
+
+Dense p = 2 windows are solved by numpy.linalg, and the closed-form sums
+and column restrictions read the matrix's COO arrays, so importing this
+module loads no scipy.  Each path that needs scipy (sparse LU, band
+eigensolves, the linear program, the descent) imports it where it calls it.
 """
 
 from __future__ import annotations
@@ -27,15 +32,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _accel
 from .errors import InvariantViolation, NumericalError
 from .lattice import IndexSet
-from .matalg import (ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, group_max,
-                     vector_pnorm)
+from .matalg import (ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, abs_sums,
+                     group_max, vector_pnorm)
 
 LP_MAX_COLS = 14
 DENSE_EIG_CUTOFF = 1200
@@ -81,7 +83,7 @@ def _singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
     Windows within DENSE_EIG_CUTOFF, and larger ones whose bands would cost
     more than a dense solve, are solved dense: a square window symmetric up
     to rounding by ``_symmetric_singular_extremes``, any other by
-    ``svdvals``.  The others take the extreme eigenvalues of a band
+    numpy's ``svd``.  The others take the extreme eigenvalues of a band
     (``_banded_singular_extremes``).  The pair is kept in ``A._cache`` next
     to ``"csr"`` and ``"band"``: the entry arrays of a LocalizedMatrix are
     write-protected, so it cannot go stale, and the lower and upper
@@ -100,7 +102,7 @@ def _singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
         if n == m:
             ext = _symmetric_singular_extremes(D)
         if ext is None:
-            svals = scipy.linalg.svdvals(D)
+            svals = np.linalg.svd(D, compute_uv=False)
             ext = float(svals[-1]), float(svals[0])
     A._cache["singular_extremes"] = ext
     return ext
@@ -139,14 +141,14 @@ def _symmetric_singular_extremes(D: np.ndarray) -> tuple[float, float] | None:
     only when asym, which bounds ||E||_2, is at most eps times a bound on
     ||D||_2.  By Weyl, |sigma_i(D) - sigma_i(S)| <= ||E||_2, and the
     singular values of S are |lambda|, so the pair is widened by asym (0
-    for an exactly symmetric D) and stays certified.  LAPACK reads the
-    F-ordered D^T in place and overwrites it, so no copy of D is made.
+    for an exactly symmetric D) and stays certified.  numpy copies D into
+    one Fortran-ordered work array for LAPACK, so the solve holds two
+    copies of the window.
     """
     asym, scale = _asymmetry_bounds(D)
     if asym > np.finfo(float).eps * scale:
         return None
-    lam = np.abs(scipy.linalg.eigvalsh(D.T, lower=False, overwrite_a=True,
-                                       check_finite=False))
+    lam = np.abs(np.linalg.eigvalsh(D, UPLO="L"))
     return max(float(lam.min()) - asym, 0.0), float(lam.max()) + asym
 
 
@@ -168,6 +170,7 @@ def _gram_bandwidth(csr) -> int:
 
 def _lower_band(mat) -> np.ndarray:
     """Lower-form banded storage ab[r - c, c] of a sparse symmetric matrix."""
+    import scipy.sparse as sp
     low = sp.tril(mat).tocoo()
     ab = np.zeros((int((low.row - low.col).max(initial=0)) + 1, mat.shape[0]))
     ab[low.row - low.col, low.col] = low.data
@@ -176,6 +179,7 @@ def _lower_band(mat) -> np.ndarray:
 
 def _band_eigenvalue(ab: np.ndarray, k: int) -> float:
     """The k-th smallest eigenvalue (from 0) of a lower-form symmetric band."""
+    import scipy.linalg
     return float(scipy.linalg.eigvals_banded(ab, lower=True, select="i",
                                              select_range=(k, k))[0])
 
@@ -200,6 +204,7 @@ def _banded_singular_extremes(csr) -> tuple[float, float] | None:
     smax = math.sqrt(max(lam_max, 0.0))
     if lam_min > 0.0 and m * np.finfo(float).eps * lam_max < GRAM_MAX_REL_ERR * lam_min:
         return math.sqrt(lam_min), smax
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import reverse_cuthill_mckee
     jw = sp.bmat([[None, csr], [csr.T, None]], format="csr")
     order = reverse_cuthill_mckee(jw, symmetric_mode=True)
@@ -210,6 +215,7 @@ def _banded_singular_extremes(csr) -> tuple[float, float] | None:
 
 
 def _min_singular_vector(A: LocalizedMatrix) -> np.ndarray:
+    import scipy.linalg
     n, m = A.shape
     if m <= DENSE_EIG_CUTOFF:
         G = (A.csr().T @ A.csr()).toarray()
@@ -227,6 +233,7 @@ def _min_singular_vector(A: LocalizedMatrix) -> np.ndarray:
 def _square_lu(mat):
     """Sparse LU factors of a square sparse matrix (a window or a Gram
     matrix), or None when it is singular."""
+    import scipy.sparse.linalg as spla
     mat = mat.tocsc()
     try:
         return spla.splu(mat)
@@ -372,6 +379,7 @@ def _left_inverse_lower(A: LocalizedMatrix, p: float) -> float:
     the bound, so a bad solve raises NumericalError instead of certifying.
     Y = 0 is feasible, so an unbounded LP means A has no left inverse: 0.
     """
+    import scipy.sparse as sp
     n, m = A.shape
     mn = m * n
     groups = n if p == 1.0 else m
@@ -482,7 +490,7 @@ def lower_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
         return ConstantEstimate(0.0, True, "zero-matrix")
     if m == 1:
         # Ac = c a, so ||Ac||_p / |c| is ||a||_p for every c
-        return ConstantEstimate(vector_pnorm(A.csr().data, p), True, "column-norm")
+        return ConstantEstimate(vector_pnorm(A.values, p), True, "column-norm")
     if p == 2.0:
         smin, _ = _singular_extremes(A)
         return ConstantEstimate(smin, True, "singular-value")
@@ -510,10 +518,10 @@ def upper_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
         return ConstantEstimate(0.0, True, "zero-matrix")
     if A.shape[1] == 1:
         # Ac = c a, so ||Ac||_p / |c| is ||a||_p for every c
-        return ConstantEstimate(vector_pnorm(A.csr().data, p), True, "column-norm")
-    absA = abs(A.csr())
-    col_sum = float((absA.T @ np.ones(A.shape[0])).max(initial=0.0))
-    row_sum = float((absA @ np.ones(A.shape[1])).max(initial=0.0))
+        return ConstantEstimate(vector_pnorm(A.values, p), True, "column-norm")
+    row_sums, col_sums = abs_sums(A)
+    col_sum = float(col_sums.max(initial=0.0))
+    row_sum = float(row_sums.max(initial=0.0))
     if p == 1.0:
         return ConstantEstimate(col_sum, True, "column-sums")
     if p == math.inf:
@@ -556,9 +564,7 @@ def lower_constant_interior(A: LocalizedMatrix, p) -> ConstantEstimate | None:
         value = _codim_one_lower(A, j, p)
         if value is not None:
             return ConstantEstimate(value, True, "codim-one")
-    sub = A.csr()[:, idx].tocoo()
-    inner = LocalizedMatrix(A.rows, A.cols.restrict(idx), sub.row, sub.col, sub.data)
-    return lower_constant(inner, p)
+    return lower_constant(A.restrict_cols(idx), p)
 
 
 # ----------------------------------------------------------------------

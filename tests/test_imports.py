@@ -29,6 +29,24 @@ def _loaded_by_cold_import(module: str) -> bool:
     return _run_cold(f"import sys, locop; print({module!r} in sys.modules)") == "True"
 
 
+def _cold_cli_loads(argv: list, packages: list) -> str:
+    """Exit code of a fresh ``cli.main(argv)`` and the modules it loaded
+    from each package (the package itself or any module under it)."""
+    return _run_cold(
+        "import sys; from locop import cli; "
+        f"rc = cli.main({argv!r}); "
+        f"print(rc, sorted(m for m in sys.modules for u in {packages!r} "
+        "if m == u or m.startswith(u + '.')))")
+
+
+def test_cold_import_loads_no_scipy():
+    # the dense p = 2 solves run on numpy.linalg and the sums and
+    # restrictions on the sorted COO arrays, so every scipy module loads
+    # where an algorithm that needs it is first called
+    code = "import sys, locop; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _run_cold(code) == "[]"
+
+
 def test_cold_import_does_not_load_scipy_signal():
     # scipy.signal pulls in scipy.stats and costs about 0.6 s of every cold
     # start; the one convolution that needs an FFT uses numpy.fft instead
@@ -65,17 +83,20 @@ def _block_swapped_toeplitz131():
     return LocalizedMatrix(A.rows, A.cols, perm[A.i], A.j, A.values.copy())
 
 
-@pytest.mark.parametrize("analysis", ["stab", "equiv", "synth", "kernel"])
+@pytest.mark.parametrize("analysis", ["stab", "equiv", "synth", "kernel", "equiv_p2",
+                                      "norms", "conv", "density"])
 def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
-    # a p = 2 ladder solves no LP, nor does a p = 1, inf ladder whose
-    # windows are square and whose interiors are one column; the kernel
+    # a p = 1, inf ladder whose windows are square and whose interiors are
+    # one column solves no LP; at p = 2 on windows within the dense cut-off
+    # (numpy's eigvalsh or svd), and in the norm, symbol and counting
+    # analyses, nothing needs scipy, so none of it loads; the kernel
     # analysis at scale 5 takes the FFT branch of apply_discretized at its
     # reference scale 8; no analysis needs a schema engine to write its report
     path, out = tmp_path / "in.json", tmp_path / "out.json"
+    obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 32)
+    unloaded = ["scipy"]
     if analysis == "stab":
-        obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 16)
         argv = ["stab", "--matrix", str(path), "--p", "2", "--windows", "8,16"]
-        unloaded = ["scipy.optimize"]
     elif analysis == "equiv":
         obj = _block_swapped_toeplitz131()
         argv = ["equiv", "--matrix", str(path), "--p", "1,inf",
@@ -86,21 +107,41 @@ def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
         argv = ["synth", "--family", str(path), "--p", "1", "--n0", "3",
                 "--window", "8"]
         unloaded = []
-    else:
+    elif analysis == "kernel":
         obj = corpus.gaussian_kernel_op(0.1, 1.0)
         argv = ["kernel", "--kernel", str(path), "--p", "2", "--n", "5",
                 "--window", "16"]
-        unloaded = ["scipy.optimize", "scipy.fft", "scipy.special"]
+    elif analysis == "equiv_p2":
+        argv = ["equiv", "--matrix", str(path), "--p", "2", "--windows", "8,16,32"]
+    elif analysis == "norms":
+        argv = ["norms", "--matrix", str(path), "--alpha", "1"]
+    elif analysis == "conv":
+        (tmp_path / "seq.csv").write_text("-1,1\n0,3\n1,1\n")
+        argv = ["conv", "--seq", str(tmp_path / "seq.csv")]
+    else:
+        obj = obj.rows
+        (tmp_path / "boxes.json").write_bytes(dump_json_bytes([[[0, 10]], [[5, 20]]]))
+        argv = ["density", "--rows", str(path), "--cols", str(path), "--r0", "1",
+                "--boxes", str(tmp_path / "boxes.json")]
     unloaded.append("jsonschema")
     path.write_bytes(dump_json_bytes(obj.to_json_dict()))
-    code = ("import sys; from locop import cli; "
-            f"rc = cli.main({argv + ['--out', str(out)]!r}); "
-            f"print(rc, [m for m in {unloaded!r} if m in sys.modules])")
-    assert _run_cold(code) == "0 []"
+    assert _cold_cli_loads(argv + ["--out", str(out)], unloaded) == "0 []"
     assert out.exists()
-    if analysis == "equiv":
+    if analysis.startswith("equiv"):
         entries = json.loads(out.read_text())["entries"]
-        assert {e["interior_method"] for e in entries} == {"column-norm"}
+        assert {e["interior_method"] for e in entries} == (
+            {"column-norm"} if analysis == "equiv" else {"singular-value"})
+
+
+def test_kernel_at_p1_loads_the_sparse_lu(tmp_path):
+    # positive control for the checks above: square windows at p = 1 take
+    # the exact inverse norm, which factors with scipy.sparse.linalg.splu
+    path = tmp_path / "k.json"
+    path.write_bytes(dump_json_bytes(corpus.gaussian_kernel_op(0.1, 1.0).to_json_dict()))
+    argv = ["kernel", "--kernel", str(path), "--p", "1", "--n", "5", "--window", "16",
+            "--out", str(tmp_path / "out.json")]
+    assert _cold_cli_loads(argv, ["scipy.sparse.linalg"]).startswith(
+        "0 ['scipy.sparse.linalg'")
 
 
 def test_left_inverse_lp_loads_the_solver_at_first_call():

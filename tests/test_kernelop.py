@@ -349,7 +349,7 @@ def test_gaussian_perturbation_stays_near_identity(gaussian_op):
 def test_perturbed_identity_at_p2_takes_no_svd(gaussian_op, count_calls):
     # I + 2^-n A_n of an even kernel is symmetric up to rounding, so each
     # window's p = 2 constants come from one symmetric eigensolve
-    svd_calls, eig_calls = count_calls("svdvals"), count_calls("eigvalsh")
+    svd_calls, eig_calls = count_calls("svd"), count_calls("eigvalsh")
     rep = perturbed_identity_stability(gaussian_op, 2.0, [2, 3], [16.0])
     assert svd_calls == []
     assert len(eig_calls) == len(rep.entries) == 2

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locop.lattice import (CutoffOperator, IndexSet, apply_cutoff,
-                           cutoff_partition_check, cutoff_psi,
-                           separation_constant)
+from locop.lattice import (CutoffOperator, IndexSet, cutoff_partition_check,
+                           cutoff_psi, separation_constant)
 
 
 def test_integer_range_basics():
@@ -77,16 +76,14 @@ def test_cutoff_psi_shape():
     assert cutoff_psi(np.array([0.0, 1.25])) == 0.75
 
 
-def test_cutoff_operator_weights_and_apply():
+def test_cutoff_operator_weights():
     s = IndexSet.integer_range(0, 9)
     op = CutoffOperator(center=[4.0], scale=2, target=s)
-    w = op.weights()
+    w = op.weights_on(s.points)
     assert w[4] == 1.0          # at the center
     assert w[6] == 1.0          # edge of the plateau |x-4|/2 = 1
     assert w[7] == 0.5          # on the ramp
     assert w[9] == 0.0          # outside the support
-    out = apply_cutoff(op, np.ones(10))
-    assert np.array_equal(out, w)
 
 
 def test_cutoff_center_must_sit_on_coarse_grid():
@@ -95,13 +92,6 @@ def test_cutoff_center_must_sit_on_coarse_grid():
         CutoffOperator(center=[3.0], scale=2, target=s)
     with pytest.raises(ValueError, match="scale"):
         CutoffOperator(center=[4.0], scale=0, target=s)
-
-
-def test_apply_cutoff_length_mismatch():
-    s = IndexSet.integer_range(0, 9)
-    op = CutoffOperator(center=[4.0], scale=2, target=s)
-    with pytest.raises(ValueError, match="length"):
-        apply_cutoff(op, np.ones(9))
 
 
 @settings(deadline=None, max_examples=40)

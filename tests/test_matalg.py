@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from locop import corpus
 from locop.errors import InvariantViolation
 from locop.lattice import CutoffOperator, IndexSet
-from locop.matalg import (LocalizedMatrix, Weight, apply,
+from locop.matalg import (LocalizedMatrix, Weight, abs_sums, apply,
                           commutator_with_cutoff, group_max, offset_profile,
                           schur_norm, sjostrand_norm, slant_norm, truncate,
                           truncation_tail, vector_pnorm)
+from locop.stability import lower_constant, upper_constant
 
 
 def small(sequence=(1, 3, 1), window=8):
@@ -77,6 +78,79 @@ def test_window_prefix_is_leading_block():
     B = A.window_prefix(6, 6)
     assert B.shape == (6, 6)
     assert np.array_equal(B.dense(), A.dense()[:6, :6])
+
+
+# ----------------------------------------------------------------------
+# the COO forms against the CSR forms they replace, bit for bit
+
+
+@st.composite
+def scattered_matrices(draw):
+    """A LocalizedMatrix between 1-D or 2-D index sets of up to 12 points
+    stored in random order, with at least one empty row and one empty
+    column and magnitudes spread over six decades."""
+    dim, n, m = draw(st.integers(1, 2)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+
+    def index_set(k):
+        flat = rng.choice(16, size=k, replace=False)
+        pts = np.stack(np.unravel_index(flat, (4, 4)) if dim == 2 else (flat,), axis=1)
+        return IndexSet(dim, pts.astype(float), [[0.0, 16.0 / 4 ** (dim - 1)]] * dim)
+
+    mask = rng.random((n, m)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    mask[rng.integers(n)] = False
+    mask[:, rng.integers(m)] = False
+    i, j = np.nonzero(mask)
+    values = rng.standard_normal(i.size) * 10.0 ** rng.integers(-3, 3, i.size)
+    return LocalizedMatrix(index_set(n), index_set(m), rng.permutation(n)[i], j, values)
+
+
+def _same_entries(A, B):
+    return (A.rows == B.rows and A.cols == B.cols
+            and all(a.tobytes() == b.tobytes()
+                    for a, b in ((A.i, B.i), (A.j, B.j), (A.values, B.values))))
+
+
+@settings(deadline=None, max_examples=80)
+@given(scattered_matrices())
+def test_abs_sums_equal_the_csr_products(A):
+    absA = abs(A.csr())
+    row, col = abs_sums(A)
+    assert row.tobytes() == (absA @ np.ones(A.shape[1])).tobytes()
+    assert col.tobytes() == (absA.T @ np.ones(A.shape[0])).tobytes()
+    assert schur_norm(A) == max(row.max(), col.max())
+    if A.nnz and A.shape[1] > 1:
+        assert upper_constant(A, 1).value == col.max()
+        assert upper_constant(A, math.inf).value == row.max()
+
+
+@settings(deadline=None, max_examples=80)
+@given(scattered_matrices(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_window_prefix_equals_the_csr_slice(A, fr, fc):
+    r, c = round(fr * A.shape[0]), round(fc * A.shape[1])
+    sub = A.csr()[:r, :c].tocoo()
+    ref = LocalizedMatrix(A.rows.prefix(r), A.cols.prefix(c), sub.row, sub.col, sub.data)
+    assert _same_entries(A.window_prefix(r, c), ref)
+
+
+@settings(deadline=None, max_examples=80)
+@given(scattered_matrices(), st.integers(0, 2 ** 31 - 1))
+def test_column_restriction_equals_the_csr_slice(A, seed):
+    keep = np.random.default_rng(seed).random(A.shape[1]) < 0.5
+    idx = np.flatnonzero(keep)
+    sub = A.csr()[:, idx].tocoo()
+    ref = LocalizedMatrix(A.rows, A.cols.restrict(idx), sub.row, sub.col, sub.data)
+    assert _same_entries(A.restrict_cols(idx), ref)
+
+
+@settings(deadline=None, max_examples=80)
+@given(scattered_matrices(), st.sampled_from([1.0, 1.5, 2.0, math.inf]))
+def test_column_norm_reads_the_csr_data(A, p):
+    for k in range(A.shape[1]):
+        a = A.restrict_cols(np.array([k]))
+        if a.nnz:
+            ref = vector_pnorm(a.csr().data, p)
+            assert lower_constant(a, p).value == upper_constant(a, p).value == ref
 
 
 # ----------------------------------------------------------------------
