@@ -371,9 +371,11 @@ def _cell_range(window, n: int) -> tuple[int, int]:
 def _window_entries(op: KernelOperator, n: int, window):
     """Index set and (i, j, value) arrays of A_n on a window's dyadic grid.
 
-    Every diagonal entry is listed, zero or not, so the perturbed
-    identity can add 1 in place; LocalizedMatrix drops the entries below
-    its tolerance.
+    The entries come in row-major order, so LocalizedMatrix keeps them
+    without a sort; a convolution rule's value at (i, j) is the offset
+    table's entry i - j.  Every diagonal entry is listed, zero or not, so
+    the perturbed identity can add 1 in place; LocalizedMatrix drops the
+    entries below its tolerance.
     """
     k_lo, k_hi = _cell_range(window, n)
     ncells = k_hi - k_lo
@@ -382,13 +384,14 @@ def _window_entries(op: KernelOperator, n: int, window):
         table = _offset_table(op, n)
         mid = table.size // 2
         kmax = min(mid, ncells - 1)
-        ks = np.arange(-kmax, kmax + 1)
-        # diagonal k holds the rows max(0, k) .. max(0, k) + lengths - 1
-        lengths = ncells - np.abs(ks)
+        # row r holds the columns max(0, r - kmax) .. min(ncells, r + kmax + 1) - 1
+        r = np.arange(ncells)
+        start = np.maximum(r - kmax, 0)
+        lengths = np.minimum(r + kmax + 1, ncells) - start
         first = np.cumsum(lengths) - lengths
-        ii = np.arange(lengths.sum()) - np.repeat(first - np.maximum(ks, 0), lengths)
-        jj = ii - np.repeat(ks, lengths)
-        vv = np.repeat(table[mid - kmax:mid + kmax + 1], lengths)
+        ii = np.repeat(r, lengths)
+        jj = np.arange(lengths.sum()) - np.repeat(first - start, lengths)
+        vv = table[mid + ii - jj]
     else:
         edges = (k_lo + np.arange(ncells + 1)) * 2.0 ** (-n)
         dense = np.zeros((ncells, ncells))

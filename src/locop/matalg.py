@@ -73,6 +73,13 @@ def _index_array(idx, axis: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _row_major(i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the entries (i, j) are strictly increasing in (row, column).
+    Row and column are compared apart: a key i * ncols + j could overflow."""
+    di = np.diff(i)
+    return bool(((di > 0) | ((di == 0) & (np.diff(j) > 0))).all())
+
+
 class LocalizedMatrix:
     """Sparse matrix between two index sets with cached localization data."""
 
@@ -94,9 +101,12 @@ class LocalizedMatrix:
             raise InvariantViolation(f"non-finite entry {float(v[t])!r} at ({i[t]}, {j[t]})")
         keep = np.abs(v) >= ENTRY_DROP_TOL
         i, j, v = i[keep], j[keep], v[keep]
-        order = np.lexsort((j, i))
-        i, j, v = i[order], j[order], v[order]
-        if i.size > 1:
+        # entries strictly increasing in (row, column), as the assemblers
+        # emit them, are already in order and hold no duplicate; anything
+        # else is sorted and scanned for duplicates
+        if not _row_major(i, j):
+            order = np.lexsort((j, i))
+            i, j, v = i[order], j[order], v[order]
             dup = (np.diff(i) == 0) & (np.diff(j) == 0)
             if dup.any():
                 t = int(np.flatnonzero(dup)[0])

@@ -1,12 +1,13 @@
 """Stability-constant estimation on finite windows.
 
 Lower constants (inf ||Ac||_p / ||c||_p) come from sigma_min at p = 2 (a
-dense SVD, or one dense symmetric eigensolve widened by Weyl's bound when a
-square window is symmetric up to rounding, or on large localized windows a
-banded eigensolve of A^T A, or of [[0, A], [A^T, 0]] when A is
-ill-conditioned), from the exact inverse norm 1 / ||A^-1||_p on square
-windows at p in {1, inf}, and from Riesz-Thorin interpolation of those on
-square windows in between.  A square
+dense SVD, or a dense symmetric eigensolve widened by Weyl's bound when a
+square window is symmetric up to rounding, split into two half-size solves
+when the window is also centrosymmetric, as Toeplitz windows are; or on
+large localized windows a banded eigensolve of A^T A, or of
+[[0, A], [A^T, 0]] when A is ill-conditioned), from the exact inverse norm
+1 / ||A^-1||_p on square windows at p in {1, inf}, and from Riesz-Thorin
+interpolation of those on square windows in between.  A square
 window without one column (the interior of a ladder window) has an exact
 constant at p in {1, inf} in closed form from the window's own inverse.
 A one-column window has the exact constant ||a||_p at every p.  Tall
@@ -108,48 +109,83 @@ def _singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
     return ext
 
 
-def _asymmetry_bounds(D: np.ndarray) -> tuple[float, float]:
-    """(asym, scale) of a square D, read in blocks of rows so that no
-    second n x n array is held.
+def _asymmetry_bounds(D: np.ndarray) -> tuple[float, float, bool]:
+    """(asym, scale, centro) of a square D, read in blocks of rows so that
+    no second n x n array is held.
 
     asym = sqrt(||E||_1 ||E||_inf) bounds ||E||_2 for E the strict upper
     triangle of D - D^T, and scale = sqrt(||D||_1 ||D||_inf) bounds ||D||_2.
+    centro says whether n is even and the symmetric S with D's lower
+    triangle equals J S J (J the reversal), that is D[i, j] ==
+    D[n-1-j, n-1-i] for every i >= j, as every Toeplitz window does.
     """
     n = D.shape[0]
     e_rows, e_cols, d_rows, d_cols = np.zeros((4, n))
     buf = np.empty((min(n, INVERSE_BLOCK_COLS), n))
+    flip = D[::-1, ::-1].T  # flip[i, j] = D[n-1-j, n-1-i]
+    centro = n % 2 == 0
     for lo in range(0, n, INVERSE_BLOCK_COLS):
         rows = D[lo:lo + INVERSE_BLOCK_COLS]
         hi = lo + len(rows)
         blk = np.abs(rows, out=buf[:len(rows)])
         d_rows[lo:hi] = blk.sum(axis=1)
         d_cols += blk.sum(axis=0)
+        lower = np.tri(*blk.shape, lo, dtype=bool)  # column <= row
+        if centro:
+            centro = not (np.not_equal(rows, flip[lo:hi]) & lower).any()
         np.subtract(rows, D[:, lo:hi].T, out=blk)
-        blk[np.tri(*blk.shape, lo, dtype=bool)] = 0.0  # keep column > row
+        blk[lower] = 0.0  # keep column > row
         np.abs(blk, out=blk)
         e_rows[lo:hi] = blk.sum(axis=1)
         e_cols += blk.sum(axis=0)
     return (math.sqrt(e_cols.max() * e_rows.max()),
-            math.sqrt(d_cols.max() * d_rows.max()))
+            math.sqrt(d_cols.max() * d_rows.max()), centro)
 
 
 def _symmetric_singular_extremes(D: np.ndarray) -> tuple[float, float] | None:
-    """(sigma_min, sigma_max) of a square D from one eigenvalue solve of its
+    """(sigma_min, sigma_max) of a square D from eigenvalue solves of its
     lower triangle S, or None when D is not symmetric to rounding level.
 
     D = S + E with E the strict upper triangle of D - D^T.  The solve runs
     only when asym, which bounds ||E||_2, is at most eps times a bound on
     ||D||_2.  By Weyl, |sigma_i(D) - sigma_i(S)| <= ||E||_2, and the
     singular values of S are |lambda|, so the pair is widened by asym (0
-    for an exactly symmetric D) and stays certified.  numpy copies D into
-    one Fortran-ordered work array for LAPACK, so the solve holds two
-    copies of the window.
+    for an exactly symmetric D) and stays certified.  numpy copies its
+    argument into one Fortran-ordered work array for LAPACK.
+
+    A centrosymmetric S (n = 2h and J S J = S, see ``_asymmetry_bounds``)
+    is orthogonally similar, by Q = [[I, I], [J, -J]] / sqrt(2), to the
+    direct sum of B+- = S11 +- S12 J, so its eigenvalues are those of two
+    h x h solves at a quarter of the cost each.  In D's terms B+-[i, j] =
+    D[i, j] +- D[n-1-j, i] for i >= j.  Each entry of B+- is rounded once,
+    by at most eps/2 |B+-[i, j]|, so fl(B+-) - B+- has 2-norm at most eps/2
+    times the largest absolute row sum of the symmetric B+-; the widening
+    adds eps times that sum, which also covers the rounding of the sum.
+    The split holds D, one h x h matrix, its absolute values and the work
+    copy; any other S takes one n x n solve, which holds two copies of the
+    window.
     """
-    asym, scale = _asymmetry_bounds(D)
-    if asym > np.finfo(float).eps * scale:
+    asym, scale, centro = _asymmetry_bounds(D)
+    eps = float(np.finfo(float).eps)
+    if asym > eps * scale:
         return None
-    lam = np.abs(np.linalg.eigvalsh(D, UPLO="L"))
-    return max(float(lam.min()) - asym, 0.0), float(lam.max()) + asym
+    if not centro:
+        lam = np.abs(np.linalg.eigvalsh(D, UPLO="L"))
+        return max(float(lam.min()) - asym, 0.0), float(lam.max()) + asym
+    h = D.shape[0] // 2
+    top, bottom = D[:h, :h], D[::-1, :h][:h].T  # bottom[i, j] = D[n-1-j, i]
+    lower = np.tri(h, dtype=bool)
+    mags = np.empty((h, h))
+    lo, hi, row_sum = math.inf, 0.0, 0.0
+    for combine in (np.add, np.subtract):
+        B = combine(top, bottom)  # its upper triangle is not read
+        np.multiply(np.abs(B, out=mags), lower, out=mags)
+        row_sum = max(row_sum, float((mags.sum(axis=1) + mags.sum(axis=0)
+                                      - mags.diagonal()).max()))
+        lam = np.abs(np.linalg.eigvalsh(B, UPLO="L"))
+        lo, hi = min(lo, float(lam.min())), max(hi, float(lam.max()))
+    widen = asym + eps * row_sum
+    return max(lo - widen, 0.0), hi + widen
 
 
 def _dense_svd_cheaper(n: int, m: int, size: int, bw: int, calls: int) -> bool:

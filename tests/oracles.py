@@ -4,7 +4,8 @@ These are the one-interval, one-point forms that the array code in
 ``locop.profiles`` and the masked loops in ``locop.synthesis`` replaced.
 They evaluate each interval or probe point on its own, so the array code
 is checked against an independent, obviously-correct loop.  The perturbed
-identity is checked against a sparse matrix sum, the descent against its
+identity is checked against a sparse matrix sum, the row-major window
+assembly against the diagonal-order one it replaced, the descent against its
 earlier form with one norm formula and one subgradient per exponent, and
 the left-inverse LP, which solves the dual, against the primal over L.
 """
@@ -134,6 +135,26 @@ def identity_plus(A, scale: float):
     m = sp.eye(A.shape[0], format="csr") + scale * A.csr()
     coo = m.tocoo()
     return LocalizedMatrix(A.rows, A.cols, coo.row, coo.col, coo.data)
+
+
+def window_entries_by_diagonal(op, n: int, window):
+    """(i, j, value) arrays of a convolution rule's A_n listed diagonal
+    after diagonal, from offset -kmax up, each diagonal in row order: the
+    order in which ``kernelop._window_entries`` once emitted them, before
+    it switched to row-major order."""
+    from locop.kernelop import _cell_range, _offset_table
+    k_lo, k_hi = _cell_range(window, n)
+    ncells = k_hi - k_lo
+    table = _offset_table(op, n)
+    mid = table.size // 2
+    kmax = min(mid, ncells - 1)
+    ii, jj, vv = [], [], []
+    for k in range(-kmax, kmax + 1):
+        rows = np.arange(max(0, k), min(ncells, ncells + k))
+        ii.append(rows)
+        jj.append(rows - k)
+        vv.append(np.full(rows.size, table[mid + k]))
+    return np.concatenate(ii), np.concatenate(jj), np.concatenate(vv)
 
 
 def _pnorm_rows(Y: np.ndarray, p: float) -> np.ndarray:

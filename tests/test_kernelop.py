@@ -347,12 +347,14 @@ def test_gaussian_perturbation_stays_near_identity(gaussian_op):
 
 
 def test_perturbed_identity_at_p2_takes_no_svd(gaussian_op, count_calls):
-    # I + 2^-n A_n of an even kernel is symmetric up to rounding, so each
-    # window's p = 2 constants come from one symmetric eigensolve
+    # I + 2^-n A_n of an even kernel is symmetric up to rounding, and its
+    # lower triangle is Toeplitz, so centrosymmetric: each window's p = 2
+    # constants come from two half-size symmetric eigensolves
     svd_calls, eig_calls = count_calls("svd"), count_calls("eigvalsh")
     rep = perturbed_identity_stability(gaussian_op, 2.0, [2, 3], [16.0])
     assert svd_calls == []
-    assert len(eig_calls) == len(rep.entries) == 2
+    assert len(rep.entries) == 2
+    assert eig_calls == [(32, 32), (32, 32), (64, 64), (64, 64)]
 
 
 def test_perturbed_identity_needs_room_for_probes(gaussian_op):
@@ -397,6 +399,28 @@ def test_perturbed_identity_matches_sparse_sum(gaussian_op, monkeypatch, case,
         assert M.rows == want.rows and M.cols == want.cols
         assert np.array_equal(M.i, want.i) and np.array_equal(M.j, want.j)
         assert np.array_equal(M.values, want.values)
+
+
+@pytest.mark.parametrize("case,n,window", [("gaussian", 3, 16.0), ("gaussian", 2, 3.0),
+                                           ("reflected", 4, 8.0), ("hat", 3, 5.0),
+                                           ("hat", 1, 1.0)])
+def test_window_entries_come_in_row_order(gaussian_op, case, n, window):
+    # the row-major assembly is strictly increasing in (row, column), so
+    # LocalizedMatrix keeps it unsorted, and it builds the matrix of the
+    # diagonal-order assembly it replaced bit for bit
+    op = {"gaussian": gaussian_op, "reflected": gaussian_op.transpose(),
+          "hat": KernelOperator(ConvolutionRule(hat()), GaussianProfile(3.0, 2.0),
+                                1.0, 50.0)}[case]
+    index, ii, jj, vv = kernelop._window_entries(op, n, (0.0, window))
+    di, dj = np.diff(ii), np.diff(jj)
+    assert ((di > 0) | ((di == 0) & (dj > 0))).all()
+    assert (ii == jj).sum() == len(index)  # every diagonal entry is listed
+    new = LocalizedMatrix(index, index, ii, jj, vv)
+    old = LocalizedMatrix(index, index,
+                          *oracles.window_entries_by_diagonal(op, n, (0.0, window)))
+    assert new.i.tobytes() == old.i.tobytes()
+    assert new.j.tobytes() == old.j.tobytes()
+    assert new.values.tobytes() == old.values.tobytes()
 
 
 def test_perturbed_identity_builds_one_table_per_scale(gaussian_op, monkeypatch):

@@ -44,6 +44,13 @@ def test_duplicate_entries_rejected():
         LocalizedMatrix(s, s, [0, 0], [1, 1], [1.0, 2.0])
 
 
+def test_sorted_entries_with_a_duplicate_are_rejected():
+    # non-decreasing but not strictly increasing: the sort is not skipped
+    s = IndexSet.integer_range(0, 3)
+    with pytest.raises(ValueError, match=r"duplicate entry at \(1, 2\)"):
+        LocalizedMatrix(s, s, [0, 1, 1, 2], [0, 2, 2, 1], [1.0, 2.0, 3.0, 4.0])
+
+
 def test_json_round_trip(t131_64):
     again = LocalizedMatrix.from_json_dict(t131_64.to_json_dict())
     assert np.array_equal(again.dense(), t131_64.dense())
@@ -122,6 +129,16 @@ def test_abs_sums_equal_the_csr_products(A):
     if A.nnz and A.shape[1] > 1:
         assert upper_constant(A, 1).value == col.max()
         assert upper_constant(A, math.inf).value == row.max()
+
+
+@settings(deadline=None, max_examples=80)
+@given(scattered_matrices(), st.integers(0, 2 ** 31 - 1))
+def test_shuffled_and_sorted_entries_build_the_same_matrix(A, seed):
+    # sorted entries skip the sort; a shuffled copy is sorted into them
+    perm = np.random.default_rng(seed).permutation(A.nnz)
+    shuffled = LocalizedMatrix(A.rows, A.cols, A.i[perm], A.j[perm], A.values[perm])
+    in_order = LocalizedMatrix(A.rows, A.cols, A.i, A.j, A.values)
+    assert _same_entries(shuffled, in_order) and _same_entries(in_order, A)
 
 
 @settings(deadline=None, max_examples=80)

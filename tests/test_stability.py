@@ -157,19 +157,20 @@ def test_p2_constants_match_eigenvalue_formula():
 
 
 def test_p2_lower_and_upper_share_one_svd(count_calls):
-    # a symmetric window: one eigvalsh serves both constants, and no SVD runs
+    # a symmetric Toeplitz window: one pair of half-size eigvalsh serves
+    # both constants, and no SVD runs
     svdvals = scipy.linalg.svdvals
     eig_calls, svd_calls = count_calls("eigvalsh"), count_calls("svd")
     A = toeplitz([1, 3, 1], 40)
     lo = lower_constant(A, 2.0)
     hi = upper_constant(A, 2.0)
-    assert eig_calls == [(40, 40)] and svd_calls == []
+    assert eig_calls == [(20, 20), (20, 20)] and svd_calls == []
     s = svdvals(A.dense())
     assert lo.value == pytest.approx(s[-1], rel=1e-14)
     assert hi.value == pytest.approx(s[0], rel=1e-14)
     # a second matrix with the same entries gets its own solve
     upper_constant(toeplitz([1, 3, 1], 40), 2.0)
-    assert len(eig_calls) == 2
+    assert len(eig_calls) == 4
 
 
 def test_p2_iterative_path_matches_dense_oracle():
@@ -253,7 +254,7 @@ def _with_asymmetry(ulps):
                                _with_asymmetry(6)],
                          ids=["row-permuted", "just-above-the-gate"])
 def test_asymmetric_square_window_takes_svdvals(A, count_calls):
-    asym, scale = stability._asymmetry_bounds(A.dense())
+    asym, scale, _ = stability._asymmetry_bounds(A.dense())
     assert asym > np.finfo(float).eps * scale
     svals = scipy.linalg.svdvals(A.dense())
     eig_calls = count_calls("eigvalsh")
@@ -262,27 +263,33 @@ def test_asymmetric_square_window_takes_svdvals(A, count_calls):
 
 
 def test_asymmetry_below_the_gate_is_widened_by_its_bound(count_calls):
+    # the raised entry sits in the upper triangle, so the lower triangle S
+    # is still Toeplitz and takes the centrosymmetric split
     A = _with_asymmetry(4)
-    asym, scale = stability._asymmetry_bounds(A.dense())
+    asym, scale, centro = stability._asymmetry_bounds(A.dense())
     assert 0.0 < asym == 4 * np.finfo(float).eps <= np.finfo(float).eps * scale
+    assert centro
     svals = scipy.linalg.svdvals(A.dense())
     eig_calls = count_calls("eigvalsh")
     smin, smax = _singular_extremes(A)
-    assert eig_calls == [(40, 40)]
+    assert eig_calls == [(20, 20), (20, 20)]
     assert smin <= svals[-1] and smax >= svals[0]
     assert smin == pytest.approx(svals[-1], rel=1e-14)
     assert smax == pytest.approx(svals[0], rel=1e-14)
 
 
-def test_symmetric_solve_holds_two_copies_of_the_window():
-    # the dense window plus the one work copy that numpy.linalg.eigvalsh
-    # hands to LAPACK; a symmetrized temporary would be a third.  numpy
-    # allocates that copy outside tracemalloc's view, so the peak is the
-    # resident-set high-water mark of a fresh interpreter, after a small
-    # solve has loaded LAPACK.  It is read as VmHWM: Linux carries the
-    # parent's peak across exec into getrusage's ru_maxrss, which then
-    # reads no growth under a large test process.
-    n = 1150
+@pytest.mark.parametrize("n,copies", [(1151, 2.25), (1150, 2.0)],
+                         ids=["full-solve", "centrosymmetric-split"])
+def test_symmetric_solve_holds_two_copies_of_the_window(n, copies):
+    # odd n: the dense window plus the one work copy that
+    # numpy.linalg.eigvalsh hands to LAPACK; a symmetrized temporary would
+    # be a third.  Even n splits: the window plus one half-size matrix, its
+    # absolute values and its work copy.  numpy allocates the work copy
+    # outside tracemalloc's view, so the peak is the resident-set
+    # high-water mark of a fresh interpreter, after a small solve has
+    # loaded LAPACK.  It is read as VmHWM: Linux carries the parent's peak
+    # across exec into getrusage's ru_maxrss, which then reads no growth
+    # under a large test process.
     code = ("from locop import corpus; "
             "from locop.stability import _singular_extremes as ext; "
             "hwm = lambda: int(open('/proc/self/status').read()"
@@ -296,7 +303,67 @@ def test_symmetric_solve_holds_two_copies_of_the_window():
     grown = int(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                capture_output=True, text=True).stdout)
     # any dense solve holds one copy, so a reading below it measured nothing
-    assert 8 * n * n <= grown <= 2.25 * 8 * n * n
+    assert 8 * n * n <= grown <= copies * 8 * n * n
+
+
+def test_odd_or_not_centrosymmetric_window_takes_one_full_solve(count_calls):
+    # odd n has no half-size split, and a symmetric window whose lower
+    # triangle is not persymmetric (one diagonal entry raised) is not
+    # centrosymmetric: both take one n x n eigvalsh
+    even = toeplitz([1, 3, 1], 40)
+    v = np.where((even.i == 0) & (even.j == 0), 4.0, even.values)
+    windows = [toeplitz([1, 3, 1], 41), LocalizedMatrix(even.rows, even.cols,
+                                                        even.i, even.j, v)]
+    eig_calls = count_calls("eigvalsh")
+    for A in windows:
+        asym, _, centro = stability._asymmetry_bounds(A.dense())
+        assert asym == 0.0 and not centro
+        svals = scipy.linalg.svdvals(A.dense())
+        smin, smax = _singular_extremes(A)
+        assert smin == pytest.approx(svals[-1], rel=1e-14)
+        assert smax == pytest.approx(svals[0], rel=1e-14)
+    assert eig_calls == [(41, 41), (40, 40)]
+
+
+@st.composite
+def centrosymmetric_matrices(draw):
+    """Symmetric S = J S J of even order: a Gaussian one, or the exactly
+    singular integer V V^T with J V = V and fewer columns than rows."""
+    h = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    if draw(st.booleans()):
+        X = rng.standard_normal((2 * h, 2 * h))
+        S = X + X.T
+        return S + S[::-1, ::-1]
+    V = rng.integers(-3, 4, (h, draw(st.integers(1, 2 * h - 1)))).astype(float)
+    V = np.vstack([V, V[::-1]])
+    return V @ V.T
+
+
+@settings(deadline=None, max_examples=60)
+@given(centrosymmetric_matrices())
+def test_centrosymmetric_split_agrees_with_svdvals(S):
+    assert np.array_equal(S, S.T) and np.array_equal(S, S[::-1, ::-1])
+    assert stability._asymmetry_bounds(S)[2]
+    svals = scipy.linalg.svdvals(S)
+    smin, smax = stability._symmetric_singular_extremes(S)
+    assert 0.0 <= smin <= smax
+    assert abs(smin - svals[-1]) <= 1e-13 * svals[0]
+    assert abs(smax - svals[0]) <= 1e-13 * svals[0]
+
+
+@pytest.mark.parametrize("c", [2, 3])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_p2_lower_constant_of_toeplitz_stays_below_the_closed_form(c, n):
+    # sigma_min of (1, c, 1) on n points is c - 2 cos(pi / (n + 1)); the
+    # widened split must not report more, at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = c - 2 * mpmath.cos(mpmath.pi / (n + 1))
+        lo = lower_constant(toeplitz([1, c, 1], n), 2.0)
+        assert lo.certified and lo.method == "singular-value"
+        assert mpmath.mpf(lo.value) <= exact
+        assert lo.value >= (1 - 1e-12) * float(exact)
 
 
 def test_ill_conditioned_window_keeps_sigma_min_digits():
