@@ -38,6 +38,7 @@ from .stability import (
     InverseDecayResult,
     StabilityReport,
     SymbolCertificate,
+    WindowEntry,
     convolution_stability,
     density_check,
     equivalence_report,

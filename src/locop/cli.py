@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import corpus
@@ -144,7 +144,7 @@ def _run_ladder(params: dict, analysis: str):
     if analysis == "equiv":
         verdicts["consistent"] = eq.consistent
         meta = {"counterexample_candidates": eq.counterexample_candidates}
-    entries = [{"p": p_label(p), **e.__dict__}
+    entries = [{"p": p_label(p), **vars(e)}
                for p in sorted(eq.per_p) for e in eq.per_p[p].entries]
     norm_params = {"matrix": str(params["matrix"]),
                    "p": [p_label(p) for p in ps], "windows": windows}
@@ -157,14 +157,9 @@ def _run_conv(params: dict):
     offsets, values = _read_sequence_csv(params["seq"])
     grid = integer_field(params.get("grid", SYMBOL_GRID), "grid")
     cert = convolution_stability(offsets, values, grid_size=grid)
-    entry = {"grid_size": cert.grid_size, "grid_min": cert.grid_min,
-             "argmin": cert.argmin, "lipschitz_bound": cert.lipschitz_bound,
-             "certified_min_interval": list(cert.certified_min_interval),
-             "sign_change": cert.sign_change, "real_symbol": cert.real_symbol,
-             "verdict": cert.verdict}
     norm_params = {"seq": str(params["seq"]), "grid": grid,
                    "offsets": offsets, "values": values}
-    report = build_report("conv", norm_params, None, [entry],
+    report = build_report("conv", norm_params, None, [dict(vars(cert))],
                           {"stability": cert.verdict})
     return report, None, None
 
@@ -173,9 +168,7 @@ def _run_invdecay(params: dict):
     A = _load_matrix(params["matrix"])
     margin = float(params["margin"])
     res = inverse_decay_profile(A, margin)
-    entry = {"rate": res.rate, "fit_intercept": res.fit_intercept,
-             "fit_residual": res.fit_residual, "condition": res.condition,
-             "usable_offsets": res.usable_offsets}
+    entry = {k: v for k, v in vars(res).items() if k != "profile"}
     norm_params = {"matrix": str(params["matrix"]), "margin": margin}
     report = build_report("invdecay", norm_params, None, [entry], {},
                           {"profile_cells": len(res.profile)})
@@ -191,9 +184,7 @@ def _run_density(params: dict):
     boxes = _load_json(params["boxes"])
     r0 = float(params["r0"])
     verdicts = density_check(rows, cols, r0, boxes)
-    entries = [{"box": v.box, "rows_in_neighborhood": v.rows_in_neighborhood,
-                "cols_in_box": v.cols_in_box, "passed": v.passed}
-               for v in verdicts]
+    entries = [dict(vars(v)) for v in verdicts]
     norm_params = {"rows": str(params["rows"]), "cols": str(params["cols"]),
                    "r0": r0, "boxes": str(params["boxes"])}
     report = build_report("density", norm_params, None, entries,
@@ -207,7 +198,7 @@ def _run_synth(params: dict):
     n0_values = _parse_int_list(params["n0"])
     windows = _parse_int_list(params["window"])
     rep = synthesis_stability(fam, p, n0_values, windows)
-    entries = [dict(e.__dict__) for e in rep.entries]
+    entries = [dict(vars(e)) for e in rep.entries]
     norm_params = {"family": str(params["family"]), "p": p_label(p),
                    "n0": n0_values, "window": windows}
     meta = {"sjostrand_bound_ratio": rep.sjostrand_bound_ratio}
@@ -226,7 +217,7 @@ def _run_kernel(params: dict):
     n_values = _parse_int_list(params["n"])
     windows = [float(w) for w in _parse_int_list(params["window"])]
     rep = perturbed_identity_stability(op, p, n_values, windows)
-    entries = [dict(e.__dict__) for e in rep.entries]
+    entries = [dict(vars(e)) for e in rep.entries]
     curve = rep.error_curve
     norm_params = {"kernel": str(params["kernel"]), "p": p_label(p),
                    "n": n_values, "window": windows}
@@ -366,6 +357,7 @@ def _attach_flag_values(argv: list[str]) -> list[str]:
     return out
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="locop",

@@ -20,8 +20,7 @@ from .errors import InvariantViolation, NumericalError
 from .lattice import IndexSet
 from .matalg import ENTRY_DROP_TOL, LocalizedMatrix, truncation_tail
 from .profiles import Profile1D, gauss_legendre_rule, profile_from_json_dict
-from .stability import (check_constant_order, ladder_verdict, lower_constant,
-                        normalize_p, upper_constant)
+from .stability import StabilityReport, WindowEntry, ladder_verdict, normalize_p
 from .synthesis import (HYPOTHESIS_SLACK, PROBE_PER_UNIT, DyadicFunction,
                         SampledFunction, project_Pn)
 
@@ -514,25 +513,13 @@ def discretization_error_curve(op: KernelOperator, n_values, probes,
 
 
 @dataclass(frozen=True)
-class PerturbedEntry:
-    window: float
+class PerturbedEntry(WindowEntry):
     n: int
-    lower: float
-    upper: float
-    lower_certified: bool
-    upper_certified: bool
-    method: str
     uncertainty: float | None
-
-    def __post_init__(self):
-        check_constant_order(self)
 
 
 @dataclass(frozen=True)
-class PerturbedIdentityReport:
-    p: float
-    entries: list
-    verdict: str
+class PerturbedIdentityReport(StabilityReport):
     error_curve: ErrorCurve
 
 
@@ -575,17 +562,13 @@ def perturbed_identity_stability(op: KernelOperator, p, n_values,
         for n in n_values:
             index, ii, jj, vv = _window_entries(op, n, (0.0, w))
             if not (np.abs(vv) >= ENTRY_DROP_TOL).any():
-                entries.append(PerturbedEntry(w, n, 1.0, 1.0, True, True,
-                                              "identity", bias.get(n)))
+                entries.append(PerturbedEntry(w, 1.0, 1.0, True, True, "identity",
+                                              n=n, uncertainty=bias.get(n)))
                 continue
             vv = 2.0 ** (-n) * vv
             vv[ii == jj] += 1.0
             M = LocalizedMatrix(index, index, ii, jj, vv)
-            lo = lower_constant(M, p)
-            hi = upper_constant(M, p)
-            entries.append(PerturbedEntry(w, n, lo.value, hi.value,
-                                          lo.certified, hi.certified,
-                                          lo.method, bias.get(n)))
+            entries.append(PerturbedEntry.of(M, p, w, n=n, uncertainty=bias.get(n)))
     finest = max(n_values)
     lowers = [e.lower for e in entries if e.n == finest]
     return PerturbedIdentityReport(p, entries, ladder_verdict(lowers), curve)

@@ -117,7 +117,9 @@ class PiecewisePolynomial(Profile1D):
 
     ``coeffs[i]`` holds ascending-power coefficients in the local
     coordinate u = x - breaks[i]; the local form keeps evaluation stable
-    for windows far from the origin.
+    for windows far from the origin.  Construction integrates each piece
+    once: its antiderivative's coefficients, which vanish at the piece's
+    left break, and the integral up to every break.
     """
 
     breaks: np.ndarray
@@ -136,8 +138,12 @@ class PiecewisePolynomial(Profile1D):
             raise ValueError("need one flat coefficient row per interval")
         br = br.copy()
         br.setflags(write=False)
+        anti = tuple(np.concatenate([[0.0], c / np.arange(1, c.size + 1)]) for c in cf)
+        widths = [_poly_eval(ic, b - a) for ic, a, b in zip(anti, br, br[1:])]
         object.__setattr__(self, "breaks", br)
         object.__setattr__(self, "coeffs", cf)
+        object.__setattr__(self, "_anti", anti)
+        object.__setattr__(self, "_cum", np.concatenate([[0.0], np.cumsum(widths)]))
 
     # -----------------------------------------------------------------
     def __call__(self, x):
@@ -154,29 +160,17 @@ class PiecewisePolynomial(Profile1D):
 
     def antiderivative_at(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        # cumulative integrals at the breakpoints
-        piece_ints = [self._piece_integral(i, self.breaks[i], self.breaks[i + 1])
-                      for i in range(len(self.coeffs))]
-        cum = np.concatenate([[0.0], np.cumsum(piece_ints)])
         out = np.zeros_like(arr)
         idx = np.searchsorted(self.breaks, arr, side="right") - 1
         below = idx < 0
         above = arr >= self.breaks[-1]
         mid = ~below & ~above
-        out[above] = cum[-1]
+        out[above] = self._cum[-1]
         for i in np.unique(idx[mid]):
             sel = mid & (idx == i)
-            out[sel] = cum[i] + self._piece_antideriv(i, arr[sel])
+            out[sel] = self._cum[i] + _poly_eval(self._anti[i], arr[sel] - self.breaks[i])
         result = np.asarray(out)
         return float(result[0]) if np.asarray(x).ndim == 0 else result
-
-    def _piece_antideriv(self, i: int, x):
-        c = self.coeffs[i]
-        ic = np.concatenate([[0.0], c / np.arange(1, c.size + 1)])
-        return _poly_eval(ic, np.asarray(x, dtype=float) - self.breaks[i])
-
-    def _piece_integral(self, i: int, a: float, b: float) -> float:
-        return float(self._piece_antideriv(i, b) - self._piece_antideriv(i, a))
 
     def interval_extrema(self, a, b, right_open: bool = False
                          ) -> tuple[np.ndarray, np.ndarray]:

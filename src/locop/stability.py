@@ -40,6 +40,11 @@ from .lattice import IndexSet
 from .matalg import (ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, abs_sums,
                      group_max, vector_pnorm)
 
+# tall windows at p in {1, inf} with at most this many columns solve the
+# left-inverse LP, wider ones the descent.  The dual LP grows fast with the
+# columns: on the 32-column synth windows (2 vCPUs, one BLAS thread) it
+# took 0.1-1.0 s at p = inf and 0.8-14 s at p = 1, against 4-11 ms for the
+# descent.
 LP_MAX_COLS = 14
 DENSE_EIG_CUTOFF = 1200
 # bound m eps kappa^2 on the relative error of lambda_min(A^T A) above which
@@ -555,6 +560,8 @@ def upper_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
     if A.shape[1] == 1:
         # Ac = c a, so ||Ac||_p / |c| is ||a||_p for every c
         return ConstantEstimate(vector_pnorm(A.values, p), True, "column-norm")
+    if p == 2.0:
+        return ConstantEstimate(_singular_extremes(A)[1], True, "singular-value")
     row_sums, col_sums = abs_sums(A)
     col_sum = float(col_sums.max(initial=0.0))
     row_sum = float(row_sums.max(initial=0.0))
@@ -563,8 +570,6 @@ def upper_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
     if p == math.inf:
         return ConstantEstimate(row_sum, True, "row-sums")
     _, n2 = _singular_extremes(A)
-    if p == 2.0:
-        return ConstantEstimate(n2, True, "singular-value")
     bound = _riesz_thorin(p, col_sum if p < 2.0 else row_sum, n2)
     return ConstantEstimate(bound, True, "interpolation-bound")
 
@@ -607,29 +612,39 @@ def lower_constant_interior(A: LocalizedMatrix, p) -> ConstantEstimate | None:
 # window ladders
 
 
-def check_constant_order(entry) -> None:
-    """Reject an entry whose lower constant exceeds its upper constant."""
-    if entry.lower > entry.upper * (1 + 1e-9) + 1e-300:
-        raise ValueError("lower constant exceeds upper constant")
-
-
 @dataclass(frozen=True)
-class LadderEntry:
-    """Constants of one prefix window at one exponent; the fields are the
+class WindowEntry:
+    """Lower and upper constants of one window at one exponent.  Each
+    operator class subclasses it with its own labels; the fields are the
     report entry's keys."""
 
-    window: int
+    window: int | float
     lower: float
     upper: float
     lower_certified: bool
     upper_certified: bool
     method: str
+
+    def __post_init__(self):
+        if self.lower > self.upper * (1 + 1e-9) + 1e-300:
+            raise ValueError("lower constant exceeds upper constant")
+
+    @classmethod
+    def of(cls, A: LocalizedMatrix, p: float, window, scale: float = 1.0,
+           **labels):
+        """The entry of window A, both constants multiplied by ``scale``."""
+        lo, hi = lower_constant(A, p), upper_constant(A, p)
+        return cls(window, lo.value * scale, hi.value * scale, lo.certified,
+                   hi.certified, lo.method, **labels)
+
+
+@dataclass(frozen=True)
+class LadderEntry(WindowEntry):
+    """A prefix window's entry with its interior lower constant."""
+
     interior_lower: float | None
     interior_certified: bool | None
     interior_method: str | None
-
-    def __post_init__(self):
-        check_constant_order(self)
 
 
 @dataclass(frozen=True)
@@ -637,7 +652,7 @@ class StabilityReport:
     """Constants along one window ladder at a fixed exponent."""
 
     p: float
-    entries: list[LadderEntry]
+    entries: list[WindowEntry]
     verdict: str
 
 
@@ -671,12 +686,11 @@ def _prefix_windows(A: LocalizedMatrix, windows) -> list[LocalizedMatrix]:
 def _ladder(windows: list[LocalizedMatrix], p: float) -> StabilityReport:
     entries = []
     for W in windows:
-        lo, hi = lower_constant(W, p), upper_constant(W, p)
-        inner = lower_constant_interior(W, p)
-        interior = ((None,) * 3 if inner is None
-                    else (inner.value, inner.certified, inner.method))
-        entries.append(LadderEntry(W.shape[1], lo.value, hi.value, lo.certified,
-                                   hi.certified, lo.method, *interior))
+        inner = (lower_constant_interior(W, p)
+                 or ConstantEstimate(None, None, None))
+        entries.append(LadderEntry.of(W, p, W.shape[1], interior_lower=inner.value,
+                                      interior_certified=inner.certified,
+                                      interior_method=inner.method))
     return StabilityReport(p, entries, ladder_verdict([e.lower for e in entries]))
 
 

@@ -20,8 +20,7 @@ from .errors import InvariantViolation
 from .lattice import IndexSet, separation_constant
 from .matalg import LocalizedMatrix, sjostrand_norm
 from .profiles import Profile1D, profile_from_json_dict, gauss_legendre_integral
-from .stability import (check_constant_order, ladder_verdict, lower_constant,
-                        normalize_p, upper_constant)
+from .stability import StabilityReport, WindowEntry, ladder_verdict, normalize_p
 
 # Sampled hypothesis checks (here and in kernelop) share one probe density
 # (points per unit length), one relative slack, and one delta grid on which
@@ -361,15 +360,6 @@ class DyadicFunction:
             return float(np.abs(self.values).max(initial=0.0))
         return float((np.sum(np.abs(self.values) ** p) * self.width) ** (1.0 / p))
 
-    def evaluate(self, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        idx = (np.floor(pts.reshape(-1) * 2.0 ** self.level).astype(np.int64)
-               - self.start[0])
-        ok = (idx >= 0) & (idx < self.values.size)
-        out = np.zeros(idx.size)
-        out[ok] = self.values[idx[ok]]
-        return float(out[0]) if pts.ndim == 0 else out
-
     def refine(self, to_level: int) -> "DyadicFunction":
         if to_level < self.level:
             raise ValueError("refine target must not be coarser")
@@ -489,25 +479,13 @@ def discretize_synthesis(fam: GeneratorFamily, n0: int) -> LocalizedMatrix:
 
 
 @dataclass(frozen=True)
-class SynthesisEntry:
-    window: int
+class SynthesisEntry(WindowEntry):
     n0: int
-    lower: float
-    upper: float
-    lower_certified: bool
-    upper_certified: bool
-    method: str
     bias_bound: float | None
-
-    def __post_init__(self):
-        check_constant_order(self)
 
 
 @dataclass(frozen=True)
-class SynthesisStabilityReport:
-    p: float
-    entries: list
-    verdict: str
+class SynthesisStabilityReport(StabilityReport):
     sjostrand_bound_ratio: float
 
 
@@ -537,14 +515,11 @@ def synthesis_stability(fam: GeneratorFamily, p, n0_values,
             A = discretize_synthesis(sub, n0)
             ratio = sjostrand_norm(A) / (2.0 * hnorm) if hnorm > 0 else 0.0
             worst_ratio = max(worst_ratio, float(ratio))
-            fac = 2.0 ** (-n0 * inv_p)
-            lo = lower_constant(A, p)
-            hi = upper_constant(A, p)
             bias = None
             if fam.modulus is not None:
                 bias = (r_sep ** (1.0 - inv_p)) * fam.modulus(2.0 ** (-n0)) * hnorm
-            entries.append(SynthesisEntry(w, n0, lo.value * fac, hi.value * fac,
-                                          lo.certified, hi.certified, lo.method, bias))
+            entries.append(SynthesisEntry.of(A, p, w, 2.0 ** (-n0 * inv_p),
+                                             n0=n0, bias_bound=bias))
     finest = max(n0_values)
     lowers = [e.lower for e in entries if e.n0 == finest]
     return SynthesisStabilityReport(p, entries, ladder_verdict(lowers),

@@ -1,7 +1,8 @@
 """Reference implementations of profile extrema, moduli and assemblies.
 
 These are the one-interval, one-point forms that the array code in
-``locop.profiles`` and the masked loops in ``locop.synthesis`` replaced.
+``locop.profiles`` and the masked loops in ``locop.synthesis`` replaced,
+and the piecewise antiderivative that integrated every piece on each call.
 They evaluate each interval or probe point on its own, so the array code
 is checked against an independent, obviously-correct loop.  The perturbed
 identity is checked against a sparse matrix sum, the row-major window
@@ -48,6 +49,28 @@ def pp_interval_extrema(pp, a: float, b: float, right_open: bool = False):
     if lo is np.inf:  # interval met no piece
         lo = hi = 0.0
     return lo, hi
+
+
+def pp_antiderivative(pp, x):
+    """F with F' = f for a piecewise polynomial, integrating every piece up
+    to its right break on each call: F at x is the sum of the pieces' full
+    integrals left of x plus its own piece's antiderivative at x."""
+    def piece(i, t):
+        c = pp.coeffs[i]
+        ic = np.concatenate([[0.0], c / np.arange(1, c.size + 1)])
+        return _poly_eval(ic, np.asarray(t, dtype=float) - pp.breaks[i])
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    ints = [float(piece(i, pp.breaks[i + 1]) - piece(i, pp.breaks[i]))
+            for i in range(len(pp.coeffs))]
+    cum = np.concatenate([[0.0], np.cumsum(ints)])
+    out = np.zeros_like(arr)
+    idx = np.searchsorted(pp.breaks, arr, side="right") - 1
+    mid = (idx >= 0) & (arr < pp.breaks[-1])
+    out[arr >= pp.breaks[-1]] = cum[-1]
+    for i in np.unique(idx[mid]):
+        sel = mid & (idx == i)
+        out[sel] = cum[i] + piece(i, arr[sel])
+    return out
 
 
 def interval_extrema(prof, a: float, b: float, right_open: bool = False):

@@ -256,6 +256,11 @@ def test_cli_rejects_descending_range(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_build_parser_runs_once_per_process():
+    # every cli.main call parses with the same parser
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_parse_int_list_rejects_empty_lists():
     assert cli._parse_int_list("3..5") == [3, 4, 5]
     assert cli._parse_int_list("4..4") == [4]

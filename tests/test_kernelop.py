@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from locop import corpus, kernelop
+from locop import corpus, kernelop, stability
 from locop.errors import InvariantViolation, NumericalError
 from locop.kernelop import (ConvolutionRule, KernelOperator, SeparableRule,
                             _conv_offset_table, _envelope_ring_sum, _next_fast_len,
@@ -388,8 +388,8 @@ def test_perturbed_identity_matches_sparse_sum(gaussian_op, monkeypatch, case,
     if case == "gaussian" and window < 4.0:
         assert op._offset_radius() > window   # the table is cut to the window
     seen = []
-    real = kernelop.lower_constant
-    monkeypatch.setattr(kernelop, "lower_constant",
+    real = stability.lower_constant
+    monkeypatch.setattr(stability, "lower_constant",
                         lambda M, p: seen.append(M) or real(M, p))
     perturbed_identity_stability(op, 2.0, [2, 3], [window], probes=[_PROBE])
     assert len(seen) == 2

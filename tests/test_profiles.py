@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locop.errors import InvariantViolation
@@ -128,6 +128,31 @@ def test_piecewise_interval_extrema_equal_the_scalar_oracle(name, right_open):
                      for s, e in zip(a.tolist(), b.tolist())])
     assert np.array_equal(mn, want[:, 0])
     assert np.array_equal(mx, want[:, 1])
+
+
+@st.composite
+def _piecewise_polynomials(draw):
+    pieces = draw(st.integers(1, 5))
+    left = draw(st.floats(-50.0, 50.0))
+    widths = draw(st.lists(st.floats(1e-3, 10.0), min_size=pieces, max_size=pieces))
+    breaks = left + np.concatenate([[0.0], np.cumsum(widths)])
+    assume((np.diff(breaks) > 0).all())
+    coeff = st.floats(-100.0, 100.0)
+    coeffs = tuple(np.array(draw(st.lists(coeff, min_size=1, max_size=5)))
+                   for _ in range(pieces))
+    return PiecewisePolynomial(breaks, coeffs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_piecewise_polynomials(), st.lists(st.floats(-80.0, 120.0), min_size=1,
+                                          max_size=20))
+def test_piecewise_antiderivative_equals_per_call_integration(g, xs):
+    # the stored piece integrals are bit for bit the ones the per-call
+    # form recomputes, at the breaks and beside them too
+    br = g.breaks
+    x = np.concatenate([xs, br, np.nextafter(br, -np.inf), np.nextafter(br, np.inf)])
+    assert np.array_equal(g.antiderivative_at(x), oracles.pp_antiderivative(g, x))
+    assert g.antiderivative_at(float(br[-1])) == oracles.pp_antiderivative(g, br[-1])[0]
 
 
 def test_piecewise_interval_extrema_rejects_empty_interval():

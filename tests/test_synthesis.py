@@ -219,8 +219,10 @@ def test_refine_preserves_values_and_norms(rng):
     f = DyadicFunction(2, [4], rng.standard_normal(12))
     g = f.refine(5)
     assert g.level == 5
-    xs = np.linspace(1.0, 3.9, 37)
-    assert np.allclose(g.evaluate(xs), f.evaluate(xs), atol=0)
+    # each coarse cell splits into 2^3 fine cells that carry its value
+    assert g.start[0] == f.start[0] * 8
+    assert np.array_equal(g.values.reshape(-1, 8),
+                          np.repeat(f.values[:, None], 8, axis=1))
     for p in (1.0, 2.0, math.inf):
         assert g.lp_norm(p) == pytest.approx(f.lp_norm(p), rel=1e-12)
 
@@ -243,8 +245,9 @@ def test_subtract_aligns_windows():
     f = DyadicFunction(1, [0], np.array([1.0, 2.0, 3.0, 4.0]))
     g = DyadicFunction(1, [2], np.array([1.0, 1.0]))
     d = f.subtract(g)
-    xs = np.array([0.1, 0.6, 1.1, 1.6])
-    assert np.allclose(d.evaluate(xs), f.evaluate(xs) - g.evaluate(xs), atol=0)
+    # g's cells [1, 1.5) and [1.5, 2) are f's third and fourth
+    assert (d.level, d.start[0]) == (1, 0)
+    assert np.array_equal(d.values, [1.0, 2.0, 2.0, 3.0])
 
 
 # ----------------------------------------------------------------------
@@ -271,9 +274,11 @@ def test_projection_of_profile_matches_cell_averages():
     h = hat()
     f = project_Pn(h, 1)
     # hat on [0,2] at half-integer cells: averages 1/8, 3/8, 3/8, 1/8 per
-    # unit of the two support cells, scaled by cell width 1/2
-    xs = np.array([0.25, 0.75, 1.25, 1.75])
-    assert np.allclose(f.evaluate(xs), [0.25, 0.75, 0.75, 0.25], atol=1e-14)
+    # unit of the two support cells, scaled by cell width 1/2; the cells
+    # outside the support average to zero
+    k0 = -f.start[0]   # the cell [0, 1/2)
+    assert np.allclose(f.values[k0:k0 + 4], [0.25, 0.75, 0.75, 0.25], atol=1e-14)
+    assert not np.delete(f.values, np.arange(k0, k0 + 4)).any()
 
 
 def test_projection_of_callable_needs_window():
