@@ -25,8 +25,8 @@ from .kernelop import KernelOperator, perturbed_identity_stability
 from .lattice import IndexSet
 from .matalg import LocalizedMatrix, schur_norm, sjostrand_norm, slant_norm
 from .reporting import (STABILITY_CSV_HEADER, build_report, dump_json_bytes,
-                        p_label, stability_csv_rows, validate_report,
-                        write_csv, write_report)
+                        p_label, stability_csv_row, stability_csv_rows,
+                        validate_report, write_csv, write_report)
 from .stability import (SYMBOL_GRID, convolution_stability, density_check,
                         equivalence_report, inverse_decay_profile,
                         normalize_p)
@@ -205,9 +205,7 @@ def _run_synth(params: dict):
     report = build_report("synth", norm_params, params.get("seed"), entries,
                           {p_label(p): rep.verdict}, meta)
     finest = max(n0_values)
-    rows = [(int(e.window), p_label(p), e.lower, e.upper,
-             bool(e.lower_certified and e.upper_certified))
-            for e in rep.entries if e.n0 == finest]
+    rows = [stability_csv_row(p, e) for e in rep.entries if e.n0 == finest]
     return report, STABILITY_CSV_HEADER, rows
 
 

@@ -119,7 +119,9 @@ class PiecewisePolynomial(Profile1D):
     coordinate u = x - breaks[i]; the local form keeps evaluation stable
     for windows far from the origin.  Construction integrates each piece
     once: its antiderivative's coefficients, which vanish at the piece's
-    left break, and the integral up to every break.
+    left break, and the integral up to every break.  Breaks and
+    coefficients are read-only copies, compared by value and hashed by
+    their bytes.
     """
 
     breaks: np.ndarray
@@ -136,14 +138,27 @@ class PiecewisePolynomial(Profile1D):
             raise ValueError("breaks must be strictly increasing with >= 2 entries")
         if len(cf) != br.size - 1 or any(c.ndim != 1 for c in cf):
             raise ValueError("need one flat coefficient row per interval")
-        br = br.copy()
-        br.setflags(write=False)
+        br, cf = br.copy(), tuple(c.copy() for c in cf)
+        for arr in (br, *cf):
+            arr.setflags(write=False)
         anti = tuple(np.concatenate([[0.0], c / np.arange(1, c.size + 1)]) for c in cf)
         widths = [_poly_eval(ic, b - a) for ic, a, b in zip(anti, br, br[1:])]
         object.__setattr__(self, "breaks", br)
         object.__setattr__(self, "coeffs", cf)
         object.__setattr__(self, "_anti", anti)
         object.__setattr__(self, "_cum", np.concatenate([[0.0], np.cumsum(widths)]))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PiecewisePolynomial)
+            # equal breaks make equally many pieces
+            and np.array_equal(self.breaks, other.breaks)
+            and all(np.array_equal(c, d) for c, d in zip(self.coeffs, other.coeffs))
+        )
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash(tuple((arr + 0.0).tobytes() for arr in (self.breaks, *self.coeffs)))
 
     # -----------------------------------------------------------------
     def __call__(self, x):

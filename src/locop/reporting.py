@@ -141,10 +141,13 @@ def write_csv(path, header, rows) -> None:
 # stability curves
 
 
+def stability_csv_row(p: float, e) -> tuple:
+    """The (window, p, lower, upper, certified) row of one window entry at
+    exponent p; a row is certified only when both bounds are."""
+    return (int(e.window), p_label(p), float(e.lower), float(e.upper),
+            bool(e.lower_certified and e.upper_certified))
+
+
 def stability_csv_rows(per_p: dict) -> list[tuple]:
-    """Flatten {p: StabilityReport} into (window, p, lower, upper, certified)
-    rows sorted by (p, window); a row is certified only when both bounds are.
-    """
-    return [(int(e.window), p_label(p), float(e.lower), float(e.upper),
-             bool(e.lower_certified and e.upper_certified))
-            for p in sorted(per_p) for e in per_p[p].entries]
+    """Flatten {p: StabilityReport} into rows sorted by (p, window)."""
+    return [stability_csv_row(p, e) for p in sorted(per_p) for e in per_p[p].entries]

@@ -9,7 +9,8 @@ large localized windows a banded eigensolve of A^T A, or of
 1 / ||A^-1||_p on square windows at p in {1, inf}, and from Riesz-Thorin
 interpolation of those on square windows in between.  A square
 window without one column (the interior of a ladder window) has an exact
-constant at p in {1, inf} in closed form from the window's own inverse.
+constant at p in {1, inf} in closed form from the window's own inverse:
+the window and its interior share one sparse LU and one pass over it.
 A one-column window has the exact constant ||a||_p at every p.  Tall
 windows at p in {1, inf} with few columns solve one linear program, the
 dual of the least-norm left inverse problem, and certify the left inverse
@@ -268,7 +269,7 @@ def _min_singular_vector(A: LocalizedMatrix) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# exact square windows at p = 1 and p = inf
+# exact square windows and their interiors at p = 1 and p = inf
 
 
 def _square_lu(mat):
@@ -301,25 +302,6 @@ def _inverse_blocks(lu, n: int, trans: str):
     dense n x n inverse or identity is ever held."""
     for lo in range(0, n, INVERSE_BLOCK_COLS):
         yield _unit_solve(lu, n, lo, min(lo + INVERSE_BLOCK_COLS, n), trans)
-
-
-def _inverse_norm_lower(A: LocalizedMatrix, p: float) -> float:
-    """Exact lower constant 1 / ||A^-1||_p of a square matrix, p in {1, inf}.
-
-    ||A^-1||_1 is the largest absolute column sum of A^-1 and ||A^-1||_inf
-    the largest absolute row sum, i.e. the largest column sum of A^-T.  An
-    exactly singular factor gives 0.
-    """
-    lu = _square_lu(A.csr())
-    if lu is None:
-        return 0.0
-    trans = "N" if p == 1.0 else "T"
-    return 1.0 / max(float(np.abs(X).sum(axis=0).max())
-                     for X in _inverse_blocks(lu, A.shape[0], trans))
-
-
-# ----------------------------------------------------------------------
-# square windows without one column at p = 1 and p = inf
 
 
 def _min_l1_along(U: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -360,29 +342,46 @@ def _max_l1_on_hyperplane(U: np.ndarray, v: np.ndarray) -> float:
     return best
 
 
-def _codim_one_lower(A: LocalizedMatrix, j: int, p: float) -> float | None:
-    """Exact lower constant of a square A without column j, p in {1, inf}.
+def _square_inverse_lower(A: LocalizedMatrix, p: float,
+                          j: int | None = None) -> tuple[float, float | None]:
+    """Exact lower constants, p in {1, inf}, of a square A and, given j, of
+    A without column j, from one sparse LU and one pass over A^-1 (p = 1)
+    or A^-T (p = inf) in blocks.
+
+    A's constant is 1 / ||A^-1||_p, the largest absolute column sum of A^-1
+    (p = 1) or of A^-T (p = inf).  It is kept as a float in ``A._cache``,
+    so a ladder's interior, computed first, leaves it for the window; no
+    factor or block is kept.  An exactly singular factor gives (0.0, None).
 
     With I the kept columns, U = A^-1[I, :] is a left inverse of A[:, I]
     and v = A^-1[j, :] spans its left null space, so the left inverses are
     exactly U + w v^T.  At p = inf (l-inf is injective) 1/lower is the
     largest over rows a of min_t ||U[a] + t v||_1; at p = 1 the range of
     A[:, I] is v's orthogonal complement, and 1/lower is the largest
-    ||U y||_1 over its unit l1 ball.  Returns None when A is singular.
+    ||U y||_1 over its unit l1 ball, read while one block holds all of A^-1.
     """
+    key = ("inverse_norm_lower", p)
+    if j is None and key in A._cache:
+        return A._cache[key], None
     n = A.shape[0]
     lu = _square_lu(A.csr())
     if lu is None:
-        return None
-    if p == math.inf:
+        A._cache[key] = 0.0
+        return 0.0, None
+    if j is not None and p == math.inf:
         v = _unit_solve(lu, n, j, j + 1, "T")[:, 0]
         v = v / np.abs(v).max()
-        # row j of A^-1 is v itself, whose minimum is 0
-        return 1.0 / max(float(_min_l1_along(X.T, v).max())
-                         for X in _inverse_blocks(lu, n, "T"))
-    (inv,) = _inverse_blocks(lu, n, "N")  # n <= INVERSE_BLOCK_COLS
-    v = inv[j] / np.abs(inv[j]).max()
-    return 1.0 / _max_l1_on_hyperplane(np.delete(inv, j, axis=0), v)
+    norm = inner = 0.0
+    for X in _inverse_blocks(lu, n, "N" if p == 1.0 else "T"):
+        norm = max(norm, float(np.abs(X).sum(axis=0).max()))
+        if j is not None and p == math.inf:
+            # row j of A^-1 is v itself, whose minimum is 0
+            inner = max(inner, float(_min_l1_along(X.T, v).max()))
+    if j is not None and p == 1.0:  # X is all of A^-1 (n <= INVERSE_BLOCK_COLS)
+        v = X[j] / np.abs(X[j]).max()
+        inner = _max_l1_on_hyperplane(np.delete(X, j, axis=0), v)
+    A._cache[key] = 1.0 / norm
+    return 1.0 / norm, None if j is None else 1.0 / inner
 
 
 # ----------------------------------------------------------------------
@@ -537,9 +536,10 @@ def lower_constant(A: LocalizedMatrix, p) -> ConstantEstimate:
         return ConstantEstimate(smin, True, "singular-value")
     if n == m:
         if p in (1.0, math.inf):
-            return ConstantEstimate(_inverse_norm_lower(A, p), True, "inverse-norm")
+            return ConstantEstimate(_square_inverse_lower(A, p)[0], True,
+                                    "inverse-norm")
         smin, _ = _singular_extremes(A)
-        end = _inverse_norm_lower(A, 1.0 if p < 2.0 else math.inf)
+        end, _ = _square_inverse_lower(A, 1.0 if p < 2.0 else math.inf)
         return ConstantEstimate(_riesz_thorin(p, end, smin), True,
                                 "interpolation-bound")
     if p in (1.0, math.inf) and m <= LP_MAX_COLS:
@@ -602,7 +602,7 @@ def lower_constant_interior(A: LocalizedMatrix, p) -> ConstantEstimate | None:
     if (n == m == idx.size + 1
             and (p == math.inf or (p == 1.0 and n <= INVERSE_BLOCK_COLS))):
         j = int(np.setdiff1d(np.arange(m), idx)[0])
-        value = _codim_one_lower(A, j, p)
+        _, value = _square_inverse_lower(A, p, j)
         if value is not None:
             return ConstantEstimate(value, True, "codim-one")
     return lower_constant(A.restrict_cols(idx), p)

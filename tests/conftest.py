@@ -52,6 +52,34 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
+def count_lu(monkeypatch):
+    """Wraps ``locop.stability._square_lu`` for the test and returns a dict
+    that counts its factorizations ("lu"), the ``solve`` calls on their
+    factors ("solves") and the unit columns those calls solve against
+    ("columns")."""
+    from locop import stability
+    counts = {"lu": 0, "solves": 0, "columns": 0}
+    square_lu = stability._square_lu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs, trans="N"):
+            counts["solves"] += 1
+            counts["columns"] += rhs.shape[1]
+            return self.lu.solve(rhs, trans=trans)
+
+    def counting(mat):
+        counts["lu"] += 1
+        lu = square_lu(mat)
+        return None if lu is None else Counted(lu)
+
+    monkeypatch.setattr(stability, "_square_lu", counting)
+    return counts
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 

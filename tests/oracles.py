@@ -9,7 +9,12 @@ identity is checked against a sparse matrix sum, the row-major window
 assembly against the diagonal-order one it replaced, the descent against its
 earlier form with one norm formula and one subgradient per exponent, and
 the left-inverse LP, which solves the dual, against the primal over L.
+The square-window inverse norm and its codimension-one interior are the
+two routines, one LU and one pass over the inverse each, that the shared
+pass replaced.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,6 +23,8 @@ from scipy.optimize import linprog
 from locop.errors import InvariantViolation
 from locop.matalg import LocalizedMatrix
 from locop.profiles import PiecewisePolynomial, _poly_eval
+from locop.stability import (_inverse_blocks, _max_l1_on_hyperplane,
+                             _min_l1_along, _square_lu, _unit_solve)
 
 
 def pp_interval_extrema(pp, a: float, b: float, right_open: bool = False):
@@ -267,3 +274,43 @@ def left_inverse_primal(A, p: float) -> float:
     axis = 0 if p == 1.0 else 1
     resid = float(np.abs(L @ A.dense() - np.eye(m)).sum(axis=axis).max())
     return (1.0 - resid) / float(np.abs(L).sum(axis=axis).max())
+
+
+def _inverse_norm_lower(A: LocalizedMatrix, p: float) -> float:
+    """Exact lower constant 1 / ||A^-1||_p of a square matrix, p in {1, inf}.
+
+    ||A^-1||_1 is the largest absolute column sum of A^-1 and ||A^-1||_inf
+    the largest absolute row sum, i.e. the largest column sum of A^-T.  An
+    exactly singular factor gives 0.
+    """
+    lu = _square_lu(A.csr())
+    if lu is None:
+        return 0.0
+    trans = "N" if p == 1.0 else "T"
+    return 1.0 / max(float(np.abs(X).sum(axis=0).max())
+                     for X in _inverse_blocks(lu, A.shape[0], trans))
+
+
+def _codim_one_lower(A: LocalizedMatrix, j: int, p: float) -> float | None:
+    """Exact lower constant of a square A without column j, p in {1, inf}.
+
+    With I the kept columns, U = A^-1[I, :] is a left inverse of A[:, I]
+    and v = A^-1[j, :] spans its left null space, so the left inverses are
+    exactly U + w v^T.  At p = inf (l-inf is injective) 1/lower is the
+    largest over rows a of min_t ||U[a] + t v||_1; at p = 1 the range of
+    A[:, I] is v's orthogonal complement, and 1/lower is the largest
+    ||U y||_1 over its unit l1 ball.  Returns None when A is singular.
+    """
+    n = A.shape[0]
+    lu = _square_lu(A.csr())
+    if lu is None:
+        return None
+    if p == math.inf:
+        v = _unit_solve(lu, n, j, j + 1, "T")[:, 0]
+        v = v / np.abs(v).max()
+        # row j of A^-1 is v itself, whose minimum is 0
+        return 1.0 / max(float(_min_l1_along(X.T, v).max())
+                         for X in _inverse_blocks(lu, n, "T"))
+    (inv,) = _inverse_blocks(lu, n, "N")  # n <= INVERSE_BLOCK_COLS
+    v = inv[j] / np.abs(inv[j]).max()
+    return 1.0 / _max_l1_on_hyperplane(np.delete(inv, j, axis=0), v)

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -216,6 +217,30 @@ def test_cli_synth_quick(tmp_path, capsys):
     assert report["verdicts"]["2"] in {"stabilized", "undetermined"}
     lowers = [e["lower"] for e in report["entries"]]
     assert all(v > 0.4 for v in lowers)
+
+
+def test_cli_synth_csv_casts_numpy_scalars(tmp_path, monkeypatch):
+    # the synth CSV takes its rows from reporting.stability_csv_row, whose
+    # float() casts keep a numpy scalar from printing as np.float64(...)
+    real = cli.synthesis_stability
+
+    def numpy_scalars(*args):
+        rep = real(*args)
+        return dataclasses.replace(rep, entries=[
+            dataclasses.replace(e, lower=np.float64(e.lower), upper=np.float64(e.upper))
+            for e in rep.entries])
+
+    monkeypatch.setattr(cli, "synthesis_stability", numpy_scalars)
+    fam = tmp_path / "fam.json"
+    fam.write_bytes(dump_json_bytes(corpus.hat_family(16).to_json_dict()))
+    out = tmp_path / "synth.csv"
+    assert cli.main(["synth", "--family", str(fam), "--p", "2", "--n0", "3",
+                     "--window", "8,16", "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == list(reporting.STABILITY_CSV_HEADER) and len(rows) == 3
+    report = json.loads(out.with_suffix(".json").read_text())
+    for row, e in zip(rows[1:], report["entries"]):
+        assert [float(row[2]), float(row[3])] == [e["lower"], e["upper"]]
 
 
 def test_cli_exit_code_two_on_bad_input(tmp_path, capsys):

@@ -32,6 +32,25 @@ def test_bspline_orders_evaluate_correctly():
     assert np.trapezoid(q(xs), xs) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_piecewise_profiles_compare_and_hash_by_value():
+    from locop import corpus
+    assert bspline_profile(2) == bspline_profile(2)
+    assert hash(bspline_profile(2)) == hash(bspline_profile(2))
+    assert corpus.hat_family(8) == corpus.hat_family(8)
+    assert bspline_profile(2) != bspline_profile(3)
+    assert bspline_profile(2) != box_profile(0.0, 2.0)
+    assert corpus.hat_family(8) != corpus.hat_family(9)
+    # -0.0 == 0.0, so both hash alike
+    signed = [PiecewisePolynomial(np.array([0.0, 1.0]), (np.array([z, 1.0]),))
+              for z in (0.0, -0.0)]
+    assert signed[0] == signed[1] and hash(signed[0]) == hash(signed[1])
+    # the profile copies its coefficients, so the caller cannot change it
+    c = np.array([1.0, 2.0])
+    prof = PiecewisePolynomial(np.array([0.0, 1.0]), (c,))
+    c[0] = 5.0
+    assert prof(0.0) == 1.0 and not prof.coeffs[0].flags.writeable
+
+
 def test_bspline_partition_of_unity():
     h = hat()
     xs = np.linspace(2.0, 6.0, 101)

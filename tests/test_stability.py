@@ -24,8 +24,8 @@ from locop.matalg import LocalizedMatrix, offset_profile, vector_pnorm
 from locop.profiles import GaussianProfile
 from locop.stability import (DENSE_EIG_CUTOFF, INVERSE_BLOCK_COLS,
                              LP_MAX_COLS, ConstantEstimate, LadderEntry,
-                             _inverse_norm_lower, _left_inverse_lower,
-                             _multistart_lower, _singular_extremes,
+                             _left_inverse_lower, _multistart_lower,
+                             _singular_extremes, _square_inverse_lower,
                              convolution_stability, density_check,
                              equivalence_report, inverse_decay_profile,
                              ladder_verdict, lower_constant,
@@ -417,8 +417,8 @@ def test_inverse_norm_matches_dense_inverse_on_large_window(p):
     n = 1300
     assert n > DENSE_EIG_CUTOFF and n > 2 * INVERSE_BLOCK_COLS
     A = corpus.banded_random(n, band=2, seed=5)
-    assert _inverse_norm_lower(A, p) == pytest.approx(
-        _dense_inverse_lower(A, p), rel=1e-12)
+    window, _ = _square_inverse_lower(A, p)
+    assert window == pytest.approx(_dense_inverse_lower(A, p), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
@@ -830,6 +830,57 @@ def test_codim_one_singular_window_falls_back(p):
     assert est.method == "left-inverse-lp"
     exact = enumeration_oracle(inner, p)
     assert exact * (1.0 - 1e-5) <= est.value <= exact * (1.0 + 1e-12)
+
+
+@st.composite
+def banded_square_windows(draw):
+    """A random banded square window with 2 to 300 columns, so that p = inf
+    spans up to three solve blocks; about one in four has a zero column or
+    row and is exactly singular."""
+    n = draw(st.integers(2, 300))
+    band = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    i, k = np.indices((n, n))
+    dense = np.where(np.abs(i - k) <= band, rng.standard_normal((n, n)), 0.0)
+    dense += np.diag(draw(st.floats(0.0, 2.0 * band)) * np.sign(dense.diagonal()))
+    zero = draw(st.sampled_from([None, None, None, "row", "column"]))
+    if zero is not None:
+        at = draw(st.integers(0, n - 1))
+        if zero == "row":
+            dense[at] = 0.0
+        else:
+            dense[:, at] = 0.0
+    s = IndexSet.integer_range(0, n - 1)
+    return LocalizedMatrix.from_dense(s, s, dense), zero is not None
+
+
+@settings(deadline=None, max_examples=60)
+@given(banded_square_windows(), st.sampled_from([1.0, math.inf]), st.data())
+def test_shared_pass_matches_the_two_routines_bit_for_bit(window, p, data):
+    A, singular = window
+    n = A.shape[0]
+    j = None
+    if p == math.inf or n <= INVERSE_BLOCK_COLS:
+        j = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    lower, inner = _square_inverse_lower(A, p, j)
+    assert lower == oracles._inverse_norm_lower(A, p)
+    assert inner == (None if j is None else oracles._codim_one_lower(A, j, p))
+    if singular:
+        assert (lower, inner) == (0.0, None)
+    # the window's own constant reads the value the pass left in the cache
+    assert lower_constant(A, p).value == lower
+
+
+@pytest.mark.parametrize("build, p, counts", [
+    (lambda: corpus.banded_random(300, band=1), math.inf,
+     {"lu": 1, "solves": 4, "columns": 301}),
+    (lambda: toeplitz([1, 3, 1], 64), 1.0, {"lu": 1, "solves": 1, "columns": 64})],
+    ids=["banded300-pinf", "t131-w64-p1"])
+def test_window_and_interior_share_one_lu_and_one_pass(build, p, counts, count_lu):
+    A = build()
+    (e,) = stability_ladder(A, p, [A.shape[0]]).entries
+    assert (e.method, e.interior_method) == ("inverse-norm", "codim-one")
+    assert count_lu == counts
 
 
 def test_codim_one_at_p1_only_while_one_block_holds_the_inverse(monkeypatch):
