@@ -26,6 +26,7 @@ def descend_lp(csr, starts: np.ndarray, p: float):
     Returns (objective values, final vectors), one row per start.
     """
     A = csr
+    AT = csr.T.tocsr()  # once: A.T builds a new matrix object on every access
     p = float(p)
     t0, tmin, max_iter = 0.25, 1e-10, 5000
     C = np.array(starts, dtype=np.float64, order="C")
@@ -45,7 +46,7 @@ def descend_lp(csr, starts: np.ndarray, p: float):
             W[rows, top] = np.sign(Ya[rows, top])
         else:
             W = np.abs(Ya) ** (p - 1.0) * np.sign(Ya)
-        G = (A.T @ W.T).T
+        G = (AT @ W.T).T
         gn = np.linalg.norm(G, axis=1)
         dead = gn <= 0.0
         if dead.any():

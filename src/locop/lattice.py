@@ -76,6 +76,11 @@ class IndexSet:
             and np.array_equal(self.window, other.window)
         )
 
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.dim, (self.points + 0.0).tobytes(),
+                     (self.window + 0.0).tobytes()))
+
     def prefix(self, m: int) -> "IndexSet":
         """Sub-index-set made of the first m stored points."""
         if not 0 <= m <= len(self):

@@ -308,14 +308,20 @@ def _min_l1_along(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     """min over t of ||U[a] + t v||_1 for every row a of U, with max |v| = 1.
 
     The minimum sits at the weighted median of the breakpoints -U[a, k]/v[k]
-    with weights |v[k]|.  A breakpoint whose quotient would overflow (v[k]
-    zero or subnormal) is put at +-inf: its weight is too small to move the
+    with weights |v[k]|.  Only the support of v is sorted: a zero weight
+    adds exactly 0.0 to the cumulative sum, so it can neither move the
+    median nor change its float, and the inverse rows of a banded window
+    leave many entries of v exactly zero.  The norm at the median still
+    sums over every column.  A breakpoint whose quotient would overflow
+    (v[k] subnormal) is put at +-inf: its weight is too small to move the
     median.
     """
-    w = np.abs(v)
-    finite = np.abs(U) < w * 2.0 ** 1000
-    R = np.copysign(np.inf, -U * v)
-    np.divide(-U, v, out=R, where=finite)
+    on = np.flatnonzero(v)
+    Uon, von = U[:, on], v[on]
+    w = np.abs(von)
+    finite = np.abs(Uon) < w * 2.0 ** 1000
+    R = np.copysign(np.inf, -Uon * von)
+    np.divide(-Uon, von, out=R, where=finite)
     order = np.argsort(R, axis=1)
     cum = np.cumsum(w[order], axis=1)
     med = np.argmax(cum >= 0.5 * cum[:, -1:], axis=1)[:, None]

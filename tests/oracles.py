@@ -11,7 +11,8 @@ earlier form with one norm formula and one subgradient per exponent, and
 the left-inverse LP, which solves the dual, against the primal over L.
 The square-window inverse norm and its codimension-one interior are the
 two routines, one LU and one pass over the inverse each, that the shared
-pass replaced.
+pass replaced, and the weighted median along v sorts every column, not
+only v's support.
 """
 
 import math
@@ -24,7 +25,7 @@ from locop.errors import InvariantViolation
 from locop.matalg import LocalizedMatrix
 from locop.profiles import PiecewisePolynomial, _poly_eval
 from locop.stability import (_inverse_blocks, _max_l1_on_hyperplane,
-                             _min_l1_along, _square_lu, _unit_solve)
+                             _square_lu, _unit_solve)
 
 
 def pp_interval_extrema(pp, a: float, b: float, right_open: bool = False):
@@ -289,6 +290,25 @@ def _inverse_norm_lower(A: LocalizedMatrix, p: float) -> float:
     trans = "N" if p == 1.0 else "T"
     return 1.0 / max(float(np.abs(X).sum(axis=0).max())
                      for X in _inverse_blocks(lu, A.shape[0], trans))
+
+
+def _min_l1_along(U: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """min over t of ||U[a] + t v||_1 for every row a of U, with max |v| = 1.
+
+    The minimum sits at the weighted median of the breakpoints -U[a, k]/v[k]
+    with weights |v[k]|, sorted over every column.  A breakpoint whose
+    quotient would overflow (v[k] zero or subnormal) is put at +-inf: its
+    weight is too small to move the median.
+    """
+    w = np.abs(v)
+    finite = np.abs(U) < w * 2.0 ** 1000
+    R = np.copysign(np.inf, -U * v)
+    np.divide(-U, v, out=R, where=finite)
+    order = np.argsort(R, axis=1)
+    cum = np.cumsum(w[order], axis=1)
+    med = np.argmax(cum >= 0.5 * cum[:, -1:], axis=1)[:, None]
+    t = np.take_along_axis(R, np.take_along_axis(order, med, axis=1), axis=1)
+    return np.abs(U + t * v).sum(axis=1)
 
 
 def _codim_one_lower(A: LocalizedMatrix, j: int, p: float) -> float | None:

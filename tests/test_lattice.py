@@ -25,6 +25,17 @@ def test_point_outside_window_rejected():
         IndexSet(1, [0.0, 5.0], window=[[0.0, 2.0]])
 
 
+def test_index_sets_hash_by_value():
+    from locop import corpus
+    assert hash(IndexSet.integer_range(0, 7)) == hash(IndexSet.integer_range(0, 7))
+    # -0.0 == 0.0, so both hash alike
+    signed = [IndexSet(1, [z, 1.0], window=[[z, 2.0]]) for z in (0.0, -0.0)]
+    assert signed[0] == signed[1] and hash(signed[0]) == hash(signed[1])
+    assert len({IndexSet.integer_range(0, 7), IndexSet.integer_range(0, 7),
+                IndexSet.integer_range(0, 8)}) == 2
+    assert hash(corpus.hat_family(8)) == hash(corpus.hat_family(8))
+
+
 def test_separation_counts_densest_unit_cube():
     # three points packed into [0, 1), two more spread out
     s = IndexSet(1, [0.0, 0.25, 0.75, 3.0, 7.5], window=[[0.0, 8.0]])

@@ -871,6 +871,41 @@ def test_shared_pass_matches_the_two_routines_bit_for_bit(window, p, data):
     assert lower_constant(A, p).value == lower
 
 
+@st.composite
+def rows_and_directions(draw):
+    """Rows U and a direction v with max |v| = 1, up to 60 columns, past the
+    length at which argsort stops keeping ties in order.  The data are real
+    or integer-valued; integer-valued v is a multiple of 1/4, so tied
+    breakpoints abound and every weight sum is exact whatever order the
+    ties sort in.  v has exact zeros and subnormal entries, and U has
+    all-zero rows."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        U = rng.integers(-3, 4, size=(m, n)).astype(float)
+        v = rng.integers(-4, 5, size=n) / 4.0
+    else:
+        U = rng.standard_normal((m, n))
+        v = rng.standard_normal(n)
+        v /= np.abs(v).max()
+    v[rng.random(n) < draw(st.floats(0.0, 0.9))] = 0.0
+    tiny = rng.random(n) < draw(st.floats(0.0, 0.3))
+    v[tiny] = rng.choice([5e-324, -1e-310, 2.0 ** -1030], size=tiny.sum())
+    U[rng.random(m) < draw(st.floats(0.0, 0.5))] = 0.0
+    v[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, -1.0]))
+    return U, v
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows_and_directions())
+def test_median_over_the_support_of_v_matches_the_full_sort(Uv):
+    # zero weights add exactly 0.0 to the cumulative sum, so sorting only
+    # v's support picks the same breakpoint, and the sum runs over all of U
+    U, v = Uv
+    assert np.array_equal(stability._min_l1_along(U, v),
+                          oracles._min_l1_along(U, v))
+
+
 @pytest.mark.parametrize("build, p, counts", [
     (lambda: corpus.banded_random(300, band=1), math.inf,
      {"lu": 1, "solves": 4, "columns": 301}),
