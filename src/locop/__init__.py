@@ -12,8 +12,6 @@ from .lattice import CutoffOperator, IndexSet, cutoff_partition_check, cutoff_ps
 from .matalg import (
     LocalizedMatrix,
     OffsetProfile,
-    Weight,
-    apply,
     commutator_with_cutoff,
     offset_profile,
     schur_norm,
@@ -28,7 +26,6 @@ from .profiles import (
     PiecewisePolynomial,
     Profile1D,
     bspline_profile,
-    box_profile,
     profile_from_json_dict,
     trapezoid_profile,
 )
@@ -45,7 +42,6 @@ from .stability import (
     inverse_decay_profile,
     lower_constant,
     lower_constant_interior,
-    stability_ladder,
     upper_constant,
 )
 from .synthesis import (
@@ -56,7 +52,6 @@ from .synthesis import (
     discretize_synthesis,
     project_Pn,
     synthesis_stability,
-    synthesize,
 )
 from .kernelop import (
     ConvolutionRule,
@@ -65,10 +60,8 @@ from .kernelop import (
     PerturbedIdentityReport,
     SeparableRule,
     apply_discretized,
-    apply_kernel,
     discretization_error_curve,
     discretize_kernel,
-    kernel_truncation_tail,
     perturbed_identity_stability,
 )
 from .corpus import (

@@ -237,7 +237,7 @@ _SEED = ("seed", False, "recorded in the report's seed field only")
 _ANALYSES = {
     "norms": (_run_norms, "Schur/Sjostrand/slant norms of a matrix", (
         ("matrix", True, None),
-        ("alpha", False, "slant to weight (omit to skip the slant norm)"))),
+        ("alpha", False, "slant alpha of the slant norm (omit to skip it)"))),
     "stab": (partial(_run_ladder, analysis="stab"),
              "stability ladder over prefix windows", (
         ("matrix", True, None),

@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import InvariantViolation, NumericalError
 from .lattice import IndexSet
-from .matalg import ENTRY_DROP_TOL, LocalizedMatrix, truncation_tail
+from .matalg import ENTRY_DROP_TOL, LocalizedMatrix
 from .profiles import Profile1D, gauss_legendre_rule, profile_from_json_dict
 from .stability import StabilityReport, WindowEntry, ladder_verdict, normalize_p
-from .synthesis import (HYPOTHESIS_SLACK, PROBE_PER_UNIT, DyadicFunction,
-                        SampledFunction, project_Pn)
+from .synthesis import HYPOTHESIS_SLACK, PROBE_PER_UNIT, DyadicFunction, project_Pn
 
 CONV_QUAD_ORDER = 8
 QUAD_CHECK_TOL = 1e-12
@@ -240,50 +239,6 @@ class KernelOperator:
         return cls(rule_from_json_dict(obj["rule"]),
                    profile_from_json_dict(obj["envelope"]),
                    float(obj["alpha"]), float(obj["D"]))
-
-
-# ----------------------------------------------------------------------
-# application
-
-
-def apply_kernel(op: KernelOperator, f: DyadicFunction, r=2.0,
-                 eval_grid=None) -> SampledFunction:
-    """Tf sampled on a grid, exact per point for piecewise-constant input.
-
-    Convolution kernels integrate each input cell through the profile's
-    antiderivative; separable kernels reduce to inner products with the
-    y-factors.  The meta dict records the ratio of the sampled ||Tf||_r
-    to the amalgam-norm bound ||h|| * ||f||_r.
-    """
-    r = normalize_p(r)
-    h = f.width
-    edges = (f.start[0] + np.arange(f.values.size + 1)) * h
-    if eval_grid is None:
-        pad = op.pad_radius()
-        lo, hi = edges[0] - pad, edges[-1] + pad
-        n_pts = int(math.ceil((hi - lo) / h))
-        eval_grid = lo + (np.arange(n_pts) + 0.5) * h
-    xs = np.asarray(eval_grid, dtype=float)
-    if isinstance(op.rule, ConvolutionRule):
-        g = op.rule.profile
-        args = xs[:, None] - edges[None, :]
-        if op.rule.reflected:
-            anti = -np.asarray(g.antiderivative_at(-args), dtype=float)
-        else:
-            anti = np.asarray(g.antiderivative_at(args), dtype=float)
-        vals = (anti[:, :-1] - anti[:, 1:]) @ f.values
-    else:
-        vals = np.zeros_like(xs)
-        for c, u, v in op.rule.terms:
-            anti = np.asarray(v.antiderivative_at(edges), dtype=float)
-            weight = float(np.diff(anti) @ f.values)
-            vals += c * weight * np.asarray(u(xs), dtype=float)
-    fn = f.lp_norm(r)
-    out = SampledFunction(xs, vals)
-    bound = op.envelope.amalgam_norm() * fn
-    ratio = out.lp_norm(r) / bound if bound > 0 else 0.0
-    return SampledFunction(xs, vals, {"schur_ratio": float(ratio),
-                                      "schur_bound": float(bound)})
 
 
 # ----------------------------------------------------------------------
@@ -572,38 +527,3 @@ def perturbed_identity_stability(op: KernelOperator, p, n_values,
     finest = max(n_values)
     lowers = [e.lower for e in entries if e.n == finest]
     return PerturbedIdentityReport(p, entries, ladder_verdict(lowers), curve)
-
-
-# ----------------------------------------------------------------------
-# truncation tails
-
-
-def _envelope_ring_sum(h: Profile1D, k: int) -> float:
-    """Upper bound on the sum of |h| cell sups over cells with |j| >= k."""
-    radius = int(math.ceil(h.decay_radius(1e-14))) + 1
-    js = np.arange(-radius - 1, radius + 1)
-    sups = h.cell_sup(js[np.abs(js) >= k])
-    # accumulated cell after cell in ascending j (cumsum, not a pairwise sum)
-    total = float(np.cumsum(sups)[-1]) if sups.size else 0.0
-    return total + 2.0 * h.tail_sum_bound(radius + 1)
-
-
-def kernel_truncation_tail(op: KernelOperator, n: int, s_values,
-                           window) -> list:
-    """(s, ||A_n - truncated||, envelope bound) triples, bound asserted.
-
-    The bound is 3 * sum of envelope cell sups over |j| >= s-3, which
-    dominates the Sjöstrand norm of everything the truncation removes.
-    """
-    A = discretize_kernel(op, n, window)
-    s_values = sorted(float(s) for s in s_values)
-    tails = truncation_tail(A, s_values)
-    out = []
-    for (s, tail) in tails:
-        bound = 3.0 * _envelope_ring_sum(op.envelope, int(math.floor(s)) - 3)
-        if tail > bound + 1e-12 * max(1.0, bound):
-            raise InvariantViolation(
-                f"truncation tail {tail:.6g} at s={s} exceeds the envelope "
-                f"bound {bound:.6g}")
-        out.append((s, tail, bound))
-    return out

@@ -119,16 +119,27 @@ class IndexSet:
 
 
 def _check_distinct(pts: np.ndarray) -> None:
+    """Reject two points that agree within DISTINCT_TOL in every coordinate.
+
+    After the lexicographic sort the axis-0 gap s[i + k, 0] - s[i, 0] grows
+    with the lag k, so every lag up to that of a duplicate pair has some
+    pair within tolerance on axis 0.  The scan over lags stops at the first
+    lag without one; in one dimension that is lag 1.
+    """
     m = pts.shape[0]
     if m < 2:
         return
     order = np.lexsort(pts.T[::-1])
     s = pts[order]
-    dup = (np.abs(np.diff(s, axis=0)) <= DISTINCT_TOL).all(axis=1)
-    if dup.any():
-        i = int(np.flatnonzero(dup)[0])
-        raise ValueError(f"duplicate points (all coordinates within {DISTINCT_TOL}): "
-                         f"{s[i].tolist()} and {s[i + 1].tolist()}")
+    for k in range(1, m):
+        near = np.abs(s[k:] - s[:-k]) <= DISTINCT_TOL
+        dup = near.all(axis=1)
+        if dup.any():
+            i = int(np.flatnonzero(dup)[0])
+            raise ValueError(f"duplicate points (all coordinates within {DISTINCT_TOL}): "
+                             f"{s[i].tolist()} and {s[i + k].tolist()}")
+        if not near[:, 0].any():
+            return
 
 
 def _max_depth(pts: np.ndarray) -> int:

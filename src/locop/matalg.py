@@ -9,32 +9,14 @@ bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .lattice import IndexSet, CutoffOperator, separation_constant
+from .lattice import IndexSet, CutoffOperator
 
 ENTRY_DROP_TOL = 1e-300
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Admissible polynomial weight (1 + |x|)^exponent (Euclidean |x|)."""
-
-    exponent: float
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("weight exponent must be >= 0")
-
-    def __call__(self, x) -> np.ndarray | float:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim <= 1:
-            return float((1.0 + np.linalg.norm(arr)) ** self.exponent)
-        return (1.0 + np.linalg.norm(arr, axis=-1)) ** self.exponent
 
 
 class OffsetProfile:
@@ -48,12 +30,6 @@ class OffsetProfile:
 
     def __len__(self) -> int:
         return self.cells.shape[0]
-
-    def __getitem__(self, k) -> float:
-        key = np.asarray(k, dtype=np.int64).reshape(1, -1)
-        match = (self.cells == key).all(axis=1)
-        idx = np.flatnonzero(match)
-        return float(self.sups[idx[0]]) if idx.size else 0.0
 
     def total(self) -> float:
         # lexicographic cell order fixes the summation order
@@ -265,8 +241,8 @@ def schur_norm(A: LocalizedMatrix) -> float:
     return max(float(row.max(initial=0.0)), float(col.max(initial=0.0)))
 
 
-def slant_norm(A: LocalizedMatrix, alpha: float, weight: Weight | None = None) -> float:
-    """Weighted sup-norm along the slanted diagonal j' - alpha * j.
+def slant_norm(A: LocalizedMatrix, alpha: float) -> float:
+    """Sup-norm along the slanted diagonal j' - alpha * j.
 
     Requires integer-lattice index sets (rows and columns); offsets are
     binned by coordinate floor of col_point - alpha * row_point.
@@ -279,10 +255,8 @@ def slant_norm(A: LocalizedMatrix, alpha: float, weight: Weight | None = None) -
         if pts.size and np.abs(pts - np.round(pts)).max() > 1e-9:
             raise ValueError(f"slant norm needs integer {name} lattice points")
     off = A.cols.points[A.j] - alpha * A.rows.points[A.i]
-    ks, sups = group_max(np.floor(off).astype(np.int64), np.abs(A.values))
-    if weight is None:
-        return float(np.sum(sups))
-    return float(np.sum(weight(ks.astype(float)) * sups))
+    _, sups = group_max(np.floor(off).astype(np.int64), np.abs(A.values))
+    return float(np.sum(sups))
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +291,7 @@ def truncation_tail(A: LocalizedMatrix, s_values: Iterable[float]) -> list[tuple
 
 
 # ----------------------------------------------------------------------
-# application and commutator
+# vector norms and commutator
 
 
 def vector_pnorm(x: np.ndarray, p: float) -> float:
@@ -327,41 +301,6 @@ def vector_pnorm(x: np.ndarray, p: float) -> float:
     if np.isinf(p):
         return float(np.abs(x).max())
     return float(np.linalg.norm(x.ravel(), ord=p))
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """Observed ratio against the separation/localization upper bound."""
-
-    p: float
-    ratio: float
-    input_norm: float
-    output_norm: float
-    bound: float
-    r_rows: int
-    r_cols: int
-    sjostrand: float
-
-
-def apply(A: LocalizedMatrix, c, p: float = 2.0) -> tuple[np.ndarray, BoundCheck]:
-    """Matrix-vector product plus the localization bound diagnostic.
-
-    The recorded bound is R(rows)^{1/p} R(cols)^{1-1/p} ||A||_loc ||c||_p;
-    the ratio output/bound stays <= 1 on integer-lattice corpora.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape[0] != A.shape[1]:
-        raise ValueError(f"coefficient length {c.shape[0]} != column count {A.shape[1]}")
-    y = A.csr() @ c
-    r_rows = separation_constant(A.rows)
-    r_cols = separation_constant(A.cols)
-    inv_p = 0.0 if np.isinf(p) else 1.0 / p
-    norm_c = vector_pnorm(c, p)
-    norm_y = vector_pnorm(y, p)
-    bound = (r_rows ** inv_p) * (r_cols ** (1.0 - inv_p)) * sjostrand_norm(A) * norm_c
-    ratio = norm_y / bound if bound > 0 else 0.0
-    return y, BoundCheck(p, float(ratio), norm_c, norm_y, float(bound),
-                         r_rows, r_cols, sjostrand_norm(A))
 
 
 def commutator_with_cutoff(A: LocalizedMatrix, op: CutoffOperator) -> LocalizedMatrix:

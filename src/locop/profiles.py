@@ -48,12 +48,6 @@ class Profile1D:
         """R with |f| < tol outside [-R, R]."""
         raise NotImplementedError
 
-    def tail_sum_bound(self, k: int) -> float:
-        """Upper bound on sum_{j >= k} cell_sup(j), one side only;
-        callers add the bounds for both sides (profiles here are even
-        or compactly supported, so one formula serves both)."""
-        raise NotImplementedError
-
     # -- shared machinery -----------------------------------------------
     def cell_averages(self, edges: np.ndarray) -> np.ndarray:
         """Mean of f over consecutive cells [edges[i], edges[i+1])."""
@@ -233,9 +227,6 @@ class PiecewisePolynomial(Profile1D):
     def decay_radius(self, tol: float = 1e-10) -> float:
         return float(max(abs(self.breaks[0]), abs(self.breaks[-1])))
 
-    def tail_sum_bound(self, k: int) -> float:
-        return 0.0 if k > self.decay_radius() else math.inf
-
     @property
     def support(self) -> tuple[float, float]:
         return float(self.breaks[0]), float(self.breaks[-1])
@@ -278,18 +269,6 @@ class GaussianProfile(Profile1D):
             return 0.0
         return self.sigma * math.sqrt(math.log(amp / tol))
 
-    def tail_sum_bound(self, k: int) -> float:
-        # cells are unit width; |f| decreasing beyond |x| >= max(k-1, 0)
-        if k <= 1:
-            k = 1
-        amp = abs(self.amplitude)
-        # sup on cell j (j >= k) is |f(j)|; sum <= f(k) + integral_k^inf f
-        from scipy.special import erfc
-
-        head = amp * math.exp(-((k / self.sigma) ** 2))
-        tail_int = amp * self.sigma * _SQRT_PI / 2.0 * float(erfc(k / self.sigma))
-        return head + tail_int
-
     def to_json_dict(self) -> dict:
         return {"kind": "gaussian", "sigma": float(self.sigma),
                 "amplitude": float(self.amplitude)}
@@ -330,13 +309,6 @@ class ExponentialProfile(Profile1D):
             return 0.0
         return math.log(amp / tol) / self.rate
 
-    def tail_sum_bound(self, k: int) -> float:
-        if k <= 1:
-            k = 1
-        amp = abs(self.amplitude)
-        r = math.exp(-self.rate)
-        return amp * math.exp(-self.rate * k) / (1.0 - r)
-
     def to_json_dict(self) -> dict:
         return {"kind": "exponential", "rate": float(self.rate),
                 "amplitude": float(self.amplitude)}
@@ -367,10 +339,6 @@ def bspline_profile(order: int) -> PiecewisePolynomial:
             poly += w * binom_row
         coeffs.append(poly)
     return PiecewisePolynomial(breaks, tuple(coeffs))
-
-
-def box_profile(lo: float = 0.0, hi: float = 1.0, height: float = 1.0) -> PiecewisePolynomial:
-    return PiecewisePolynomial(np.array([lo, hi]), (np.array([height]),))
 
 
 def trapezoid_profile(plateau_lo: float, plateau_hi: float, ramp: float = 1.0,

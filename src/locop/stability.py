@@ -700,11 +700,6 @@ def _ladder(windows: list[LocalizedMatrix], p: float) -> StabilityReport:
     return StabilityReport(p, entries, ladder_verdict([e.lower for e in entries]))
 
 
-def stability_ladder(A: LocalizedMatrix, p, window_sizes) -> StabilityReport:
-    """Lower/upper constants of the leading w x w windows of A at one exponent."""
-    return _ladder(_prefix_windows(A, window_sizes), normalize_p(p))
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     ps: list[float]

@@ -2,17 +2,17 @@
 
 A generator family attaches a decaying profile to each point of an index
 set (usually shifts of one base profile).  This module verifies the
-envelope and modulus hypotheses, evaluates the synthesis map, projects
-onto dyadic piecewise constants, and discretizes the family into a
-localized matrix whose stability constants transfer back to the function
-side through the exact dyadic norm identity
+envelope and modulus hypotheses, projects onto dyadic piecewise
+constants, and discretizes the family into a localized matrix whose
+stability constants transfer back to the function side through the
+exact dyadic norm identity
 ||sum a(λ') φ0(2^n (x - λ'))||_p = 2^{-n d / p} ||a||_p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -283,49 +283,7 @@ class GeneratorFamily:
 
 
 # ----------------------------------------------------------------------
-# sampled and dyadic functions
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Point samples on a uniform grid (Riemann norms, diagnostics only)."""
-
-    x: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def lp_norm(self, p) -> float:
-        p = normalize_p(p)
-        if math.isinf(p):
-            return float(np.abs(self.values).max(initial=0.0))
-        h = float(self.x[1] - self.x[0]) if self.x.size > 1 else 1.0
-        return float((np.sum(np.abs(self.values) ** p) * h) ** (1.0 / p))
-
-
-def synthesize(fam: GeneratorFamily, c, grid) -> SampledFunction:
-    """Evaluate sum_λ c(λ) φ_λ on a grid.
-
-    All stored generators enter the sum, so the reported truncation
-    bound is zero; the meta dict records the localization bound ratio
-    ||f||_inf / (R ||h||_W1 ||c||_inf) for cross-checking.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape[0] != fam.n_columns:
-        raise ValueError(f"coefficient length {c.shape[0]} != generator count {fam.n_columns}")
-    grid = np.asarray(grid, dtype=float)
-    vals = np.zeros_like(grid)
-    for col in range(fam.n_columns):
-        if c[col] == 0.0:
-            continue
-        prof, shift = fam.column_profile(col)
-        vals += c[col] * np.asarray(prof(grid - shift), dtype=float)
-    r = separation_constant(fam.effective_index())
-    hnorm = fam.envelope.amalgam_norm()
-    cmax = float(np.abs(c).max(initial=0.0))
-    bound = r * hnorm * cmax
-    ratio = float(np.abs(vals).max(initial=0.0) / bound) if bound > 0 else 0.0
-    return SampledFunction(grid, vals, {"truncation_bound": 0.0,
-                                        "sup_bound_ratio": ratio})
+# dyadic functions
 
 
 class DyadicFunction:

@@ -12,7 +12,8 @@ the left-inverse LP, which solves the dual, against the primal over L.
 The square-window inverse norm and its codimension-one interior are the
 two routines, one LU and one pass over the inverse each, that the shared
 pass replaced, and the weighted median along v sorts every column, not
-only v's support.
+only v's support.  An index set's duplicate check is compared against
+every pair of points.
 """
 
 import math
@@ -334,3 +335,10 @@ def _codim_one_lower(A: LocalizedMatrix, j: int, p: float) -> float | None:
     (inv,) = _inverse_blocks(lu, n, "N")  # n <= INVERSE_BLOCK_COLS
     v = inv[j] / np.abs(inv[j]).max()
     return 1.0 / _max_l1_on_hyperplane(np.delete(inv, j, axis=0), v)
+
+
+def has_duplicate_points(pts: np.ndarray, tol: float) -> bool:
+    """Whether two points agree within tol in every coordinate, pair by pair."""
+    m = pts.shape[0]
+    return any((np.abs(pts[a] - pts[b]) <= tol).all()
+               for a in range(m) for b in range(a + 1, m))

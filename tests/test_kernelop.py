@@ -6,10 +6,9 @@ import pytest
 from locop import corpus, kernelop, stability
 from locop.errors import InvariantViolation, NumericalError
 from locop.kernelop import (ConvolutionRule, KernelOperator, SeparableRule,
-                            _conv_offset_table, _envelope_ring_sum, _next_fast_len,
+                            _conv_offset_table, _next_fast_len,
                             _verify_offset_quadrature, apply_discretized,
-                            apply_kernel, discretization_error_curve,
-                            discretize_kernel, kernel_truncation_tail,
+                            discretization_error_curve, discretize_kernel,
                             perturbed_identity_stability, rule_from_json_dict)
 from locop.matalg import LocalizedMatrix
 from locop.profiles import (ExponentialProfile, GaussianProfile,
@@ -126,30 +125,6 @@ def test_calibrated_operator_validates(gaussian_op):
 # application
 
 
-def test_apply_kernel_matches_quadrature_oracle(gaussian_op):
-    # oracle: 40-node Gauss-Legendre per input cell, exact to machine
-    # precision for a Gaussian over a half-width cell
-    f = DyadicFunction(1, [0], np.array([1.0, 2.0, -1.0, 0.5]))
-    grid = np.array([0.3, 1.1, 2.7])
-    out = apply_kernel(gaussian_op, f, r=2.0, eval_grid=grid)
-    nodes, weights = np.polynomial.legendre.leggauss(40)
-    expect = np.zeros_like(grid)
-    for j, a in enumerate(f.values):
-        lo, hi = j * 0.5, (j + 1) * 0.5
-        ys = (hi - lo) / 2 * nodes + (hi + lo) / 2
-        for i, x in enumerate(grid):
-            expect[i] += a * (hi - lo) / 2 * float(
-                weights @ gaussian_op.kernel(x, ys))
-    assert np.allclose(out.values, expect, atol=1e-14)
-
-
-def test_apply_kernel_reports_schur_ratio(gaussian_op, rng):
-    f = DyadicFunction(2, [0], rng.standard_normal(24))
-    out = apply_kernel(gaussian_op, f, r=2.0)
-    assert 0.0 < out.meta["schur_ratio"] <= 1.0
-    assert out.lp_norm(2.0) <= out.meta["schur_bound"]
-
-
 def test_apply_discretized_agrees_with_matrix(gaussian_op, rng):
     # the tablewise application and the assembled matrix must produce the
     # same numbers (up to summation order) on interior data
@@ -256,19 +231,6 @@ def test_omega_matches_scalar_modulus(g):
     for r in (0.5, 2.0 ** -6):
         want = [oracles.modulus_of_continuity(g, r, float(x)) for x in xs]
         assert np.array_equal(g.modulus_of_continuity(r, xs), want)
-
-
-@pytest.mark.parametrize("h", [GaussianProfile(3.0, 0.7), trapezoid_profile(-1.0, 1.0)],
-                         ids=["gaussian", "trapezoid"])
-def test_envelope_ring_sum_matches_per_cell_loop(h):
-    radius = int(math.ceil(h.decay_radius(1e-14))) + 1
-    for k in (0, 2, 5, radius + 3):
-        total = 0.0
-        for j in range(-radius - 1, radius + 1):
-            if abs(j) >= k:
-                total += oracles.cell_sup(h, j)
-        total += 2.0 * h.tail_sum_bound(radius + 1)
-        assert _envelope_ring_sum(h, k) == total
 
 
 def test_fft_branch_matches_direct_convolution(gaussian_op):
@@ -445,16 +407,3 @@ def test_perturbed_identity_builds_one_table_per_scale(gaussian_op, monkeypatch)
     perturbed_identity_stability(op, 2.0, [3, 4, 5], [8.0], probes=[_PROBE])
     assert len(tables) == 12                     # kept on the operator
 
-
-# ----------------------------------------------------------------------
-# truncation tails
-
-
-def test_kernel_truncation_tail_is_bounded_and_monotone(gaussian_op):
-    tails = kernel_truncation_tail(gaussian_op, 2, [0, 1, 2, 4, 8],
-                                   (0.0, 12.0))
-    values = [t for _, t, _ in tails]
-    assert values == sorted(values, reverse=True)
-    for s, tail, bound in tails:
-        assert tail <= bound + 1e-12
-    assert values[-1] < 1e-6

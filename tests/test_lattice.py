@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locop.lattice import (CutoffOperator, IndexSet, cutoff_partition_check,
-                           cutoff_psi, separation_constant)
+from locop.lattice import (DISTINCT_TOL, CutoffOperator, IndexSet,
+                           cutoff_partition_check, cutoff_psi, separation_constant)
+
+import oracles
 
 
 def test_integer_range_basics():
@@ -18,6 +20,32 @@ def test_integer_range_basics():
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         IndexSet(1, [0.0, 1.0, 1.0 + 1e-14], window=[[0.0, 2.0]])
+
+
+def test_duplicate_points_rejected_beyond_lexicographic_neighbours():
+    # the first and third points agree within 1e-12 on both axes; the
+    # second sorts between them
+    with pytest.raises(ValueError, match="duplicate"):
+        IndexSet(2, [[0, 5], [1e-13, 0], [2e-13, 5]], [[-1, 1], [-1, 6]])
+
+
+# near-ties on every axis, so duplicates and near misses both come up
+_NEAR_TIES = st.sampled_from([0.0, 4e-13, 9e-13, 1e-12, 1.6e-12, 3e-12, 1.0, 1.0 + 7e-13])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(_NEAR_TIES, min_size=d, max_size=d),
+                       min_size=1, max_size=12)))
+def test_duplicate_check_matches_the_pairwise_oracle(rows):
+    pts = np.array(rows)
+    dim = pts.shape[1]
+    window = [[-1.0, 2.0]] * dim
+    if oracles.has_duplicate_points(pts, DISTINCT_TOL):
+        with pytest.raises(ValueError, match="duplicate"):
+            IndexSet(dim, pts, window)
+    else:
+        assert len(IndexSet(dim, pts, window)) == len(pts)
 
 
 def test_point_outside_window_rejected():

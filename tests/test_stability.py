@@ -29,8 +29,7 @@ from locop.stability import (DENSE_EIG_CUTOFF, INVERSE_BLOCK_COLS,
                              convolution_stability, density_check,
                              equivalence_report, inverse_decay_profile,
                              ladder_verdict, lower_constant,
-                             lower_constant_interior, stability_ladder,
-                             upper_constant)
+                             lower_constant_interior, upper_constant)
 from locop.kernelop import PerturbedEntry
 from locop.synthesis import GeneratorFamily, SynthesisEntry, discretize_synthesis
 
@@ -769,7 +768,7 @@ def test_codim_one_ladders_never_search(p, monkeypatch):
     monkeypatch.setattr(stability, "_min_singular_vector", forbidden)
     for A in (toeplitz([1, 2, 1], 64), toeplitz([1, 3, 1], 64),
               corpus.banded_random(64, band=1, seed=2)):
-        rep = stability_ladder(A, p, [16, 32, 64])
+        rep = equivalence_report(A, [p], [16, 32, 64]).per_p[p]
         assert all(e.interior_certified and e.interior_method == "codim-one"
                    for e in rep.entries)
 
@@ -913,7 +912,7 @@ def test_median_over_the_support_of_v_matches_the_full_sort(Uv):
     ids=["banded300-pinf", "t131-w64-p1"])
 def test_window_and_interior_share_one_lu_and_one_pass(build, p, counts, count_lu):
     A = build()
-    (e,) = stability_ladder(A, p, [A.shape[0]]).entries
+    (e,) = equivalence_report(A, [p], [A.shape[0]]).per_p[p].entries
     assert (e.method, e.interior_method) == ("inverse-norm", "codim-one")
     assert count_lu == counts
 
@@ -943,7 +942,7 @@ def test_ladder_verdict_classification():
 
 def test_stability_ladder_stable_matrix():
     A = toeplitz([1, 3, 1], 128)
-    rep = stability_ladder(A, 2.0, [32, 64, 128])
+    rep = equivalence_report(A, [2.0], [32, 64, 128]).per_p[2.0]
     assert rep.verdict == "stabilized"
     assert [e.window for e in rep.entries] == [32, 64, 128]
     assert all(e.lower_certified for e in rep.entries)
@@ -954,7 +953,7 @@ def test_stability_ladder_degenerating_matrix():
     # symbol 2 + 2cos xi vanishes at pi: the finite sections lose their
     # smallest singular value like 1/n^2
     A = toeplitz([1, 2, 1], 128)
-    rep = stability_ladder(A, 2.0, [32, 64, 128])
+    rep = equivalence_report(A, [2.0], [32, 64, 128]).per_p[2.0]
     assert rep.verdict == "degenerating"
     assert rep.entries[2].lower < 0.55 * rep.entries[1].lower
 
@@ -967,14 +966,14 @@ def test_prefix_windows_rejects_bad_sizes(windows, match):
     with pytest.raises(ValueError, match=match):
         stability._prefix_windows(A, windows)
     with pytest.raises(ValueError, match=match):
-        stability_ladder(A, 2.0, windows)
+        equivalence_report(A, [2.0], windows)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
 def test_ladder_entries_are_the_window_constants(p):
     A = corpus.banded_random(40, band=2, seed=5)
     windows = [10, 20, 40]
-    rep = stability_ladder(A, p, windows)
+    rep = equivalence_report(A, [p], windows).per_p[p]
     assert rep.p == p and [e.window for e in rep.entries] == windows
     for w, e in zip(windows, rep.entries):
         W = A.window_prefix(w, w)
