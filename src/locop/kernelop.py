@@ -34,11 +34,10 @@ ENTRY_CUTOFF_TOL = 1e-15
 
 @dataclass(frozen=True)
 class ConvolutionRule:
-    """K(x, y) = g(x - y); ``reflected`` swaps the arguments.
+    """K(x, y) = g(x - y), or g(y - x) when ``reflected``.
 
-    The reflection flag (rather than a rebuilt mirrored profile) is what
-    makes transposition exact: the discretized matrix of the transpose
-    reuses the same per-offset integrals with negated offsets.
+    A reflected rule keeps g itself and reads its per-offset integrals at
+    negated offsets, so no mirrored profile is built.
     """
 
     profile: Profile1D
@@ -49,9 +48,6 @@ class ConvolutionRule:
     def value(self, x, y):
         u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
         return self.profile(-u if self.reflected else u)
-
-    def transpose(self) -> "ConvolutionRule":
-        return ConvolutionRule(self.profile, not self.reflected)
 
     def to_json_dict(self) -> dict:
         out = {"kind": "convolution", "g": self.profile.to_json_dict()}
@@ -81,9 +77,6 @@ class SeparableRule:
         for c, u, v in self.terms:
             out += c * np.asarray(u(xs), dtype=float) * np.asarray(v(ys), dtype=float)
         return out
-
-    def transpose(self) -> "SeparableRule":
-        return SeparableRule(tuple((c, v, u) for c, u, v in self.terms))
 
     def to_json_dict(self) -> dict:
         return {"kind": "table",
@@ -116,7 +109,7 @@ class KernelOperator:
       * the joint modulus sup_y omega_delta(K)(y, x+y) has amalgam sum
         <= d_const * delta**alpha on the dyadic delta grid 2^-1 .. 2^-10.
 
-    One envelope serves the operator and its transpose, so asymmetric
+    One envelope serves K(x, y) and K(y, x), so asymmetric
     kernels need an envelope dominating both orientations.
     """
 
@@ -132,16 +125,11 @@ class KernelOperator:
             raise ValueError("alpha must lie in (0, 1]")
         if self.d_const <= 0:
             raise ValueError("D must be positive")
-        object.__setattr__(self, "_validated", False)
         object.__setattr__(self, "_tables", {})
 
     # -- evaluation ------------------------------------------------------
     def kernel(self, x, y):
         return self.rule.value(x, y)
-
-    def transpose(self) -> "KernelOperator":
-        return KernelOperator(self.rule.transpose(), self.envelope,
-                              self.alpha, self.d_const)
 
     def pad_radius(self) -> float:
         """Radius outside which the envelope is below 1e-10."""
@@ -201,7 +189,6 @@ class KernelOperator:
                 raise InvariantViolation(
                     f"Hölder bound fails at delta=2^-{k}: "
                     f"{sums:.6g} > D*delta^alpha = {budget:.6g}")
-        object.__setattr__(self, "_validated", True)
         return {"amalgam_sum": total, "envelope_excess": gap,
                 "holder_margin": margin, "holder_need": need}
 
@@ -223,10 +210,6 @@ class KernelOperator:
                                           xs[None, :] + ys[:, None] + dv)
                 worst = np.maximum(worst, np.abs(shifted - base))
         return worst.max(axis=0)
-
-    def ensure_valid(self) -> None:
-        if not self._validated:
-            self.validate()
 
     # -- serialization -----------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -402,10 +385,9 @@ def apply_discretized(op: KernelOperator, n: int, f: DyadicFunction) -> DyadicFu
             size = a.size + table.size - 1
             L = _next_fast_len(size)
             conv = np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(table, L), L)[:size]
-        start = int(u.start[0]) - table.size // 2
-        return DyadicFunction(n, [start], h * conv)
+        return DyadicFunction(n, u.start - table.size // 2, h * conv)
     # Separable output lives on the union of the x-factor supports.
-    edges = (u.start[0] + np.arange(a.size + 1)) * h
+    edges = (u.start + np.arange(a.size + 1)) * h
     radii = [x.decay_radius(ENTRY_CUTOFF_TOL) for _, x, _ in op.rule.terms]
     r_max = max(radii, default=1.0)
     lo_cell = math.floor(-r_max / h)
@@ -415,7 +397,7 @@ def apply_discretized(op: KernelOperator, n: int, f: DyadicFunction) -> DyadicFu
     for c, u_f, v_f in op.rule.terms:
         weight = float(np.diff(np.asarray(v_f.antiderivative_at(edges))) @ a)
         vals += c * weight * u_f.cell_averages(out_edges)
-    return DyadicFunction(n, [lo_cell], vals)
+    return DyadicFunction(n, lo_cell, vals)
 
 
 # ----------------------------------------------------------------------
@@ -427,11 +409,6 @@ class ErrorCurve:
     r: float
     entries: list  # (n, max ratio over probes)
     slope: float | None
-
-    def to_json_dict(self) -> dict:
-        return {"r": "inf" if math.isinf(self.r) else self.r,
-                "entries": [[n, ratio] for n, ratio in self.entries],
-                "slope": self.slope}
 
 
 def discretization_error_curve(op: KernelOperator, n_values, probes,
@@ -485,7 +462,7 @@ def _default_probes(op: KernelOperator, window, level: int) -> list:
     if b - a < 1.0:
         raise ValueError("window too small for interior probes")
     mid, quarter = (a + b) / 2.0, (b - a) / 4.0
-    box = DyadicFunction(0, [int(math.floor(mid - quarter))],
+    box = DyadicFunction(0, math.floor(mid - quarter),
                          np.ones(max(int(round(2 * quarter)), 1)))
     bump = project_Pn(lambda x: np.exp(-((x - mid) ** 2)), level,
                       window=(mid - 6.0, mid + 6.0))
@@ -503,7 +480,7 @@ def perturbed_identity_stability(op: KernelOperator, p, n_values,
     discretization-error ratio at each scale rides along as the
     uncertainty attached to every entry.
     """
-    op.ensure_valid()
+    op.validate()
     p = normalize_p(p)
     n_values = sorted(int(n) for n in n_values)
     window_sizes = [float(w) for w in window_sizes]

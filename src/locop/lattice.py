@@ -9,7 +9,7 @@ the coarse grid, evaluated on points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class IndexSet:
     dim: int
     points: np.ndarray
     window: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_points(self.points, self.dim)
@@ -153,12 +152,7 @@ def _max_depth(pts: np.ndarray) -> int:
                                  np.stack([x + 1.0, -np.ones(m)], axis=1)])
         # ends sort before starts at equal coordinates: [λ, λ+1) is half-open
         order = np.lexsort((events[:, 1], events[:, 0]))
-        depth = best = 0
-        for t, delta in events[order]:
-            depth += int(delta)
-            if depth > best:
-                best = depth
-        return best
+        return int(np.cumsum(events[order, 1]).max())
     x = pts[:, 0]
     best = 0
     for start in np.unique(x):
@@ -170,11 +164,7 @@ def _max_depth(pts: np.ndarray) -> int:
 
 def separation_constant(s: IndexSet) -> int:
     """Largest point count of any unit cube, computed by exact sweep."""
-    cached = s._cache.get("separation")
-    if cached is None:
-        cached = _max_depth(np.asarray(s.points))
-        s._cache["separation"] = cached
-    return cached
+    return _max_depth(s.points)
 
 
 def cutoff_psi(x) -> np.ndarray | float:

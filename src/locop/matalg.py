@@ -214,12 +214,8 @@ def group_max(cells: np.ndarray, values: np.ndarray):
 
 
 def offset_profile(A: LocalizedMatrix) -> OffsetProfile:
-    prof = A._cache.get("profile")
-    if prof is None:
-        cells = np.floor(A.offsets()).astype(np.int64)
-        prof = OffsetProfile(A.dim, *group_max(cells, np.abs(A.values)))
-        A._cache["profile"] = prof
-    return prof
+    cells = np.floor(A.offsets()).astype(np.int64)
+    return OffsetProfile(A.dim, *group_max(cells, np.abs(A.values)))
 
 
 def sjostrand_norm(A: LocalizedMatrix) -> float:

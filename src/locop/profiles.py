@@ -227,10 +227,6 @@ class PiecewisePolynomial(Profile1D):
     def decay_radius(self, tol: float = 1e-10) -> float:
         return float(max(abs(self.breaks[0]), abs(self.breaks[-1])))
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.breaks[0]), float(self.breaks[-1])
-
     def to_json_dict(self) -> dict:
         return {"kind": "pp", "breaks": [float(b) for b in self.breaks],
                 "coeffs": [[float(v) for v in c] for c in self.coeffs]}

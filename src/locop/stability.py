@@ -675,18 +675,23 @@ def ladder_verdict(lowers: list[float]) -> str:
     return "undetermined"
 
 
-def _prefix_windows(A: LocalizedMatrix, windows) -> list[LocalizedMatrix]:
-    """The leading w x w windows of A, for strictly increasing sizes w in
-    [1, min(A.shape)]: a ladder nested by construction."""
+def check_window_sizes(windows, limit: int) -> list:
+    """The window sizes as a list; ValueError unless they are non-empty,
+    strictly increasing and within [1, limit]."""
     windows = list(windows)
     if not windows:
         raise ValueError("empty window ladder")
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError(f"window sizes must be strictly increasing: {windows}")
-    limit = min(A.shape)
     if windows[0] < 1 or windows[-1] > limit:
         raise ValueError(f"window sizes must lie in [1, {limit}]: {windows}")
-    return [A.window_prefix(w, w) for w in windows]
+    return windows
+
+
+def _prefix_windows(A: LocalizedMatrix, windows) -> list[LocalizedMatrix]:
+    """The leading w x w windows of A, for strictly increasing sizes w in
+    [1, min(A.shape)]: a ladder nested by construction."""
+    return [A.window_prefix(w, w) for w in check_window_sizes(windows, min(A.shape))]
 
 
 def _ladder(windows: list[LocalizedMatrix], p: float) -> StabilityReport:

@@ -20,7 +20,8 @@ from .errors import InvariantViolation
 from .lattice import IndexSet, separation_constant
 from .matalg import LocalizedMatrix, sjostrand_norm
 from .profiles import Profile1D, profile_from_json_dict, gauss_legendre_integral
-from .stability import StabilityReport, WindowEntry, ladder_verdict, normalize_p
+from .stability import (StabilityReport, WindowEntry, check_window_sizes, ladder_verdict,
+                        normalize_p)
 
 # Sampled hypothesis checks (here and in kernelop) share one probe density
 # (points per unit length), one relative slack, and one delta grid on which
@@ -118,7 +119,6 @@ class GeneratorFamily:
         if self.rule == "table" and len(profs) != len(self.index):
             raise ValueError("table rule needs one profile per index point")
         object.__setattr__(self, "profiles", profs)
-        object.__setattr__(self, "_validated", False)
 
     # -- indexing -----------------------------------------------------
     @property
@@ -188,7 +188,6 @@ class GeneratorFamily:
                 raise InvariantViolation(
                     f"envelope does not dominate profile (excess {gap:.3e})")
         worst_mod = self._check_modulus(MODULUS_DELTAS)
-        object.__setattr__(self, "_validated", True)
         return {"envelope_excess": worst_env, "modulus_excess": worst_mod,
                 "deltas": list(MODULUS_DELTAS)}
 
@@ -213,10 +212,6 @@ class GeneratorFamily:
                         f"{m[i]:.3e} > {bound * hv[i]:.3e}")
                 worst = max(worst, float(excess.max()))
         return worst
-
-    def ensure_valid(self) -> None:
-        if not self._validated:
-            self.validate()
 
     def calibrate_modulus(self) -> "GeneratorFamily":
         """Fit a power modulus bound to measured moduli, then verify it.
@@ -289,24 +284,20 @@ class GeneratorFamily:
 class DyadicFunction:
     """Piecewise-constant function on dyadic cells of width 2^-level.
 
-    ``values[k]`` is the cell average on [(start+k) h, (start+k+1) h);
-    Lp norms of such functions are exact sums, which is what makes the
-    dyadic norm identity and the projection contractivity testable to
-    machine precision.  ``start`` is a one-entry array.
+    ``values[k]`` is the cell average on [(start+k) h, (start+k+1) h),
+    where ``start`` is an int cell index; Lp norms of such functions are
+    exact sums, which is what makes the dyadic norm identity testable to
+    machine precision.
     """
 
-    def __init__(self, level: int, start, values, meta: dict | None = None):
+    def __init__(self, level: int, start: int, values):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError(f"dyadic functions are one-dimensional; values "
                              f"have shape {values.shape}")
-        start = np.asarray(start, dtype=np.int64).reshape(-1)
-        if start.size != 1:
-            raise ValueError("start must give one cell index")
         self.level = int(level)
-        self.start = start
+        self.start = int(start)
         self.values = values
-        self.meta = dict(meta or {})
 
     @property
     def width(self) -> float:
@@ -320,82 +311,46 @@ class DyadicFunction:
 
     def refine(self, to_level: int) -> "DyadicFunction":
         if to_level < self.level:
-            raise ValueError("refine target must not be coarser")
+            raise ValueError(f"cannot refine a level-{self.level} function to "
+                             f"the coarser level {to_level}")
         f = 2 ** (to_level - self.level)
-        return DyadicFunction(to_level, self.start * f,
-                              np.repeat(self.values, f), self.meta)
-
-    def coarsen(self, to_level: int) -> "DyadicFunction":
-        """Block-average down to a coarser level (zero-padding to align)."""
-        if to_level > self.level:
-            raise ValueError("coarsen target must not be finer")
-        f = 2 ** (self.level - to_level)
-        lo_pad = int(self.start[0] % f)
-        hi_pad = (-(self.values.size + lo_pad)) % f
-        vals = np.pad(self.values, (lo_pad, hi_pad))
-        meta = dict(self.meta)
-        if lo_pad or hi_pad:
-            meta["padded"] = True
-        return DyadicFunction(to_level, (self.start - lo_pad) // f,
-                              vals.reshape(-1, f).sum(axis=1) / f, meta)
+        return DyadicFunction(to_level, self.start * f, np.repeat(self.values, f))
 
     def subtract(self, other: "DyadicFunction") -> "DyadicFunction":
         """Pointwise difference on the union window at the finer level."""
         level = max(self.level, other.level)
         a, b = self.refine(level), other.refine(level)
-        lo = min(a.start[0], b.start[0])
-        hi = max(a.start[0] + a.values.size, b.start[0] + b.values.size)
+        lo = min(a.start, b.start)
+        hi = max(a.start + a.values.size, b.start + b.values.size)
 
         def embed(g):
             out = np.zeros(hi - lo)
-            out[g.start[0] - lo:g.start[0] - lo + g.values.size] = g.values
+            out[g.start - lo:g.start - lo + g.values.size] = g.values
             return out
-        return DyadicFunction(level, [lo], embed(a) - embed(b))
+        return DyadicFunction(level, lo, embed(a) - embed(b))
 
 
 def project_Pn(f, level: int, window=None) -> DyadicFunction:
     """Project onto piecewise constants at dyadic scale 2^-level.
 
-    Profiles project exactly through antiderivatives; dyadic functions
-    re-average (idempotent at equal level); callables use per-cell
-    Gauss-Legendre quadrature and need an explicit window.  Windows not
-    commensurate with the grid are padded outward and flagged in meta.
+    Dyadic functions refine to the level (idempotent at equal level; a
+    coarser level is a ValueError); callables use per-cell Gauss-Legendre
+    quadrature over an explicit window, widened outward to whole cells.
     """
     if isinstance(f, DyadicFunction):
         if window is not None:
-            raise ValueError("window applies to profile/callable input only")
-        if level == f.level:
-            return DyadicFunction(f.level, f.start, f.values.copy(), f.meta)
-        if level > f.level:
-            return f.refine(level)
-        return f.coarsen(level)
-    h = 2.0 ** (-level)
-    if isinstance(f, Profile1D):
-        if window is None:
-            r = f.decay_radius(1e-14)
-            window = (-r, r)
-        lo, hi = float(window[0]), float(window[1])
-        k_lo = math.floor(lo / h)
-        k_hi = math.ceil(hi / h)
-        if k_hi <= k_lo:
-            k_hi = k_lo + 1
-        padded = (k_lo * h != lo) or (k_hi * h != hi)
-        edges = (k_lo + np.arange(k_hi - k_lo + 1)) * h
-        vals = f.cell_averages(edges)
-        return DyadicFunction(level, [k_lo], vals,
-                              {"padded": True} if padded else {})
+            raise ValueError("window applies to callable input only")
+        return f.refine(level)
     if callable(f):
         if window is None:
             raise ValueError("callable input needs an explicit window")
-        lo, hi = float(window[0]), float(window[1])
-        k_lo, k_hi = math.floor(lo / h), math.ceil(hi / h)
-        padded = (k_lo * h != lo) or (k_hi * h != hi)
+        h = 2.0 ** (-level)
+        k_lo, k_hi = math.floor(float(window[0]) / h), math.ceil(float(window[1]) / h)
         vals = np.array([
             gauss_legendre_integral(f, (k_lo + t) * h, (k_lo + t + 1) * h) / h
             for t in range(k_hi - k_lo)
         ])
-        return DyadicFunction(level, [k_lo], vals,
-                              {"padded": True} if padded else {})
+        return DyadicFunction(level, k_lo, vals)
     raise TypeError(f"cannot project object of type {type(f).__name__}")
 
 
@@ -457,7 +412,8 @@ def synthesis_stability(fam: GeneratorFamily, p, n0_values,
     discretized constants may sit from the continuum ones, up to an
     unspecified geometry constant.
     """
-    fam.ensure_valid()
+    window_sizes = check_window_sizes([int(w) for w in window_sizes], len(fam.index))
+    fam.validate()
     p = normalize_p(p)
     n0_values = [int(n) for n in n0_values]
     # the bias bound reads the modulus at 2^-n0; validate checks MODULUS_DELTAS
@@ -466,7 +422,7 @@ def synthesis_stability(fam: GeneratorFamily, p, n0_values,
     hnorm = fam.envelope.amalgam_norm()
     entries = []
     worst_ratio = 0.0
-    for w in map(int, window_sizes):
+    for w in window_sizes:
         sub = fam.prefix(w)
         r_sep = separation_constant(sub.effective_index())
         for n0 in n0_values:

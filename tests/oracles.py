@@ -13,9 +13,11 @@ The square-window inverse norm and its codimension-one interior are the
 two routines, one LU and one pass over the inverse each, that the shared
 pass replaced, and the weighted median along v sorts every column, not
 only v's support.  An index set's duplicate check is compared against
-every pair of points.
+every pair of points, and its separation constant against a count of the
+points in every unit cube with point coordinates for its corner.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -342,3 +344,13 @@ def has_duplicate_points(pts: np.ndarray, tol: float) -> bool:
     m = pts.shape[0]
     return any((np.abs(pts[a] - pts[b]) <= tol).all()
                for a in range(m) for b in range(a + 1, m))
+
+
+def max_unit_cube_count(pts: np.ndarray) -> int:
+    """Most points in one half-open unit cube c + [0, 1)^d.
+
+    A cube pushed up until each lower face meets a point keeps its points,
+    so corners whose coordinates are point coordinates suffice."""
+    axes = [np.unique(pts[:, k]) for k in range(pts.shape[1])]
+    return max(int(((pts >= c) & (pts < c + 1.0)).all(axis=1).sum())
+               for c in map(np.array, itertools.product(*axes)))

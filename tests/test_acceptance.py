@@ -167,7 +167,7 @@ def test_criterion_08_dyadic_norm_identity(record_property):
         a = rng.standard_normal(size)
         start = int(rng.integers(-20, 20))
         for n0 in range(7):
-            f = DyadicFunction(n0, [start], a)
+            f = DyadicFunction(n0, start, a)
             for p in P_VALUES:
                 ref = (np.linalg.norm(a, np.inf) if math.isinf(p)
                        else 2.0 ** (-n0 / p) * np.linalg.norm(a, p))

@@ -386,6 +386,17 @@ def test_cli_rejects_repeated_or_descending_ladder(tmp_path, capsys, gaussian_op
     assert "strictly increasing" in err["message"]
 
 
+@pytest.mark.parametrize("window", ["0", "99"])
+def test_cli_synth_rejects_window_sizes_outside_the_index(tmp_path, capsys, window):
+    # window 0 used to fail in min() on an empty generator list and window
+    # 99 in IndexSet.prefix; both now get the matrix ladders' message
+    path = tmp_path / "fam.json"
+    path.write_bytes(dump_json_bytes(corpus.hat_family(16).to_json_dict()))
+    err = _assert_rejects(["synth", "--family", str(path), "--p", "2", "--n0", "3",
+                           "--window", window], tmp_path, capsys, error="ValueError")
+    assert err["message"] == f"window sizes must lie in [1, 16]: [{window}]"
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_cli_norms_rejects_non_finite_alpha(tmp_path, capsys, bad):
     # used to compute on NaN, print RuntimeWarnings and fail only when the

@@ -38,23 +38,13 @@ def test_convolution_rule_evaluates_difference():
 
 
 def test_convolution_transpose_is_reflection():
-    # the hat is not even, so transposition genuinely changes the kernel;
+    # the hat is not even, so reflection genuinely changes the kernel;
     # evaluating through the reflected flag reuses the same profile
     # arithmetic, which keeps the swap bitwise exact
     rule = ConvolutionRule(hat())
     xs = np.linspace(-2.0, 3.0, 23)
     ys = np.linspace(-1.0, 4.0, 23)
-    t = rule.transpose()
-    assert t.reflected
-    assert np.array_equal(t.value(xs, ys), rule.value(ys, xs))
-    assert not t.transpose().reflected
-
-
-def test_separable_rule_transpose_swaps_factors():
-    rule = SeparableRule(((1.0, hat(), GaussianProfile(1.0, 1.0)),))
-    xs = np.linspace(-1.0, 2.0, 17)
-    ys = np.linspace(-2.0, 1.0, 17)
-    t = rule.transpose()
+    t = ConvolutionRule(hat(), reflected=True)
     assert np.array_equal(t.value(xs, ys), rule.value(ys, xs))
 
 
@@ -129,15 +119,14 @@ def test_apply_discretized_agrees_with_matrix(gaussian_op, rng):
     # the tablewise application and the assembled matrix must produce the
     # same numbers (up to summation order) on interior data
     n, h = 2, 0.25
-    f = DyadicFunction(n, [20], rng.standard_normal(12))
+    f = DyadicFunction(n, 20, rng.standard_normal(12))
     A = discretize_kernel(gaussian_op, n, (0.0, 16.0))
     c = np.zeros(A.shape[1])
     c[20:32] = f.values
     y = h * (A.csr() @ c)
     g = apply_discretized(gaussian_op, n, f)
-    start = int(g.start[0])
     for k in range(A.shape[0]):
-        idx = k - start
+        idx = k - g.start
         want = g.values[idx] if 0 <= idx < g.values.size else 0.0
         assert y[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -154,8 +143,13 @@ def test_discretized_convolution_is_exactly_toeplitz(gaussian_op):
 
 
 def test_discretized_transpose_is_bitwise_transpose(gaussian_op):
+    # the operator as a kernel JSON file with {"reflected": true} reads it
+    obj = gaussian_op.to_json_dict()
+    obj["rule"]["reflected"] = True
+    reflected = KernelOperator.from_json_dict(obj)
+    assert reflected.rule.reflected
     D = discretize_kernel(gaussian_op, 2, (0.0, 8.0)).dense()
-    Dt = discretize_kernel(gaussian_op.transpose(), 2, (0.0, 8.0)).dense()
+    Dt = discretize_kernel(reflected, 2, (0.0, 8.0)).dense()
     assert np.array_equal(Dt, D.T)
 
 
@@ -237,7 +231,7 @@ def test_fft_branch_matches_direct_convolution(gaussian_op):
     n = 8
     h = 2.0 ** (-n)
     rng = np.random.default_rng(7)
-    f = DyadicFunction(n, [-1000], rng.standard_normal(2000))
+    f = DyadicFunction(n, -1000, rng.standard_normal(2000))
     out = apply_discretized(gaussian_op, n, f)
     kmax = int(math.ceil(gaussian_op._offset_radius() / h)) + 1
     ks = np.arange(-kmax, kmax + 1)
@@ -273,12 +267,11 @@ def test_error_curve_halves_per_scale(gaussian_op):
     ratios = [r for _, r in curve.entries]
     assert ratios == sorted(ratios, reverse=True)
     assert -1.2 <= curve.slope <= -0.8
-    d = curve.to_json_dict()
-    assert d["r"] == 2.0 and len(d["entries"]) == 3
+    assert curve.r == 2.0 and len(curve.entries) == 3
 
 
 def test_error_curve_rejects_zero_probes(gaussian_op):
-    silent = DyadicFunction(0, [4], np.zeros(4))
+    silent = DyadicFunction(0, 4, np.zeros(4))
     with pytest.raises(ValueError, match="nonzero"):
         discretization_error_curve(gaussian_op, [2, 3], [silent])
 
@@ -329,12 +322,18 @@ def _fresh(op):
     return KernelOperator(op.rule, op.envelope, op.alpha, op.d_const)
 
 
+def _reflected(op):
+    """The operator with K(x, y) = g(y - x) for the rule's profile g."""
+    return KernelOperator(ConvolutionRule(op.rule.profile, reflected=True),
+                          op.envelope, op.alpha, op.d_const)
+
+
 def _separable_op():
     return KernelOperator(SeparableRule(((1.0, hat(), GaussianProfile(1.0, 1.0)),)),
                           GaussianProfile(3.0, 2.0), 1.0, 50.0)
 
 
-_PROBE = DyadicFunction(1, [2], np.array([1.0, -0.5, 2.0, 0.25]))
+_PROBE = DyadicFunction(1, 2, np.array([1.0, -0.5, 2.0, 0.25]))
 
 
 @pytest.mark.parametrize("case,window", [("gaussian", 8.0), ("reflected", 8.0),
@@ -345,7 +344,7 @@ def test_perturbed_identity_matches_sparse_sum(gaussian_op, monkeypatch, case,
                                                window):
     # the matrices handed to lower_constant must be I + 2^-n A_n exactly as
     # a CSR sum builds it: same (i, j) pattern, bitwise the same values
-    op = {"gaussian": gaussian_op, "reflected": gaussian_op.transpose(),
+    op = {"gaussian": gaussian_op, "reflected": _reflected(gaussian_op),
           "separable": _separable_op()}[case]
     if case == "gaussian" and window < 4.0:
         assert op._offset_radius() > window   # the table is cut to the window
@@ -370,7 +369,7 @@ def test_window_entries_come_in_row_order(gaussian_op, case, n, window):
     # the row-major assembly is strictly increasing in (row, column), so
     # LocalizedMatrix keeps it unsorted, and it builds the matrix of the
     # diagonal-order assembly it replaced bit for bit
-    op = {"gaussian": gaussian_op, "reflected": gaussian_op.transpose(),
+    op = {"gaussian": gaussian_op, "reflected": _reflected(gaussian_op),
           "hat": KernelOperator(ConvolutionRule(hat()), GaussianProfile(3.0, 2.0),
                                 1.0, 50.0)}[case]
     index, ii, jj, vv = kernelop._window_entries(op, n, (0.0, window))

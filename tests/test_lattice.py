@@ -82,6 +82,21 @@ def test_separation_unit_cube_is_half_open():
     assert separation_constant(s) == 1
 
 
+# eighths are exact in binary, so a gap of exactly 1 (the half-open face)
+# comes up without rounding
+_EIGHTHS = st.integers(0, 24).map(lambda k: k / 8.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 2).flatmap(
+    lambda d: st.lists(st.tuples(*[_EIGHTHS] * d), min_size=1, max_size=14,
+                       unique=True)))
+def test_separation_matches_the_unit_cube_oracle(rows):
+    pts = np.array(rows)
+    s = IndexSet(pts.shape[1], pts, [[0.0, 3.0]] * pts.shape[1])
+    assert separation_constant(s) == oracles.max_unit_cube_count(pts)
+
+
 def test_prefix_is_nested():
     s = IndexSet.integer_range(0, 9)
     head = s.prefix(4)

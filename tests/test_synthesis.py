@@ -66,8 +66,7 @@ def test_modulus_rejects_non_finite_parameters(bad):
 
 
 def test_hat_family_validates():
-    fam = corpus.hat_family(16)
-    fam.ensure_valid()  # calibrated by the corpus builder
+    fam = corpus.hat_family(16)   # calibrated by the corpus builder
     rep = fam.validate()
     assert rep["envelope_excess"] <= 0.0
     assert rep["holder_margin"] >= 0.0 if "holder_margin" in rep else True
@@ -105,7 +104,7 @@ def test_calibrate_modulus_passes_validation():
     env = trapezoid_profile(0.0, 2.0, 1.0, 1.0)
     fam = GeneratorFamily(idx, (hat(),), env, "shift", None)
     cal = fam.calibrate_modulus()
-    cal.ensure_valid()
+    cal.validate()
     assert 0 < cal.modulus.alpha <= 1.0
 
 
@@ -209,44 +208,35 @@ def test_family_json_round_trip():
     st.sampled_from([1.0, 2.0, math.inf]),
 )
 def test_dyadic_norm_identity(values, level, p):
-    f = DyadicFunction(level, [-3], values)
+    f = DyadicFunction(level, -3, values)
     coeff = np.linalg.norm(values, 1 if p == 1.0 else (np.inf if math.isinf(p) else 2))
     expect = 2.0 ** (-level / p) * coeff if not math.isinf(p) else coeff
     assert f.lp_norm(p) == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
 def test_refine_preserves_values_and_norms(rng):
-    f = DyadicFunction(2, [4], rng.standard_normal(12))
+    f = DyadicFunction(2, 4, rng.standard_normal(12))
     g = f.refine(5)
     assert g.level == 5
     # each coarse cell splits into 2^3 fine cells that carry its value
-    assert g.start[0] == f.start[0] * 8
+    assert g.start == f.start * 8
     assert np.array_equal(g.values.reshape(-1, 8),
                           np.repeat(f.values[:, None], 8, axis=1))
     for p in (1.0, 2.0, math.inf):
         assert g.lp_norm(p) == pytest.approx(f.lp_norm(p), rel=1e-12)
 
 
-def test_coarsen_then_refine_is_averaging(rng):
-    f = DyadicFunction(3, [0], rng.standard_normal(16))
-    g = f.coarsen(2)
-    assert g.level == 2
-    assert np.allclose(g.values, f.values.reshape(-1, 2).mean(axis=1), atol=1e-15)
-
-
 def test_dyadic_function_rejects_two_dimensional_values():
     with pytest.raises(ValueError, match="one-dimensional"):
-        DyadicFunction(2, [0, 0], np.ones((4, 4)))
-    with pytest.raises(ValueError, match="one cell index"):
-        DyadicFunction(2, [0, 1], np.ones(4))
+        DyadicFunction(2, 0, np.ones((4, 4)))
 
 
 def test_subtract_aligns_windows():
-    f = DyadicFunction(1, [0], np.array([1.0, 2.0, 3.0, 4.0]))
-    g = DyadicFunction(1, [2], np.array([1.0, 1.0]))
+    f = DyadicFunction(1, 0, np.array([1.0, 2.0, 3.0, 4.0]))
+    g = DyadicFunction(1, 2, np.array([1.0, 1.0]))
     d = f.subtract(g)
     # g's cells [1, 1.5) and [1.5, 2) are f's third and fourth
-    assert (d.level, d.start[0]) == (1, 0)
+    assert (d.level, d.start) == (1, 0)
     assert np.array_equal(d.values, [1.0, 2.0, 2.0, 3.0])
 
 
@@ -255,28 +245,40 @@ def test_subtract_aligns_windows():
 
 
 def test_projection_is_idempotent_on_dyadic_input(rng):
-    f = DyadicFunction(4, [-8], rng.standard_normal(64))
+    f = DyadicFunction(4, -8, rng.standard_normal(64))
     once = project_Pn(f, 4)
     assert np.allclose(once.values, f.values, atol=1e-15)
     twice = project_Pn(once, 4)
     assert np.allclose(twice.values, once.values, atol=1e-12)
 
 
+def test_projection_onto_a_coarser_level_is_rejected():
+    f = DyadicFunction(5, 0, np.ones(96))
+    with pytest.raises(ValueError, match="level-5 .* coarser level 3"):
+        project_Pn(f, 3)
+
+
 @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
-def test_projection_is_a_contraction(q, rng):
-    f = DyadicFunction(5, [0], rng.standard_normal(96))
-    for n in (2, 3, 4):
-        g = project_Pn(f, n)
-        assert g.lp_norm(q) <= f.lp_norm(q) * (1 + 1e-12)
+def test_projection_is_a_contraction(q):
+    # the hat's norms are 1, sqrt(2/3) and 1; exp(-x^2) has norms sqrt(pi),
+    # (pi/2)^(1/4) and 1, and its tail beyond |x| = 6 is below e^-36
+    norms = {1.0: (1.0, math.sqrt(math.pi)),
+             2.0: (math.sqrt(2.0 / 3.0), (math.pi / 2.0) ** 0.25),
+             math.inf: (1.0, 1.0)}[q]
+    for f, window, norm in ((hat(), (0.0, 2.0), norms[0]),
+                            (lambda x: np.exp(-x * x), (-6.0, 6.0), norms[1])):
+        for n in (2, 3, 4):
+            g = project_Pn(f, n, window=window)
+            assert g.lp_norm(q) <= norm * (1 + 1e-12)
 
 
 def test_projection_of_profile_matches_cell_averages():
     h = hat()
-    f = project_Pn(h, 1)
+    f = project_Pn(h, 1, window=(-2.0, 2.0))
     # hat on [0,2] at half-integer cells: averages 1/8, 3/8, 3/8, 1/8 per
     # unit of the two support cells, scaled by cell width 1/2; the cells
     # outside the support average to zero
-    k0 = -f.start[0]   # the cell [0, 1/2)
+    k0 = -f.start   # the cell [0, 1/2)
     assert np.allclose(f.values[k0:k0 + 4], [0.25, 0.75, 0.75, 0.25], atol=1e-14)
     assert not np.delete(f.values, np.arange(k0, k0 + 4)).any()
 
@@ -289,9 +291,10 @@ def test_projection_of_callable_needs_window():
 def test_two_scale_projection_consistency():
     # projecting at a finer scale then averaging down equals projecting coarse
     h = hat()
-    fine = project_Pn(h, 3)
-    coarse = project_Pn(h, 1)
-    assert np.allclose(fine.coarsen(1).values, coarse.values, atol=1e-14)
+    fine = project_Pn(h, 3, window=(-2.0, 2.0))
+    coarse = project_Pn(h, 1, window=(-2.0, 2.0))
+    assert np.allclose(fine.values.reshape(-1, 4).mean(axis=1), coarse.values,
+                       atol=1e-14)
 
 
 # ----------------------------------------------------------------------
