@@ -16,7 +16,7 @@ import numpy as np
 from .errors import integer_field
 from .kernelop import ConvolutionRule, KernelOperator
 from .lattice import IndexSet
-from .matalg import LocalizedMatrix
+from .matalg import LocalizedMatrix, toeplitz_entries
 from .profiles import GaussianProfile, bspline_profile, pp_inner_product, trapezoid_profile
 from .reporting import dump_json_bytes, write_atomic
 from .synthesis import GeneratorFamily, ModulusBound
@@ -27,20 +27,8 @@ def toeplitz_matrix(sequence, window: int) -> LocalizedMatrix:
 
     ``sequence`` has odd length; its middle value sits on the diagonal.
     """
-    seq = [float(v) for v in sequence]
-    if len(seq) % 2 != 1:
-        raise ValueError("band sequence must have odd length (centered)")
-    half = len(seq) // 2
     index = IndexSet.integer_range(0, window - 1)
-    ii, jj, vv = [], [], []
-    for d, v in zip(range(-half, half + 1), seq):
-        if v == 0.0:
-            continue
-        i = np.arange(max(0, d), min(window, window + d))
-        ii.extend(i.tolist())
-        jj.extend((i - d).tolist())
-        vv.extend([v] * i.size)
-    return LocalizedMatrix(index, index, ii, jj, vv)
+    return LocalizedMatrix(index, index, *toeplitz_entries(sequence, window))
 
 
 def permuted_rows(A: LocalizedMatrix, seed: int) -> LocalizedMatrix:
@@ -96,7 +84,14 @@ def slanted_matrix(alpha: int, taps, window: int) -> LocalizedMatrix:
     alpha = int(alpha)
     if alpha < 1:
         raise ValueError("slant factor must be a positive integer")
-    taps = {integer_field(d, "tap offset"): float(v) for d, v in dict(taps).items()}
+    try:
+        taps = dict(taps)
+    except (TypeError, ValueError):
+        taps = {}
+    if not taps:
+        raise ValueError("taps must be a non-empty list of [offset, value] pairs "
+                         "or an {offset: value} object")
+    taps = {integer_field(d, "tap offset"): float(v) for d, v in taps.items()}
     rows = IndexSet.integer_range(0, window - 1)
     cols_lo = min(min(taps), 0)
     cols_hi = alpha * (window - 1) + max(max(taps), 0)
@@ -199,8 +194,13 @@ def gaussian_kernel_op(theta: float, sigma: float) -> KernelOperator:
 # corpus writer
 
 
-_FAMILIES = {"toeplitz", "banded_random", "slanted", "gabor_gram",
-             "bspline_gram", "gaussian_kernel"}
+# the params build_item reads for each family; generate rejects any other
+_PARAMS = {"toeplitz": ("sequence", "window"),
+           "banded_random": ("window", "band", "scale", "gap", "seed"),
+           "slanted": ("alpha", "taps", "window"),
+           "gabor_gram": ("sigma", "a_step", "b_step", "time_count", "freq_count"),
+           "bspline_gram": ("order", "window"),
+           "gaussian_kernel": ("theta", "sigma")}
 
 
 def build_item(family: str, params: dict, window: int, seed: int):
@@ -232,29 +232,38 @@ def build_item(family: str, params: dict, window: int, seed: int):
         return gaussian_kernel_op(float(params.get("theta", 0.1)),
                                   float(params.get("sigma", 1.0)))
     raise ValueError(f"unknown corpus family {family!r} "
-                     f"(known: {sorted(_FAMILIES)})")
+                     f"(known: {sorted(_PARAMS)})")
 
 
 def generate(spec: dict, outdir) -> dict:
     """Write every item in the corpus spec plus a checksum manifest.
 
     Spec shape: {"seed": int, "window": int, "items": [{"name", "family",
-    "params"}, ...]}; per-item params may override the shared window.
+    "params"}, ...]}; per-item params may override the shared window.  Every
+    item is built before any file is written, so a bad item writes nothing;
+    a param that the item's family does not read is an error.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     seed = integer_field(spec.get("seed", 0), "seed")
     window = integer_field(spec.get("window", 128), "window")
-    files = []
+    built = []
     for item in spec["items"]:
-        name = item["name"]
-        obj = build_item(item["family"], dict(item.get("params", {})),
-                         window, seed)
-        data = dump_json_bytes(obj.to_json_dict())
+        name, family = item["name"], item["family"]
+        params = dict(item.get("params", {}))
+        # an unknown family is left to build_item's error
+        allowed = _PARAMS.get(family, params)
+        unknown = sorted(set(params) - set(allowed))
+        if unknown:
+            raise ValueError(f"item {name!r}: {family} has no parameter "
+                             f"{unknown[0]!r}; it takes {sorted(allowed)}")
+        obj = build_item(family, params, window, seed)
+        built.append((name, family, dump_json_bytes(obj.to_json_dict())))
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = []
+    for name, family, data in built:
         path = outdir / f"{name}.json"
         write_atomic(path, data)
-        files.append({"name": name, "family": item["family"],
-                      "file": path.name,
+        files.append({"name": name, "family": family, "file": path.name,
                       "sha256": hashlib.sha256(data).hexdigest()})
     manifest = {"seed": seed, "window": window, "files": files}
     write_atomic(outdir / "manifest.json", dump_json_bytes(manifest))

@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import InvariantViolation, NumericalError
 from .lattice import IndexSet
-from .matalg import ENTRY_DROP_TOL, LocalizedMatrix
+from .matalg import ENTRY_DROP_TOL, LocalizedMatrix, toeplitz_entries
 from .profiles import Profile1D, gauss_legendre_rule, profile_from_json_dict
-from .stability import StabilityReport, WindowEntry, ladder_verdict, normalize_p
+from .stability import (StabilityReport, WindowEntry, check_window_sizes, ladder_verdict,
+                        normalize_p)
 from .synthesis import HYPOTHESIS_SLACK, PROBE_PER_UNIT, DyadicFunction, project_Pn
 
 CONV_QUAD_ORDER = 8
@@ -318,17 +319,7 @@ def _window_entries(op: KernelOperator, n: int, window):
     ncells = k_hi - k_lo
     index = IndexSet.dyadic_range(n, k_lo, k_hi)
     if isinstance(op.rule, ConvolutionRule):
-        table = _offset_table(op, n)
-        mid = table.size // 2
-        kmax = min(mid, ncells - 1)
-        # row r holds the columns max(0, r - kmax) .. min(ncells, r + kmax + 1) - 1
-        r = np.arange(ncells)
-        start = np.maximum(r - kmax, 0)
-        lengths = np.minimum(r + kmax + 1, ncells) - start
-        first = np.cumsum(lengths) - lengths
-        ii = np.repeat(r, lengths)
-        jj = np.arange(lengths.sum()) - np.repeat(first - start, lengths)
-        vv = table[mid + ii - jj]
+        ii, jj, vv = toeplitz_entries(_offset_table(op, n), ncells)
     else:
         edges = (k_lo + np.arange(ncells + 1)) * 2.0 ** (-n)
         dense = np.zeros((ncells, ncells))
@@ -351,20 +342,6 @@ def discretize_kernel(op: KernelOperator, n: int, window) -> LocalizedMatrix:
     return LocalizedMatrix(index, index, ii, jj, vv)
 
 
-def _next_fast_len(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n, a fast real FFT length (what
-    ``scipy.fft.next_fast_len(n, True)`` returns)."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def apply_discretized(op: KernelOperator, n: int, f: DyadicFunction) -> DyadicFunction:
     """T_n f = P_n T P_n f as a scale-2^{-n} piecewise-constant function.
 
@@ -376,15 +353,12 @@ def apply_discretized(op: KernelOperator, n: int, f: DyadicFunction) -> DyadicFu
     a = u.values
     if isinstance(op.rule, ConvolutionRule):
         table = _offset_table(op, n)
-        if a.size * table.size <= 1 << 22:
-            conv = np.convolve(a, table)
-        else:
-            # the real 1-D FFT convolution (what scipy.signal.fftconvolve
-            # computes), on numpy.fft: scipy.fft, and the scipy.special it
-            # loads, would add about 0.08 s to the first call
-            size = a.size + table.size - 1
-            L = _next_fast_len(size)
-            conv = np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(table, L), L)[:size]
+        # the real 1-D FFT convolution on numpy.fft, at the power-of-two
+        # length that holds the full product: scipy.fft, and the
+        # scipy.special it loads, would add about 0.08 s to the first call
+        size = a.size + table.size - 1
+        L = 1 << (size - 1).bit_length()
+        conv = np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(table, L), L)[:size]
         return DyadicFunction(n, u.start - table.size // 2, h * conv)
     # Separable output lives on the union of the x-factor supports.
     edges = (u.start + np.arange(a.size + 1)) * h
@@ -420,7 +394,7 @@ def discretization_error_curve(op: KernelOperator, n_values, probes,
     so the measured ratios carry no quadrature noise beyond 1e-12.
     """
     r = normalize_p(r)
-    n_values = sorted(int(n) for n in n_values)
+    n_values = check_window_sizes([int(n) for n in n_values])
     entries = []
     for n in n_values:
         m = n + 3
@@ -480,10 +454,10 @@ def perturbed_identity_stability(op: KernelOperator, p, n_values,
     discretization-error ratio at each scale rides along as the
     uncertainty attached to every entry.
     """
+    n_values = check_window_sizes([int(n) for n in n_values])
+    window_sizes = check_window_sizes([float(w) for w in window_sizes])
     op.validate()
     p = normalize_p(p)
-    n_values = sorted(int(n) for n in n_values)
-    window_sizes = [float(w) for w in window_sizes]
     big = (0.0, max(window_sizes))
     if probes is None:
         probes = _default_probes(op, big, min(n_values))

@@ -186,6 +186,26 @@ class LocalizedMatrix:
         return cls(rows, cols, i, j, dense[i, j])
 
 
+def toeplitz_entries(table, n: int):
+    """Row-major (i, j, value) arrays of the n x n window of a centred,
+    odd-length offset table: entry (i, j) is table[mid + i - j] for
+    |i - j| <= mid, mid = len(table) // 2, clipped at the window edge.
+    Every entry in the band is listed, zero or not."""
+    table = np.asarray(table, dtype=np.float64)
+    if table.size % 2 != 1:
+        raise ValueError("Toeplitz band must have odd length (centered)")
+    mid = table.size // 2
+    kmax = min(mid, n - 1)
+    # row r holds the columns max(0, r - kmax) .. min(n, r + kmax + 1) - 1
+    r = np.arange(n)
+    start = np.maximum(r - kmax, 0)
+    lengths = np.minimum(r + kmax + 1, n) - start
+    first = np.cumsum(lengths) - lengths
+    ii = np.repeat(r, lengths)
+    jj = np.arange(lengths.sum()) - np.repeat(first - start, lengths)
+    return ii, jj, table[mid + ii - jj]
+
+
 # ----------------------------------------------------------------------
 # offset cells
 

@@ -54,10 +54,10 @@ class Profile1D:
         F = self.antiderivative_at(np.asarray(edges, dtype=float))
         return np.diff(F) / np.diff(edges)
 
-    def cell_sup(self, k, width: float = 1.0) -> np.ndarray:
-        """sup |f| over the cell [k * width, (k + 1) * width), per k."""
-        k = np.asarray(k)
-        return self.sup_abs_halfopen(k * width, (k + 1) * width)
+    def cell_sup(self, k) -> np.ndarray:
+        """sup |f| over the unit cell [k, k + 1), per k."""
+        k = np.asarray(k, dtype=float)
+        return self.sup_abs_halfopen(k, k + 1.0)
 
     def modulus_of_continuity(self, delta: float, x) -> np.ndarray:
         """sup_{|y| <= delta} |f(x + y) - f(x)| per x, exact via interval extrema."""

@@ -675,15 +675,17 @@ def ladder_verdict(lowers: list[float]) -> str:
     return "undetermined"
 
 
-def check_window_sizes(windows, limit: int) -> list:
-    """The window sizes as a list; ValueError unless they are non-empty,
-    strictly increasing and within [1, limit]."""
+def check_window_sizes(windows, limit=None) -> list:
+    """A ladder of window sizes or scales as a list; ValueError unless it is
+    non-empty, strictly increasing and, when ``limit`` is given, within
+    [1, limit].  A repeated or descending ladder would otherwise pass for a
+    stabilized one."""
     windows = list(windows)
     if not windows:
-        raise ValueError("empty window ladder")
+        raise ValueError("empty ladder")
     if any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ValueError(f"window sizes must be strictly increasing: {windows}")
-    if windows[0] < 1 or windows[-1] > limit:
+        raise ValueError(f"ladder must be strictly increasing: {windows}")
+    if limit is not None and (windows[0] < 1 or windows[-1] > limit):
         raise ValueError(f"window sizes must lie in [1, {limit}]: {windows}")
     return windows
 

@@ -153,14 +153,8 @@ class GeneratorFamily:
 
     # -- hypothesis checks ---------------------------------------------
     def _distinct_profiles(self):
-        if self.rule == "shift":
-            return list(self.profiles)
-        seen, out = set(), []
-        for p in self.profiles:
-            if id(p) not in seen:
-                seen.add(id(p))
-                out.append(p)
-        return out
+        """The profiles, each equal one once, in order of first appearance."""
+        return list(dict.fromkeys(self.profiles))
 
     def _probe_grid(self, prof) -> np.ndarray:
         radius = max(prof.decay_radius(1e-13),
@@ -413,9 +407,9 @@ def synthesis_stability(fam: GeneratorFamily, p, n0_values,
     unspecified geometry constant.
     """
     window_sizes = check_window_sizes([int(w) for w in window_sizes], len(fam.index))
+    n0_values = check_window_sizes([int(n) for n in n0_values])
     fam.validate()
     p = normalize_p(p)
-    n0_values = [int(n) for n in n0_values]
     # the bias bound reads the modulus at 2^-n0; validate checks MODULUS_DELTAS
     fam._check_modulus([2.0 ** -n for n in n0_values if 2.0 ** -n not in MODULUS_DELTAS])
     inv_p = 0.0 if math.isinf(p) else 1.0 / p

@@ -6,7 +6,8 @@ and the piecewise antiderivative that integrated every piece on each call.
 They evaluate each interval or probe point on its own, so the array code
 is checked against an independent, obviously-correct loop.  The perturbed
 identity is checked against a sparse matrix sum, the row-major window
-assembly against the diagonal-order one it replaced, the descent against its
+assemblies (kernel windows and corpus Toeplitz matrices) against the
+diagonal-order loops they replaced, the descent against its
 earlier form with one norm formula and one subgradient per exponent, and
 the left-inverse LP, which solves the dual, against the primal over L.
 The square-window inverse norm and its codimension-one interior are the
@@ -25,6 +26,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from locop.errors import InvariantViolation
+from locop.lattice import IndexSet
 from locop.matalg import LocalizedMatrix
 from locop.profiles import PiecewisePolynomial, _poly_eval
 from locop.stability import (_inverse_blocks, _max_l1_on_hyperplane,
@@ -169,6 +171,25 @@ def identity_plus(A, scale: float):
     m = sp.eye(A.shape[0], format="csr") + scale * A.csr()
     coo = m.tocoo()
     return LocalizedMatrix(A.rows, A.cols, coo.row, coo.col, coo.data)
+
+
+def toeplitz_matrix(sequence, window: int) -> LocalizedMatrix:
+    """``corpus.toeplitz_matrix`` as a loop over the diagonals, skipping
+    zero taps, with LocalizedMatrix sorting the entries into row order."""
+    seq = [float(v) for v in sequence]
+    if len(seq) % 2 != 1:
+        raise ValueError("band sequence must have odd length (centered)")
+    half = len(seq) // 2
+    index = IndexSet.integer_range(0, window - 1)
+    ii, jj, vv = [], [], []
+    for d, v in zip(range(-half, half + 1), seq):
+        if v == 0.0:
+            continue
+        i = np.arange(max(0, d), min(window, window + d))
+        ii.extend(i.tolist())
+        jj.extend((i - d).tolist())
+        vv.extend([v] * i.size)
+    return LocalizedMatrix(index, index, ii, jj, vv)
 
 
 def window_entries_by_diagonal(op, n: int, window):

@@ -23,6 +23,8 @@ from locop.matalg import LocalizedMatrix, schur_norm
 from locop.profiles import GaussianProfile, bspline_profile
 from locop.reporting import dump_json_bytes, validate_report
 
+import oracles
+
 # ----------------------------------------------------------------------
 # corpus builders
 
@@ -32,6 +34,21 @@ def test_toeplitz_entry_count_and_band(t131_64):
     assert A.nnz == 3 * 128 - 2
     assert A.band() == 1
     assert t131_64.dense()[5, 5] == 3.0
+
+
+_TAPS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-300]),
+                 st.floats(-1e6, 1e6))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 12).flatmap(
+    lambda half: st.lists(_TAPS, min_size=2 * half + 1, max_size=2 * half + 1)),
+    st.integers(1, 40))
+def test_toeplitz_matrix_equals_the_diagonal_loop(sequence, window):
+    # zero and subnormal taps are dropped alike, and windows narrower than
+    # the band clip it
+    assert (dump_json_bytes(corpus.toeplitz_matrix(sequence, window).to_json_dict())
+            == dump_json_bytes(oracles.toeplitz_matrix(sequence, window).to_json_dict()))
 
 
 def test_toeplitz_rejects_even_band():
@@ -161,6 +178,27 @@ def test_cli_gen_round_trip(tmp_path, capsys):
     loaded = LocalizedMatrix.from_json_dict(
         json.loads((tmp_path / "c" / "t131.json").read_text()))
     assert loaded.nnz == 3 * 32 - 2
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"name": "t", "family": "toeplitz", "params": {"sequence": [1, 3, 1], "windw": 8}},
+     "item 't': toeplitz has no parameter 'windw'; it takes ['sequence', 'window']"),
+    ({"name": "s", "family": "slanted", "params": {"alpha": 2, "taps": [1, 3, 1]}},
+     "taps must be a non-empty list of [offset, value] pairs or an {offset: value} object"),
+    ({"name": "s", "family": "slanted", "params": {"alpha": 2, "taps": []}},
+     "taps must be a non-empty list of [offset, value] pairs or an {offset: value} object"),
+], ids=["unknown_param", "bare_taps", "no_taps"])
+def test_cli_gen_checks_every_item_before_writing(tmp_path, capsys, bad, message):
+    # a misspelt key wrote the default window with exit 0, bare taps exited
+    # with a TypeError from dict(), and the items before a bad one stayed on
+    # disk without a manifest
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(dump_json_bytes({**SPEC, "items": SPEC["items"] + [bad]}))
+    out = tmp_path / "c"
+    assert cli.main(["gen", "--spec", str(spec), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "ValueError", "message": message}
+    assert not out.exists()
 
 
 def test_cli_stab_writes_csv_and_report(tmp_path, t131_file):

@@ -83,15 +83,16 @@ def _block_swapped_toeplitz131():
     return LocalizedMatrix(A.rows, A.cols, perm[A.i], A.j, A.values.copy())
 
 
-@pytest.mark.parametrize("analysis", ["stab", "equiv", "synth", "kernel", "equiv_p2",
-                                      "norms", "conv", "density"])
+@pytest.mark.parametrize("analysis", ["stab", "equiv", "synth", "kernel", "kernel_n3",
+                                      "equiv_p2", "norms", "conv", "density"])
 def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
     # a p = 1, inf ladder whose windows are square and whose interiors are
     # one column solves no LP; at p = 2 on windows within the dense cut-off
     # (numpy's eigvalsh or svd), and in the norm, symbol and counting
     # analyses, nothing needs scipy, so none of it loads; the kernel
-    # analysis at scale 5 takes the FFT branch of apply_discretized at its
-    # reference scale 8; no analysis needs a schema engine to write its report
+    # analysis convolves on numpy.fft at every scale, the small scale 3 (and
+    # its reference scale 6) as the larger 5 (and 8); no analysis needs a
+    # schema engine to write its report
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 32)
     unloaded = ["scipy"]
@@ -107,10 +108,10 @@ def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
         argv = ["synth", "--family", str(path), "--p", "1", "--n0", "3",
                 "--window", "8"]
         unloaded = []
-    elif analysis == "kernel":
+    elif analysis.startswith("kernel"):
         obj = corpus.gaussian_kernel_op(0.1, 1.0)
-        argv = ["kernel", "--kernel", str(path), "--p", "2", "--n", "5",
-                "--window", "16"]
+        argv = ["kernel", "--kernel", str(path), "--p", "2",
+                "--n", "3" if analysis == "kernel_n3" else "5", "--window", "16"]
     elif analysis == "equiv_p2":
         argv = ["equiv", "--matrix", str(path), "--p", "2", "--windows", "8,16,32"]
     elif analysis == "norms":

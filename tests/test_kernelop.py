@@ -6,8 +6,8 @@ import pytest
 from locop import corpus, kernelop, stability
 from locop.errors import InvariantViolation, NumericalError
 from locop.kernelop import (ConvolutionRule, KernelOperator, SeparableRule,
-                            _conv_offset_table, _next_fast_len,
-                            _verify_offset_quadrature, apply_discretized,
+                            _conv_offset_table, _verify_offset_quadrature,
+                            apply_discretized,
                             discretization_error_curve, discretize_kernel,
                             perturbed_identity_stability, rule_from_json_dict)
 from locop.matalg import LocalizedMatrix
@@ -228,26 +228,21 @@ def test_omega_matches_scalar_modulus(g):
 
 
 def test_fft_branch_matches_direct_convolution(gaussian_op):
+    # 1.2e6 and 8.2e6 table-by-probe terms: the FFT product holds at every
+    # size, on both sides of 2^22
     n = 8
     h = 2.0 ** (-n)
-    rng = np.random.default_rng(7)
-    f = DyadicFunction(n, -1000, rng.standard_normal(2000))
-    out = apply_discretized(gaussian_op, n, f)
     kmax = int(math.ceil(gaussian_op._offset_radius() / h)) + 1
     ks = np.arange(-kmax, kmax + 1)
     table = _conv_offset_table(gaussian_op.rule.profile, ks, h)
-    assert f.values.size * table.size > 1 << 22   # the FFT branch ran
-    ref = h * np.convolve(project_Pn(f, n).values, table)
-    assert out.values.shape == ref.shape
-    assert np.allclose(out.values, ref, rtol=0.0,
-                       atol=1e-12 * np.abs(ref).max())
-
-
-def test_next_fast_len_matches_scipy():
-    import scipy.fft
-
-    for n in list(range(1, 3000)) + [87479, 87480, 87481, 1 << 20, 3 ** 13 + 1]:
-        assert _next_fast_len(n) == scipy.fft.next_fast_len(n, True), n
+    rng = np.random.default_rng(7)
+    for cells in (300, 2000):
+        f = DyadicFunction(n, -cells // 2, rng.standard_normal(cells))
+        out = apply_discretized(gaussian_op, n, f)
+        ref = h * np.convolve(project_Pn(f, n).values, table)
+        assert out.values.shape == ref.shape
+        assert np.allclose(out.values, ref, rtol=0.0,
+                           atol=1e-12 * np.abs(ref).max())
 
 
 def test_empty_window_is_rejected(gaussian_op):
@@ -268,6 +263,11 @@ def test_error_curve_halves_per_scale(gaussian_op):
     assert ratios == sorted(ratios, reverse=True)
     assert -1.2 <= curve.slope <= -0.8
     assert curve.r == 2.0 and len(curve.entries) == 3
+
+
+def test_error_curve_rejects_scales_that_are_not_increasing(gaussian_op):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        discretization_error_curve(gaussian_op, [3, 3], [DyadicFunction(0, 4, np.ones(4))])
 
 
 def test_error_curve_rejects_zero_probes(gaussian_op):
@@ -310,6 +310,17 @@ def test_perturbed_identity_at_p2_takes_no_svd(gaussian_op, count_calls):
     assert svd_calls == []
     assert len(rep.entries) == 2
     assert eig_calls == [(32, 32), (32, 32), (64, 64), (64, 64)]
+
+
+@pytest.mark.parametrize("n_values,windows", [([4, 3], [16.0, 16.0]), ([4, 3], [16.0]),
+                                             ([3], [32.0, 16.0])])
+def test_perturbed_identity_rejects_a_ladder_that_is_not_increasing(gaussian_op, n_values,
+                                                                    windows):
+    # scales [4, 3] were sorted without a word, and a repeated window was
+    # analysed twice: the verdict was "stabilized" where [3], [16.0] gives
+    # "undetermined"
+    with pytest.raises(ValueError, match="strictly increasing"):
+        perturbed_identity_stability(gaussian_op, 2, n_values, windows)
 
 
 def test_perturbed_identity_needs_room_for_probes(gaussian_op):

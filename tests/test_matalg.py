@@ -10,8 +10,8 @@ from locop.errors import InvariantViolation
 from locop.lattice import CutoffOperator, IndexSet, separation_constant
 from locop.matalg import (LocalizedMatrix, abs_sums, commutator_with_cutoff,
                           group_max, offset_profile,
-                          schur_norm, sjostrand_norm, slant_norm, truncate,
-                          truncation_tail, vector_pnorm)
+                          schur_norm, sjostrand_norm, slant_norm, toeplitz_entries,
+                          truncate, truncation_tail, vector_pnorm)
 from locop.stability import lower_constant, upper_constant
 
 
@@ -116,6 +116,20 @@ def _same_entries(A, B):
     return (A.rows == B.rows and A.cols == B.cols
             and all(a.tobytes() == b.tobytes()
                     for a, b in ((A.i, B.i), (A.j, B.j), (A.values, B.values))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 20).flatmap(lambda mid: st.tuples(
+    st.lists(st.floats(-1e3, 1e3), min_size=2 * mid + 1, max_size=2 * mid + 1),
+    st.integers(0, 2 * mid + 3))))
+def test_toeplitz_entries_are_the_clipped_band_in_row_order(case):
+    # odd tables of length 1..41 on windows narrower and wider than the band
+    table, n = case
+    mid = len(table) // 2
+    ii, jj, vv = toeplitz_entries(table, n)
+    want = [(i, j, table[mid + i - j]) for i in range(n) for j in range(n)
+            if abs(i - j) <= mid]
+    assert list(zip(ii.tolist(), jj.tolist(), vv.tolist())) == want
 
 
 @settings(deadline=None, max_examples=80)

@@ -332,6 +332,23 @@ def test_table_family_of_hats_discretizes_like_the_shift_family(n0):
         assert np.array_equal(a, b)
 
 
+def test_table_family_checks_each_distinct_profile_once():
+    # profiles compare by value, so a table of 64 hats read from JSON (64
+    # distinct objects) validates one profile, as the shift family does
+    shift = corpus.hat_family(64)
+    table = GeneratorFamily.from_json_dict(GeneratorFamily(
+        shift.index, (hat(),) * 64, shift.envelope, "table", shift.modulus).to_json_dict())
+    assert table._distinct_profiles() == [hat()]
+    assert table.validate() == shift.validate()
+    assert table.calibrate_modulus().modulus == shift.calibrate_modulus().modulus
+
+
+def test_synthesis_rejects_scales_that_are_not_increasing():
+    # [4, 3, 3] was analysed as six entries, two of them repeats
+    with pytest.raises(ValueError, match="strictly increasing"):
+        synthesis_stability(corpus.hat_family(16), 2, [4, 3, 3], [8, 16])
+
+
 def test_two_profile_shift_family_interleaves_and_is_not_stable():
     # equal profiles at each point give two equal columns, so no lower
     # constant survives
