@@ -241,13 +241,22 @@ def generate(spec: dict, outdir) -> dict:
     Spec shape: {"seed": int, "window": int, "items": [{"name", "family",
     "params"}, ...]}; per-item params may override the shared window.  Every
     item is built before any file is written, so a bad item writes nothing;
-    a param that the item's family does not read is an error.
+    a param that the item's family does not read is an error, and so is an
+    item name that repeats or is not a bare file stem.
     """
     seed = integer_field(spec.get("seed", 0), "seed")
     window = integer_field(spec.get("window", 128), "window")
     built = []
+    names = set()
     for item in spec["items"]:
         name, family = item["name"], item["family"]
+        # each item writes <name>.json in outdir, next to manifest.json
+        if (not isinstance(name, str) or name in ("", ".", "..", "manifest")
+                or "/" in name or "\\" in name):
+            raise ValueError(f"item name {name!r} is not a bare file stem")
+        if name in names:
+            raise ValueError(f"item name {name!r} repeats")
+        names.add(name)
         params = dict(item.get("params", {}))
         # an unknown family is left to build_item's error
         allowed = _PARAMS.get(family, params)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NumericalError
+from .errors import InvariantViolation, NumericalError, integer_field
 from .lattice import IndexSet
 from .matalg import ENTRY_DROP_TOL, LocalizedMatrix, toeplitz_entries
 from .profiles import Profile1D, gauss_legendre_rule, profile_from_json_dict
 from .stability import (StabilityReport, WindowEntry, check_window_sizes, ladder_verdict,
-                        normalize_p)
+                        normalize_p, toeplitz_singular_extremes)
 from .synthesis import HYPOTHESIS_SLACK, PROBE_PER_UNIT, DyadicFunction, project_Pn
 
 CONV_QUAD_ORDER = 8
@@ -394,7 +394,7 @@ def discretization_error_curve(op: KernelOperator, n_values, probes,
     so the measured ratios carry no quadrature noise beyond 1e-12.
     """
     r = normalize_p(r)
-    n_values = check_window_sizes([int(n) for n in n_values])
+    n_values = check_window_sizes([integer_field(n, "scale") for n in n_values])
     entries = []
     for n in n_values:
         m = n + 3
@@ -443,6 +443,59 @@ def _default_probes(op: KernelOperator, window, level: int) -> list:
     return [project_Pn(box, level), bump]
 
 
+def _perturbed_band(op: KernelOperator, n: int, ncells: int) -> np.ndarray | None:
+    """I + 2^-n A_n of a convolution rule on an ncells-cell window as its
+    centred band: 2^-n times the offset table clipped to the window's
+    offsets |k| <= ncells - 1, 1 added at offset 0, and entries below
+    ENTRY_DROP_TOL zeroed, as LocalizedMatrix drops them.  None when A_n
+    has no entry at or above that tolerance on the window."""
+    table = _offset_table(op, n)
+    mid = table.size // 2
+    k = min(mid, ncells - 1)
+    band = table[mid - k:mid + k + 1]
+    if not (np.abs(band) >= ENTRY_DROP_TOL).any():
+        return None
+    band = 2.0 ** (-n) * band
+    band[k] += 1.0
+    band[np.abs(band) < ENTRY_DROP_TOL] = 0.0
+    return band
+
+
+def _perturbed_entry(op: KernelOperator, p: float, n: int, w: float,
+                     uncertainty: float | None) -> PerturbedEntry:
+    """The entry of I + 2^-n A_n on the window [0, w].
+
+    A convolution rule's window is the Toeplitz matrix of one band; at
+    p = 2 its constants come from the band itself, with no matrix
+    assembled, unless ``toeplitz_singular_extremes`` declines it.  Every
+    other window is assembled as one LocalizedMatrix.
+    """
+    labels = {"n": n, "uncertainty": uncertainty}
+    identity = PerturbedEntry(w, 1.0, 1.0, True, True, "identity", **labels)
+    if isinstance(op.rule, ConvolutionRule):
+        k_lo, k_hi = _cell_range((0.0, w), n)
+        ncells = k_hi - k_lo
+        band = _perturbed_band(op, n, ncells)
+        if band is None:
+            return identity
+        # one cell and the zero band are lower_constant's column-norm and
+        # zero-matrix cases
+        if p == 2.0 and ncells > 1 and band.any():
+            ext = toeplitz_singular_extremes(band, ncells)
+            if ext is not None:
+                return PerturbedEntry(w, *ext, True, True, "singular-value", **labels)
+        index = IndexSet.dyadic_range(n, k_lo, k_hi)
+        M = LocalizedMatrix(index, index, *toeplitz_entries(band, ncells))
+    else:
+        index, ii, jj, vv = _window_entries(op, n, (0.0, w))
+        if not (np.abs(vv) >= ENTRY_DROP_TOL).any():
+            return identity
+        vv = 2.0 ** (-n) * vv
+        vv[ii == jj] += 1.0
+        M = LocalizedMatrix(index, index, ii, jj, vv)
+    return PerturbedEntry.of(M, p, w, **labels)
+
+
 def perturbed_identity_stability(op: KernelOperator, p, n_values,
                                  window_sizes,
                                  probes=None) -> PerturbedIdentityReport:
@@ -450,11 +503,14 @@ def perturbed_identity_stability(op: KernelOperator, p, n_values,
 
     The dyadic norm identity scales function and coefficient norms by the
     same 2^{-n/p} factor, so the matrix constants reported here equal the
-    constants of I + P_n T P_n on the corresponding Lp spaces.  The
-    discretization-error ratio at each scale rides along as the
-    uncertainty attached to every entry.
+    constants of I + P_n T P_n on the corresponding Lp spaces.  Scales are
+    integers (a fractional one is an InvariantViolation).  Each (window,
+    scale) pair builds one window (see ``_perturbed_entry``): at p = 2 a
+    convolution rule's window is read off its band, any other is one
+    LocalizedMatrix.  The discretization-error ratio at each scale rides
+    along as the uncertainty attached to every entry.
     """
-    n_values = check_window_sizes([int(n) for n in n_values])
+    n_values = check_window_sizes([integer_field(n, "scale") for n in n_values])
     window_sizes = check_window_sizes([float(w) for w in window_sizes])
     op.validate()
     p = normalize_p(p)
@@ -463,18 +519,8 @@ def perturbed_identity_stability(op: KernelOperator, p, n_values,
         probes = _default_probes(op, big, min(n_values))
     curve = discretization_error_curve(op, n_values, probes, r=p)
     bias = dict(curve.entries)
-    entries = []
-    for w in window_sizes:
-        for n in n_values:
-            index, ii, jj, vv = _window_entries(op, n, (0.0, w))
-            if not (np.abs(vv) >= ENTRY_DROP_TOL).any():
-                entries.append(PerturbedEntry(w, 1.0, 1.0, True, True, "identity",
-                                              n=n, uncertainty=bias.get(n)))
-                continue
-            vv = 2.0 ** (-n) * vv
-            vv[ii == jj] += 1.0
-            M = LocalizedMatrix(index, index, ii, jj, vv)
-            entries.append(PerturbedEntry.of(M, p, w, n=n, uncertainty=bias.get(n)))
+    entries = [_perturbed_entry(op, p, n, w, bias.get(n))
+               for w in window_sizes for n in n_values]
     finest = max(n_values)
     lowers = [e.lower for e in entries if e.n == finest]
     return PerturbedIdentityReport(p, entries, ladder_verdict(lowers), curve)

@@ -3,7 +3,8 @@
 Lower constants (inf ||Ac||_p / ||c||_p) come from sigma_min at p = 2 (a
 dense SVD, or a dense symmetric eigensolve widened by Weyl's bound when a
 square window is symmetric up to rounding, split into two half-size solves
-when the window is also centrosymmetric, as Toeplitz windows are; or on
+when the window is also centrosymmetric, as Toeplitz windows are, and
+read straight off the band for a Toeplitz window given as one; or on
 large localized windows a banded eigensolve of A^T A, or of
 [[0, A], [A^T, 0]] when A is ill-conditioned), from the exact inverse norm
 1 / ||A^-1||_p on square windows at p in {1, inf}, and from Riesz-Thorin
@@ -48,6 +49,7 @@ from .matalg import (ENTRY_DROP_TOL, LocalizedMatrix, OffsetProfile, abs_sums,
 # descent.
 LP_MAX_COLS = 14
 DENSE_EIG_CUTOFF = 1200
+EPS = float(np.finfo(float).eps)
 # bound m eps kappa^2 on the relative error of lambda_min(A^T A) above which
 # sigma_min comes from the Jordan-Wielandt band instead of the Gram band
 GRAM_MAX_REL_ERR = 1e-9
@@ -154,27 +156,73 @@ def _symmetric_singular_extremes(D: np.ndarray) -> tuple[float, float] | None:
 
     D = S + E with E the strict upper triangle of D - D^T.  The solve runs
     only when asym, which bounds ||E||_2, is at most eps times a bound on
-    ||D||_2.  By Weyl, |sigma_i(D) - sigma_i(S)| <= ||E||_2, and the
-    singular values of S are |lambda|, so the pair is widened by asym (0
-    for an exactly symmetric D) and stays certified.  numpy copies its
-    argument into one Fortran-ordered work array for LAPACK.
-
-    A centrosymmetric S (n = 2h and J S J = S, see ``_asymmetry_bounds``)
-    is orthogonally similar, by Q = [[I, I], [J, -J]] / sqrt(2), to the
-    direct sum of B+- = S11 +- S12 J, so its eigenvalues are those of two
-    h x h solves at a quarter of the cost each.  In D's terms B+-[i, j] =
-    D[i, j] +- D[n-1-j, i] for i >= j.  Each entry of B+- is rounded once,
-    by at most eps/2 |B+-[i, j]|, so fl(B+-) - B+- has 2-norm at most eps/2
-    times the largest absolute row sum of the symmetric B+-; the widening
-    adds eps times that sum, which also covers the rounding of the sum.
-    The split holds D, one h x h matrix, its absolute values and the work
-    copy; any other S takes one n x n solve, which holds two copies of the
-    window.
+    ||D||_2 (see ``_asymmetry_bounds``); ``_lower_triangle_extremes`` then
+    solves and widens.
     """
     asym, scale, centro = _asymmetry_bounds(D)
-    eps = float(np.finfo(float).eps)
-    if asym > eps * scale:
+    if asym > EPS * scale:
         return None
+    return _lower_triangle_extremes(D, asym, centro)
+
+
+def toeplitz_singular_extremes(band, n: int) -> tuple[float, float] | None:
+    """(sigma_min, sigma_max) of the n x n Toeplitz window T[i, j] =
+    band[mid + i - j] (zero for |i - j| > mid, mid = len(band) // 2), read
+    off the band: the pair ``_singular_extremes`` gives T, or None where it
+    takes another path (n above DENSE_EIG_CUTOFF, a band that is not finite,
+    or a T that is not symmetric to rounding level).
+
+    ``_asymmetry_bounds`` of T in O(n): with a_d = |band[mid - d] -
+    band[mid + d]|, row 0 and column n - 1 of E hold every a_d for 1 <= d
+    <= min(mid, n - 1) and every other row and column a subset, so asym =
+    ||E||_1 = ||E||_inf = the sum of those a_d; each row and column of T
+    holds n consecutive offsets, so scale is the largest sum of n
+    consecutive |band| entries; and T is persymmetric, so the split applies
+    whenever n is even.  T itself is a read-only strided view of the padded
+    band, never an n x n array.
+    """
+    band = np.asarray(band, dtype=np.float64)
+    if band.size % 2 != 1:
+        raise ValueError("Toeplitz band must have odd length (centered)")
+    if n > DENSE_EIG_CUTOFF or not np.isfinite(band).all():
+        return None
+    mid = band.size // 2
+    k = min(mid, n - 1)
+    # padded[t] is the entry at offset t - (n - 1), for every offset in T
+    padded = np.zeros(2 * n - 1)
+    padded[n - 1 - k:n + k] = band[mid - k:mid + k + 1]
+    # row 0 of E: a_d at column d, as _asymmetry_bounds sums it
+    asym = float(np.abs(padded[n - 1:] - padded[n - 1::-1]).sum())
+    sums = np.cumsum(np.abs(padded))
+    scale = float(np.max(sums[n - 1:] - np.concatenate(([0.0], sums[:n - 1]))))
+    if asym > EPS * scale:
+        return None
+    T = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
+    return _lower_triangle_extremes(T, asym, n % 2 == 0)
+
+
+def _lower_triangle_extremes(D, asym: float, centro: bool) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of a square D within asym of the symmetric S
+    with D's lower triangle, from eigenvalue solves of S.  D may be any
+    array or strided view; centro says that n = 2h and J S J = S (J the
+    reversal).
+
+    By Weyl, |sigma_i(D) - sigma_i(S)| <= ||E||_2 <= asym, and the singular
+    values of S are |lambda|, so the pair is widened by asym (0 for an
+    exactly symmetric D) and stays certified.  numpy copies its argument
+    into one Fortran-ordered work array for LAPACK.
+
+    A centrosymmetric S is orthogonally similar, by Q = [[I, I], [J, -J]] /
+    sqrt(2), to the direct sum of B+- = S11 +- S12 J, so its eigenvalues
+    are those of two h x h solves at a quarter of the cost each.  In D's
+    terms B+-[i, j] = D[i, j] +- D[n-1-j, i] for i >= j.  Each entry of B+-
+    is rounded once, by at most eps/2 |B+-[i, j]|, so fl(B+-) - B+- has
+    2-norm at most eps/2 times the largest absolute row sum of the
+    symmetric B+-; the widening adds eps times that sum, which also covers
+    the rounding of the sum.  The split holds one h x h matrix, its
+    absolute values and the work copy next to D; any other S takes one
+    n x n solve, which holds a work copy of the window.
+    """
     if not centro:
         lam = np.abs(np.linalg.eigvalsh(D, UPLO="L"))
         return max(float(lam.min()) - asym, 0.0), float(lam.max()) + asym
@@ -190,7 +238,7 @@ def _symmetric_singular_extremes(D: np.ndarray) -> tuple[float, float] | None:
                                       - mags.diagonal()).max()))
         lam = np.abs(np.linalg.eigvalsh(B, UPLO="L"))
         lo, hi = min(lo, float(lam.min())), max(hi, float(lam.max()))
-    widen = asym + eps * row_sum
+    widen = asym + EPS * row_sum
     return max(lo - widen, 0.0), hi + widen
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, integer_field
 from .lattice import IndexSet, separation_constant
 from .matalg import LocalizedMatrix, sjostrand_norm
-from .profiles import Profile1D, profile_from_json_dict, gauss_legendre_integral
+from .profiles import Profile1D, gauss_legendre_rule, profile_from_json_dict
 from .stability import (StabilityReport, WindowEntry, check_window_sizes, ladder_verdict,
                         normalize_p)
 
@@ -329,7 +329,8 @@ def project_Pn(f, level: int, window=None) -> DyadicFunction:
 
     Dyadic functions refine to the level (idempotent at equal level; a
     coarser level is a ValueError); callables use per-cell Gauss-Legendre
-    quadrature over an explicit window, widened outward to whole cells.
+    quadrature over an explicit window, widened outward to whole cells, and
+    are called once, on a 1-d array of every cell's nodes.
     """
     if isinstance(f, DyadicFunction):
         if window is not None:
@@ -340,11 +341,17 @@ def project_Pn(f, level: int, window=None) -> DyadicFunction:
             raise ValueError("callable input needs an explicit window")
         h = 2.0 ** (-level)
         k_lo, k_hi = math.floor(float(window[0]) / h), math.ceil(float(window[1]) / h)
-        vals = np.array([
-            gauss_legendre_integral(f, (k_lo + t) * h, (k_lo + t + 1) * h) / h
-            for t in range(k_hi - k_lo)
-        ])
-        return DyadicFunction(level, k_lo, vals)
+        # the order-8 rule of gauss_legendre_integral on every cell, with f
+        # evaluated once on all the nodes; each cell keeps its own dot
+        # product (one matrix product over all cells rounds differently) and
+        # its 0.0 start, which turns a -0.0 cell into 0.0
+        edges = (k_lo + np.arange(k_hi - k_lo + 1)) * h
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        nodes, weights = gauss_legendre_rule(8)
+        fx = np.asarray(f((mid[:, None] + half[:, None] * nodes).reshape(-1)),
+                        dtype=float).reshape(mid.size, nodes.size)
+        vals = np.array([0.0 + hw * float(np.dot(weights, row)) for hw, row in zip(half, fx)])
+        return DyadicFunction(level, k_lo, vals / h)
     raise TypeError(f"cannot project object of type {type(f).__name__}")
 
 
@@ -406,8 +413,9 @@ def synthesis_stability(fam: GeneratorFamily, p, n0_values,
     discretized constants may sit from the continuum ones, up to an
     unspecified geometry constant.
     """
-    window_sizes = check_window_sizes([int(w) for w in window_sizes], len(fam.index))
-    n0_values = check_window_sizes([int(n) for n in n0_values])
+    window_sizes = check_window_sizes([integer_field(w, "window") for w in window_sizes],
+                                      len(fam.index))
+    n0_values = check_window_sizes([integer_field(n, "scale") for n in n0_values])
     fam.validate()
     p = normalize_p(p)
     # the bias bound reads the modulus at 2^-n0; validate checks MODULUS_DELTAS

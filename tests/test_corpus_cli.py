@@ -201,6 +201,27 @@ def test_cli_gen_checks_every_item_before_writing(tmp_path, capsys, bad, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,message", [
+    ("t131", "item name 't131' repeats"),
+    ("", "item name '' is not a bare file stem"),
+    (".", "item name '.' is not a bare file stem"),
+    ("..", "item name '..' is not a bare file stem"),
+    ("../esc", "item name '../esc' is not a bare file stem"),
+    ("sub/t", "item name 'sub/t' is not a bare file stem"),
+    ("sub\\t", "item name 'sub\\\\t' is not a bare file stem"),
+    ("manifest", "item name 'manifest' is not a bare file stem"),
+], ids=["duplicate", "empty", "dot", "dotdot", "escape", "slash", "backslash", "manifest"])
+def test_generate_rejects_names_that_are_not_distinct_file_stems(tmp_path, name, message):
+    # a repeated name wrote its file twice and listed it twice in the
+    # manifest, and '../esc' wrote esc.json outside the output directory
+    item = {"name": name, "family": "toeplitz", "params": {"sequence": [1, 2, 1]}}
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as err:
+        corpus.generate({**SPEC, "items": SPEC["items"] + [item]}, out)
+    assert str(err.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_stab_writes_csv_and_report(tmp_path, t131_file):
     out = tmp_path / "stab.csv"
     rc = cli.main(["stab", "--matrix", str(t131_file), "--p", "1,2,inf",

@@ -5,7 +5,7 @@ import pytest
 
 from locop import corpus, kernelop, stability
 from locop.errors import InvariantViolation, NumericalError
-from locop.kernelop import (ConvolutionRule, KernelOperator, SeparableRule,
+from locop.kernelop import (ConvolutionRule, KernelOperator, PerturbedEntry, SeparableRule,
                             _conv_offset_table, _verify_offset_quadrature,
                             apply_discretized,
                             discretization_error_curve, discretize_kernel,
@@ -354,7 +354,9 @@ _PROBE = DyadicFunction(1, 2, np.array([1.0, -0.5, 2.0, 0.25]))
 def test_perturbed_identity_matches_sparse_sum(gaussian_op, monkeypatch, case,
                                                window):
     # the matrices handed to lower_constant must be I + 2^-n A_n exactly as
-    # a CSR sum builds it: same (i, j) pattern, bitwise the same values
+    # a CSR sum builds it: same (i, j) pattern, bitwise the same values.  A
+    # convolution rule builds its matrix at p in {1, inf} only (at p = 2 its
+    # constants come from the band), so its cases run at p = 1
     op = {"gaussian": gaussian_op, "reflected": _reflected(gaussian_op),
           "separable": _separable_op()}[case]
     if case == "gaussian" and window < 4.0:
@@ -363,7 +365,8 @@ def test_perturbed_identity_matches_sparse_sum(gaussian_op, monkeypatch, case,
     real = stability.lower_constant
     monkeypatch.setattr(stability, "lower_constant",
                         lambda M, p: seen.append(M) or real(M, p))
-    perturbed_identity_stability(op, 2.0, [2, 3], [window], probes=[_PROBE])
+    p = 2.0 if case == "separable" else 1.0
+    perturbed_identity_stability(op, p, [2, 3], [window], probes=[_PROBE])
     assert len(seen) == 2
     for n, M in zip([2, 3], seen):
         want = oracles.identity_plus(discretize_kernel(op, n, (0.0, window)),
@@ -411,9 +414,55 @@ def test_perturbed_identity_builds_one_table_per_scale(gaussian_op, monkeypatch)
         matrices.append(args[0])
         real_init(self, *args)
     monkeypatch.setattr(LocalizedMatrix, "__init__", init)
-    perturbed_identity_stability(op, 2.0, [3, 4, 5], [8.0, 12.0], probes=[_PROBE])
+    perturbed_identity_stability(op, 1.0, [3, 4, 5], [8.0, 12.0], probes=[_PROBE])
     assert sorted(tables) == sorted(2 * [2.0 ** -n for n in range(3, 9)])
     assert len(matrices) == 2 * 3
     perturbed_identity_stability(op, 2.0, [3, 4, 5], [8.0], probes=[_PROBE])
     assert len(tables) == 12                     # kept on the operator
+
+
+@pytest.mark.parametrize("case", ["gaussian", "reflected"])
+def test_perturbed_identity_at_p2_builds_no_matrix(gaussian_op, monkeypatch, case):
+    # each (window, scale) of a convolution rule is one band, read by
+    # toeplitz_singular_extremes: no LocalizedMatrix and no second table
+    op = _fresh(gaussian_op if case == "gaussian" else _reflected(gaussian_op))
+    tables = []
+    real_table = kernelop._conv_offset_table
+    monkeypatch.setattr(kernelop, "_conv_offset_table",
+                        lambda g, ks, h, **kw: tables.append(h) or real_table(g, ks, h, **kw))
+    matrices = []
+    real_init = LocalizedMatrix.__init__
+    monkeypatch.setattr(LocalizedMatrix, "__init__",
+                        lambda self, *args: matrices.append(args) or real_init(self, *args))
+    rep = perturbed_identity_stability(op, 2.0, [3, 4, 5], [8.0, 12.0], probes=[_PROBE])
+    assert matrices == []
+    assert sorted(tables) == sorted(2 * [2.0 ** -n for n in range(3, 9)])
+    assert [e.method for e in rep.entries] == 6 * ["singular-value"]
+
+
+@pytest.mark.parametrize("case,window", [("gaussian", 8.0), ("reflected", 4.75),
+                                         ("gaussian", 3.0), ("hat", 5.0)],
+                         ids=["gaussian", "reflected-odd-cells", "narrower-than-offset-radius",
+                              "hat"])
+def test_perturbed_identity_at_p2_matches_the_assembled_window(gaussian_op, case, window):
+    # the band route reports the floats that lower_constant and
+    # upper_constant give the assembled I + 2^-n A_n
+    op = {"gaussian": gaussian_op, "reflected": _reflected(gaussian_op),
+          "hat": KernelOperator(ConvolutionRule(hat()), GaussianProfile(3.0, 2.0),
+                                1.0, 50.0)}[case]
+    rep = perturbed_identity_stability(op, 2.0, [2, 3], [window], probes=[_PROBE])
+    for e in rep.entries:
+        M = oracles.identity_plus(discretize_kernel(op, e.n, (0.0, window)), 2.0 ** -e.n)
+        want = PerturbedEntry.of(M, 2.0, window, n=e.n, uncertainty=e.uncertainty)
+        assert e == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda op: perturbed_identity_stability(op, 2.0, [2, 3.5], [8.0], probes=[_PROBE]),
+    lambda op: discretization_error_curve(op, [2.5, 3], [_PROBE]),
+], ids=["perturbed-identity", "error-curve"])
+def test_kernel_analyses_reject_a_fractional_scale(gaussian_op, call):
+    # int() ran a scale of 3.5 at 3
+    with pytest.raises(InvariantViolation, match="scale .* is not an integer"):
+        call(gaussian_op)
 

@@ -20,7 +20,7 @@ import oracles
 from locop import _accel, corpus, stability
 from locop.errors import NumericalError
 from locop.lattice import IndexSet
-from locop.matalg import LocalizedMatrix, offset_profile, vector_pnorm
+from locop.matalg import LocalizedMatrix, offset_profile, toeplitz_entries, vector_pnorm
 from locop.profiles import GaussianProfile
 from locop.stability import (DENSE_EIG_CUTOFF, INVERSE_BLOCK_COLS,
                              LP_MAX_COLS, ConstantEstimate, LadderEntry,
@@ -29,7 +29,8 @@ from locop.stability import (DENSE_EIG_CUTOFF, INVERSE_BLOCK_COLS,
                              convolution_stability, density_check,
                              equivalence_report, inverse_decay_profile,
                              ladder_verdict, lower_constant,
-                             lower_constant_interior, upper_constant)
+                             lower_constant_interior, toeplitz_singular_extremes,
+                             upper_constant)
 from locop.kernelop import PerturbedEntry
 from locop.synthesis import GeneratorFamily, SynthesisEntry, discretize_synthesis
 
@@ -349,6 +350,65 @@ def test_centrosymmetric_split_agrees_with_svdvals(S):
     assert 0.0 <= smin <= smax
     assert abs(smin - svals[-1]) <= 1e-13 * svals[0]
     assert abs(smax - svals[0]) <= 1e-13 * svals[0]
+
+
+@st.composite
+def toeplitz_bands(draw):
+    """(band, n): a centred band that is even, even up to ulps (as kernel
+    offset tables are), or clearly not even, on an odd or even window that
+    may be narrower than the band."""
+    mid = draw(st.integers(0, 30))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    half = rng.standard_normal(mid) * 10.0 ** rng.uniform(-17, 1, mid)
+    band = np.concatenate((half[::-1], rng.standard_normal(1), half))
+    kind = draw(st.sampled_from(["even", "ulps", "asymmetric"]))
+    if kind == "ulps":
+        moved = rng.random(band.size) < 0.5
+        band[moved] = np.nextafter(band[moved], rng.choice([-np.inf, np.inf], moved.sum()))
+    elif kind == "asymmetric":
+        band += 1e-3 * rng.standard_normal(band.size)
+    return band, n
+
+
+def _toeplitz_dense(band, n):
+    D = np.zeros((n, n))
+    i, j, v = toeplitz_entries(band, n)
+    D[i, j] = v
+    return D
+
+
+@settings(deadline=None, max_examples=200)
+@given(toeplitz_bands())
+def test_toeplitz_band_route_is_the_dense_symmetric_route(case):
+    # the O(n) symmetry test and the strided views of the band give the
+    # dense window's floats bit for bit, or decline it alike
+    band, n = case
+    want = stability._symmetric_singular_extremes(_toeplitz_dense(band, n))
+    got = toeplitz_singular_extremes(band, n)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [31, 32])
+def test_toeplitz_band_route_splits_even_windows(n, count_calls):
+    band = np.array([1.0, -0.25, 3.0, -0.25, 1.0])
+    eig_calls = count_calls("eigvalsh")
+    smin, smax = toeplitz_singular_extremes(band, n)
+    svals = scipy.linalg.svdvals(_toeplitz_dense(band, n))
+    assert eig_calls == ([(16, 16), (16, 16)] if n % 2 == 0 else [(31, 31)])
+    assert smin == pytest.approx(svals[-1], rel=1e-14)
+    assert smax == pytest.approx(svals[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("band,n", [([1.0, 3.0, 1.1], 8), ([1.0, np.nan, 1.0], 8),
+                                    ([1.0, 3.0, 1.0], DENSE_EIG_CUTOFF + 1)],
+                         ids=["asymmetric", "not-finite", "above-the-dense-cutoff"])
+def test_toeplitz_band_route_declines(band, n, count_calls):
+    eig_calls = count_calls("eigvalsh")
+    assert toeplitz_singular_extremes(np.array(band), n) is None
+    assert eig_calls == []
 
 
 @pytest.mark.parametrize("c", [2, 3])

@@ -187,6 +187,14 @@ def test_synthesis_checks_the_modulus_at_scales_finer_than_validate():
     assert b5 == 2.0 * b6 > 0.0
 
 
+@pytest.mark.parametrize("n0_values,windows,what", [([3.5], [8], "scale 3.5"),
+                                                    ([3], [8.5], "window 8.5")])
+def test_synthesis_rejects_fractional_scales_and_windows(n0_values, windows, what):
+    # int() ran a scale of 3.5 at n0 = 3 and a window of 8.5 at 8
+    with pytest.raises(InvariantViolation, match=f"{what} is not an integer"):
+        synthesis_stability(corpus.hat_family(16), 2, n0_values, windows)
+
+
 def test_family_json_round_trip():
     fam = corpus.hat_family(8)
     again = GeneratorFamily.from_json_dict(fam.to_json_dict())
@@ -281,6 +289,18 @@ def test_projection_of_profile_matches_cell_averages():
     k0 = -f.start   # the cell [0, 1/2)
     assert np.allclose(f.values[k0:k0 + 4], [0.25, 0.75, 0.75, 0.25], atol=1e-14)
     assert not np.delete(f.values, np.arange(k0, k0 + 4)).any()
+
+
+@pytest.mark.parametrize("level,window", [(5, (-1.0, 2.0)), (3, (-6.3, 6.1)), (0, (0.0, 1.0))])
+def test_projection_of_callable_matches_cellwise_quadrature(level, window):
+    # one evaluation of f on every cell's nodes gives the floats of one
+    # gauss_legendre_integral per cell
+    f = lambda x: np.exp(-((x - 0.3) ** 2)) + np.sin(3.0 * x)  # noqa: E731
+    got = project_Pn(f, level, window=window)
+    h = 2.0 ** -level
+    want = [gauss_legendre_integral(f, (got.start + t) * h, (got.start + t + 1) * h) / h
+            for t in range(got.values.size)]
+    assert got.values.tobytes() == np.array(want).tobytes()
 
 
 def test_projection_of_callable_needs_window():
