@@ -111,8 +111,8 @@ class LocalizedMatrix:
 
     def csr(self):
         """The entries as a ``scipy.sparse.csr_matrix``, imported at the
-        first call: nothing on the dense p = 2, norm or density paths needs
-        scipy."""
+        first call: no dense p = 2, square p in {1, inf}, norm or density
+        path needs scipy.sparse."""
         m = self._cache.get("csr")
         if m is None:
             import scipy.sparse as sp

@@ -11,7 +11,7 @@ large localized windows a banded eigensolve of A^T A, or of
 interpolation of those on square windows in between.  A square
 window without one column (the interior of a ladder window) has an exact
 constant at p in {1, inf} in closed form from the window's own inverse:
-the window and its interior share one sparse LU and one pass over it.
+the window and its interior share one band LU and one pass over it.
 A one-column window has the exact constant ||a||_p at every p.  Tall
 windows at p in {1, inf} with few columns solve one linear program, the
 dual of the least-norm left inverse problem, and certify the left inverse
@@ -23,10 +23,10 @@ spectral at p = 2, and interpolation bounds in between.  No path draws a
 random number.  Window ladders aggregate the per-window constants into
 stabilization / degeneration verdicts.
 
-Dense p = 2 windows are solved by numpy.linalg, and the closed-form sums
-and column restrictions read the matrix's COO arrays, so importing this
-module loads no scipy.  Each path that needs scipy (sparse LU, band
-eigensolves, the linear program, the descent) imports it where it calls it.
+Dense p = 2 windows are solved by numpy.linalg, and the closed-form sums,
+column restrictions and square LUs read the matrix's COO arrays, so
+importing this module loads no scipy.  Each path that needs scipy (the band
+LU, band eigensolves, the linear program, the descent) imports it there.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _singular_extremes(A: LocalizedMatrix) -> tuple[float, float]:
     if ext is not None:
         return ext
     if m > DENSE_EIG_CUTOFF or n > 4 * DENSE_EIG_CUTOFF:
-        ext = _banded_singular_extremes(A.csr())
+        ext = _banded_singular_extremes(A)
     if ext is None:
         D = A.dense()
         if n == m:
@@ -249,13 +249,14 @@ def _dense_svd_cheaper(n: int, m: int, size: int, bw: int, calls: int) -> bool:
     return 4.0 * n * m * m - 4.0 * m ** 3 / 3.0 <= calls * 6.0 * size * size * bw
 
 
-def _gram_bandwidth(csr) -> int:
-    """Bandwidth of A^T A, read off A before the product is formed: the
-    widest column span of one of A's rows."""
-    nonempty = np.flatnonzero(np.diff(csr.indptr))
-    indices, starts = csr.indices[:csr.indptr[-1]], csr.indptr[nonempty]
-    return int((np.maximum.reduceat(indices, starts)
-                - np.minimum.reduceat(indices, starts)).max(initial=0))
+def _row_spans(n: int, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """(first, last) column of each of n rows, read off COO arrays in any
+    order; an empty row spans (n, -1).  The widest span is the bandwidth of
+    A^T A, read before the product is formed."""
+    first, last = np.full(n, n), np.full(n, -1)
+    np.minimum.at(first, i, j)
+    np.maximum.at(last, i, j)
+    return first, last
 
 
 def _lower_band(mat) -> np.ndarray:
@@ -274,7 +275,7 @@ def _band_eigenvalue(ab: np.ndarray, k: int) -> float:
                                              select_range=(k, k))[0])
 
 
-def _banded_singular_extremes(csr) -> tuple[float, float] | None:
+def _banded_singular_extremes(A: LocalizedMatrix) -> tuple[float, float] | None:
     """(sigma_min, sigma_max) from eigenvalues of symmetric bands, or None
     when a dense SVD of A costs fewer flops.
 
@@ -286,17 +287,18 @@ def _banded_singular_extremes(csr) -> tuple[float, float] | None:
     error eps sigma_max does not square kappa.  Reverse Cuthill-McKee order
     interleaves its row and column indices into a narrow band.
     """
-    n, m = csr.shape
-    if _dense_svd_cheaper(n, m, m, _gram_bandwidth(csr), 2):
+    n, m = A.shape
+    first, last = _row_spans(n, A.i, A.j)
+    if _dense_svd_cheaper(n, m, m, int((last - first).max(initial=0)), 2):
         return None
-    ab = _lower_band(csr.T @ csr)
+    ab = _lower_band(A.csr().T @ A.csr())
     lam_min, lam_max = _band_eigenvalue(ab, 0), _band_eigenvalue(ab, m - 1)
     smax = math.sqrt(max(lam_max, 0.0))
     if lam_min > 0.0 and m * np.finfo(float).eps * lam_max < GRAM_MAX_REL_ERR * lam_min:
         return math.sqrt(lam_min), smax
     import scipy.sparse as sp
     from scipy.sparse.csgraph import reverse_cuthill_mckee
-    jw = sp.bmat([[None, csr], [csr.T, None]], format="csr")
+    jw = sp.bmat([[None, A.csr()], [A.csr().T, None]], format="csr")
     order = reverse_cuthill_mckee(jw, symmetric_mode=True)
     ab = _lower_band(jw[order][:, order])
     if _dense_svd_cheaper(n, m, n + m, ab.shape[0] - 1, 1):
@@ -320,26 +322,38 @@ def _min_singular_vector(A: LocalizedMatrix) -> np.ndarray:
 # exact square windows and their interiors at p = 1 and p = inf
 
 
-def _square_lu(mat):
-    """Sparse LU factors of a square sparse matrix (a window or a Gram
-    matrix), or None when it is singular."""
-    import scipy.sparse.linalg as spla
-    mat = mat.tocsc()
-    try:
-        return spla.splu(mat)
-    except RuntimeError as exc:
-        # SuperLU reports some structurally singular matrices (zero rows,
-        # say) only as a failed factorization
-        from scipy.sparse.csgraph import structural_rank
-        if "singular" in str(exc) or structural_rank(mat) < mat.shape[0]:
-            return None
-        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
+def _square_lu(n: int, i, j, values):
+    """LAPACK band LU of the n x n matrix with COO entries (i, j, values), a
+    window or a Gram matrix, as solve(rhs, trans); None at an exactly zero
+    pivot, where the matrix is singular.
+
+    It factors B = PA, A's rows in (first column, last column) order, which
+    puts a row-permuted banded window back in its own band and changes no
+    l^p norm.  solve answers for A, in the Fortran order LAPACK returns:
+    A^-1 b = B^-1 (P b) and A^-T b = P^T (B^-T b).
+    """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    order = np.lexsort(_row_spans(n, i, j)[::-1])
+    d = np.argsort(order)[i] - j  # each entry's row in B, less its column
+    kl, ku = int(d.max(initial=0)), int(-d.min(initial=0))
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl + ku + d, j] = values
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+
+    def solve(rhs, trans):
+        if trans == "N":
+            return dgbtrs(lu, kl, ku, rhs[order], piv)[0]
+        y = dgbtrs(lu, kl, ku, rhs, piv, trans=1)[0]
+        x = np.empty_like(y)  # Fortran-ordered, as LAPACK returns y
+        x[order] = y
+        return x
+    return None if info > 0 else solve
 
 
 def _unit_solve(lu, n: int, lo: int, hi: int, trans: str) -> np.ndarray:
     """Columns lo..hi-1 of A^-1 (trans "N") or of A^-T (trans "T": rows of
     A^-1), solved against a block of unit vectors."""
-    X = lu.solve(np.eye(n, hi - lo, k=-lo), trans=trans)
+    X = lu(np.eye(n, hi - lo, k=-lo), trans)
     if not np.isfinite(X).all():
         raise NumericalError("inverse-norm solve produced non-finite values")
     return X
@@ -399,13 +413,13 @@ def _max_l1_on_hyperplane(U: np.ndarray, v: np.ndarray) -> float:
 def _square_inverse_lower(A: LocalizedMatrix, p: float,
                           j: int | None = None) -> tuple[float, float | None]:
     """Exact lower constants, p in {1, inf}, of a square A and, given j, of
-    A without column j, from one sparse LU and one pass over A^-1 (p = 1)
+    A without column j, from one band LU and one pass over A^-1 (p = 1)
     or A^-T (p = inf) in blocks.
 
     A's constant is 1 / ||A^-1||_p, the largest absolute column sum of A^-1
     (p = 1) or of A^-T (p = inf).  It is kept as a float in ``A._cache``,
     so a ladder's interior, computed first, leaves it for the window; no
-    factor or block is kept.  An exactly singular factor gives (0.0, None).
+    factor or block is kept.  A zero pivot gives (0.0, None).
 
     With I the kept columns, U = A^-1[I, :] is a left inverse of A[:, I]
     and v = A^-1[j, :] spans its left null space, so the left inverses are
@@ -418,7 +432,7 @@ def _square_inverse_lower(A: LocalizedMatrix, p: float,
     if j is None and key in A._cache:
         return A._cache[key], None
     n = A.shape[0]
-    lu = _square_lu(A.csr())
+    lu = _square_lu(n, A.i, A.j, A.values)
     if lu is None:
         A._cache[key] = 0.0
         return 0.0, None
@@ -516,12 +530,13 @@ def _gram_inverse_start(A: LocalizedMatrix, p: float) -> np.ndarray | None:
 
     Ax is a row of the pseudo-inverse A^+ = (A^T A)^-1 A^T, whose rows are
     localized like those of any good left inverse.  Columns come from the
-    Gram matrix's sparse LU in blocks, so no dense m x m inverse is held.
+    Gram matrix's band LU in blocks, so no dense m x m inverse is held.
     None when the Gram matrix is singular, or so near it that its inverse
     overflows.
     """
     csr = A.csr()
-    lu = _square_lu(csr.T @ csr)
+    G = (csr.T @ csr).tocoo()
+    lu = _square_lu(A.shape[1], G.row, G.col, G.data)
     if lu is None:
         return None
     best, start = math.inf, None
@@ -882,8 +897,8 @@ def inverse_decay_profile(A: LocalizedMatrix, margin: float) -> InverseDecayResu
     from the window edge before binning (finite sections pollute the
     boundary); log sup-values above 1e-13 are least-squares fitted against
     ||k||_inf.  A matrix with condition number above 1e12 is refused.
-    The rows come from the sparse LU in blocks, each reduced to offset-cell
-    maxima at once, so no dense inverse is held.
+    The rows come from the band LU in blocks, in A's own order, each reduced
+    to offset-cell maxima at once, so no dense inverse is held.
     """
     if not math.isfinite(margin):
         raise InvariantViolation(f"inverse decay margin must be finite, got {margin!r}")
@@ -902,7 +917,7 @@ def inverse_decay_profile(A: LocalizedMatrix, margin: float) -> InverseDecayResu
     idx = interior_column_indices(A, margin)
     if idx.size == 0:
         raise ValueError("margin leaves no interior rows")
-    lu = _square_lu(A.csr())
+    lu = _square_lu(n, A.i, A.j, A.values)
     if lu is None:
         raise NumericalError("inverse decay of a singular matrix")
     cells, sups = [], []

@@ -54,26 +54,24 @@ def count_calls(monkeypatch):
 @pytest.fixture
 def count_lu(monkeypatch):
     """Wraps ``locop.stability._square_lu`` for the test and returns a dict
-    that counts its factorizations ("lu"), the ``solve`` calls on their
-    factors ("solves") and the unit columns those calls solve against
+    that counts its factorizations ("lu"), the calls of the solve functions
+    they return ("solves") and the unit columns those calls solve against
     ("columns")."""
     from locop import stability
     counts = {"lu": 0, "solves": 0, "columns": 0}
     square_lu = stability._square_lu
 
-    class Counted:
-        def __init__(self, lu):
-            self.lu = lu
+    def counting(n, i, j, values):
+        counts["lu"] += 1
+        solve = square_lu(n, i, j, values)
+        if solve is None:
+            return None
 
-        def solve(self, rhs, trans="N"):
+        def counted(rhs, trans):
             counts["solves"] += 1
             counts["columns"] += rhs.shape[1]
-            return self.lu.solve(rhs, trans=trans)
-
-    def counting(mat):
-        counts["lu"] += 1
-        lu = square_lu(mat)
-        return None if lu is None else Counted(lu)
+            return solve(rhs, trans)
+        return counted
 
     monkeypatch.setattr(stability, "_square_lu", counting)
     return counts

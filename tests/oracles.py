@@ -13,13 +13,17 @@ the left-inverse LP, which solves the dual, against the primal over L.
 The square-window inverse norm and its codimension-one interior are the
 two routines, one LU and one pass over the inverse each, that the shared
 pass replaced, and the weighted median along v sorts every column, not
-only v's support.  An index set's duplicate check is compared against
+only v's support.  Both constants also have an exact reference that calls
+no locop code: a Gauss-Jordan inverse in fractions of an integer window,
+and brute force over every breakpoint (p = inf) or every vertex of the
+hyperplane section of the l1 ball (p = 1).  An index set's duplicate check is compared against
 every pair of points, and its separation constant against a count of the
 points in every unit cube with point coordinates for its corner.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -308,7 +312,7 @@ def _inverse_norm_lower(A: LocalizedMatrix, p: float) -> float:
     the largest absolute row sum, i.e. the largest column sum of A^-T.  An
     exactly singular factor gives 0.
     """
-    lu = _square_lu(A.csr())
+    lu = _square_lu(A.shape[0], A.i, A.j, A.values)
     if lu is None:
         return 0.0
     trans = "N" if p == 1.0 else "T"
@@ -346,7 +350,7 @@ def _codim_one_lower(A: LocalizedMatrix, j: int, p: float) -> float | None:
     ||U y||_1 over its unit l1 ball.  Returns None when A is singular.
     """
     n = A.shape[0]
-    lu = _square_lu(A.csr())
+    lu = _square_lu(A.shape[0], A.i, A.j, A.values)
     if lu is None:
         return None
     if p == math.inf:
@@ -358,6 +362,64 @@ def _codim_one_lower(A: LocalizedMatrix, j: int, p: float) -> float | None:
     (inv,) = _inverse_blocks(lu, n, "N")  # n <= INVERSE_BLOCK_COLS
     v = inv[j] / np.abs(inv[j]).max()
     return 1.0 / _max_l1_on_hyperplane(np.delete(inv, j, axis=0), v)
+
+
+def exact_inverse(dense) -> list | None:
+    """The inverse of an integer matrix as rows of Fractions, by Gauss-Jordan
+    elimination, or None when it is singular."""
+    n = len(dense)
+    M = [[Fraction(int(x)) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+         for r, row in enumerate(dense)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if piv is None:
+            return None
+        M[c], M[piv] = M[piv], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                f = M[r][c]
+                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return [row[n:] for row in M]
+
+
+def exact_inverse_norm_lower(dense, p: float) -> Fraction:
+    """1 / ||A^-1||_p of an integer matrix exactly, p in {1, inf}: one over
+    the largest absolute column (p = 1) or row (p = inf) sum of the
+    inverse; 0 when A is singular."""
+    inv = exact_inverse(dense)
+    if inv is None:
+        return Fraction(0)
+    lines = zip(*inv) if p == 1.0 else inv
+    return 1 / max(sum(abs(x) for x in line) for line in lines)
+
+
+def exact_codim_one_lower(dense, j: int, p: float) -> Fraction | None:
+    """Exact lower constant, p in {1, inf}, of an integer matrix A without
+    column j by brute force; None when A is singular.
+
+    With U the rows of A^-1 other than j and v its row j, the left inverses
+    of A without column j are U + w v^T.  At p = inf, 1/lower is the
+    largest over rows a of min_t ||U[a] + t v||_1, a convex piecewise
+    linear function of t, evaluated at every breakpoint.  At p = 1 the
+    range is {y : v.y = 0} and 1/lower is the largest ||U y||_1 over the
+    vertices of its unit l1 ball: e_i where v_i = 0, and (v_k e_i - v_i e_k)
+    / (|v_i| + |v_k|) for every pair with v_i v_k != 0.
+    """
+    inv = exact_inverse(dense)
+    if inv is None:
+        return None
+    v, U = inv[j], inv[:j] + inv[j + 1:]
+    on = [k for k in range(len(v)) if v[k] != 0]
+    if p == math.inf:
+        return 1 / max(min(sum(abs(u[l] - u[k] / v[k] * v[l]) for l in range(len(v)))
+                           for k in on) for u in U)
+    best = max((sum(abs(u[i]) for u in U) for i in range(len(v)) if v[i] == 0),
+               default=Fraction(0))
+    for i, k in itertools.combinations(on, 2):
+        best = max(best, sum(abs(u[i] * v[k] - u[k] * v[i]) for u in U)
+                   / (abs(v[i]) + abs(v[k])))
+    return 1 / best
 
 
 def has_duplicate_points(pts: np.ndarray, tol: float) -> bool:

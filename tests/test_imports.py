@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -54,8 +55,8 @@ def test_cold_import_does_not_load_scipy_signal():
 
 
 def test_cold_import_does_not_load_scipy_sparse_csgraph():
-    # only the Jordan-Wielandt ordering and structurally singular LUs need
-    # it, so both import it where they use it
+    # only the Jordan-Wielandt ordering needs it, and imports it where it
+    # uses it
     assert not _loaded_by_cold_import("scipy.sparse.csgraph")
 
 
@@ -84,15 +85,17 @@ def _block_swapped_toeplitz131():
 
 
 @pytest.mark.parametrize("analysis", ["stab", "equiv", "synth", "kernel", "kernel_n3",
-                                      "equiv_p2", "norms", "conv", "density"])
+                                      "equiv_p2", "norms", "conv", "density",
+                                      "invdecay"])
 def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
     # a p = 1, inf ladder whose windows are square and whose interiors are
-    # one column solves no LP; at p = 2 on windows within the dense cut-off
-    # (numpy's eigvalsh or svd), and in the norm, symbol and counting
-    # analyses, nothing needs scipy, so none of it loads; the kernel
-    # analysis convolves on numpy.fft at every scale, the small scale 3 (and
-    # its reference scale 6) as the larger 5 (and 8); no analysis needs a
-    # schema engine to write its report
+    # one column solves no LP, and factors its windows, as the inverse
+    # decay does, with LAPACK's band LU and no scipy.sparse; at p = 2 on
+    # windows within the dense cut-off (numpy's eigvalsh or svd), and in
+    # the norm, symbol and counting analyses, nothing needs scipy, so none
+    # of it loads; the kernel analysis convolves on numpy.fft at every
+    # scale, the small scale 3 (and its reference scale 6) as the larger 5
+    # (and 8); no analysis needs a schema engine to write its report
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     obj = corpus.toeplitz_matrix([1.0, 3.0, 1.0], 32)
     unloaded = ["scipy"]
@@ -102,7 +105,10 @@ def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
         obj = _block_swapped_toeplitz131()
         argv = ["equiv", "--matrix", str(path), "--p", "1,inf",
                 "--windows", "16,32"]
-        unloaded = ["scipy.optimize"]
+        unloaded = ["scipy.optimize", "scipy.sparse"]
+    elif analysis == "invdecay":
+        argv = ["invdecay", "--matrix", str(path), "--margin", "8"]
+        unloaded = ["scipy.optimize", "scipy.sparse"]
     elif analysis == "synth":
         obj = corpus.hat_family(16)
         argv = ["synth", "--family", str(path), "--p", "1", "--n0", "3",
@@ -134,15 +140,37 @@ def test_analysis_loads_no_module_it_does_not_call(tmp_path, analysis):
             {"column-norm"} if analysis == "equiv" else {"singular-value"})
 
 
-def test_kernel_at_p1_loads_the_sparse_lu(tmp_path):
+def test_kernel_at_p1_loads_the_band_lu_and_no_scipy_sparse(tmp_path):
     # positive control for the checks above: square windows at p = 1 take
-    # the exact inverse norm, which factors with scipy.sparse.linalg.splu
+    # the exact inverse norm, which factors with LAPACK's band LU from
+    # scipy.linalg, laid out from the window's entry arrays
     path = tmp_path / "k.json"
     path.write_bytes(dump_json_bytes(corpus.gaussian_kernel_op(0.1, 1.0).to_json_dict()))
     argv = ["kernel", "--kernel", str(path), "--p", "1", "--n", "5", "--window", "16",
             "--out", str(tmp_path / "out.json")]
-    assert _cold_cli_loads(argv, ["scipy.sparse.linalg"]).startswith(
-        "0 ['scipy.sparse.linalg'")
+    rc, loaded = _cold_cli_loads(argv, ["scipy.linalg", "scipy.sparse"]).split(" ", 1)
+    loaded = ast.literal_eval(loaded)
+    assert rc == "0" and "scipy.linalg.lapack" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
+def test_no_module_imports_a_second_square_factorization():
+    # stability._square_lu, LAPACK's band LU, is the one factorization
+    # behind every square solve; SuperLU and its structural-rank fallback
+    # must not come back
+    found = []
+    for path in sorted(Path(locop.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.startswith("scipy.sparse.linalg")
+                      or name.endswith("structural_rank")]
+    assert found == []
 
 
 def test_left_inverse_lp_loads_the_solver_at_first_call():

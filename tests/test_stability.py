@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -187,7 +187,8 @@ def test_gram_band_matches_dense_gram():
     A = corpus.permuted_rows(corpus.banded_random(60, band=3, seed=2), seed=4)
     G = (A.csr().T @ A.csr()).toarray()
     ab = stability._lower_band(A.csr().T @ A.csr())
-    assert ab.shape[0] - 1 == stability._gram_bandwidth(A.csr()) == 6
+    first, last = stability._row_spans(60, A.i, A.j)
+    assert ab.shape[0] - 1 == (last - first).max() == 6
     for k in range(ab.shape[0]):
         assert np.array_equal(ab[k, :60 - k], np.diag(G, -k))
     # above the cut-off the descent's p = 2 start reads the same band
@@ -231,7 +232,7 @@ def test_wide_band_window_takes_the_dense_svd(count_calls):
     # solve, which for this symmetric window is one eigvalsh
     A = corpus.banded_random(1300, band=150, seed=2)
     assert A.shape[1] > DENSE_EIG_CUTOFF
-    assert stability._banded_singular_extremes(A.csr()) is None
+    assert stability._banded_singular_extremes(A) is None
     svals = scipy.linalg.svdvals(A.dense())
     eig_calls, svd_calls = count_calls("eigvalsh"), count_calls("svd")
     smin, smax = _singular_extremes(A)
@@ -429,7 +430,7 @@ def test_ill_conditioned_window_keeps_sigma_min_digits():
     # kappa = 8e5: lambda_min of A^T A keeps only five digits of sigma_min
     A = toeplitz([-1.0, 2.0, -1.0], 1400)
     svals = scipy.linalg.svdvals(A.dense())
-    smin, smax = stability._banded_singular_extremes(A.csr())
+    smin, smax = stability._banded_singular_extremes(A)
     assert smin == pytest.approx(svals[-1], rel=1e-9)
     assert smax == pytest.approx(svals[0], rel=1e-14)
     assert lower_constant(A, 2.0).value == smin
@@ -441,7 +442,7 @@ def test_tall_window_above_the_cut_off_matches_dense_svd():
     n, m = A.shape
     assert n > 4 * DENSE_EIG_CUTOFF and m < DENSE_EIG_CUTOFF
     svals = scipy.linalg.svdvals(A.dense())
-    smin, smax = stability._banded_singular_extremes(A.csr())
+    smin, smax = stability._banded_singular_extremes(A)
     assert smin == pytest.approx(svals[-1], rel=1e-12)
     assert smax == pytest.approx(svals[0], rel=1e-12)
     assert _singular_extremes(A) == (smin, smax)
@@ -928,6 +929,95 @@ def test_shared_pass_matches_the_two_routines_bit_for_bit(window, p, data):
         assert (lower, inner) == (0.0, None)
     # the window's own constant reads the value the pass left in the cache
     assert lower_constant(A, p).value == lower
+
+
+@st.composite
+def integer_banded_windows(draw):
+    """An integer banded square window with 2 to 12 columns, its rows
+    permuted in about half the cases; about one in four has a zero row or
+    column and is singular.  Every other one is nonsingular with a 1-norm
+    condition number below 1e4, so its float constants keep twelve digits."""
+    n = draw(st.integers(2, 12))
+    band = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    i, k = np.indices((n, n))
+    dense = np.where(np.abs(i - k) <= band, rng.integers(-3, 4, size=(n, n)), 0)
+    dense[i == k] = rng.integers(-3 * band - 2, 3 * band + 3, size=n)
+    zero = draw(st.sampled_from([None, None, None, "row", "column"]))
+    at = draw(st.integers(0, n - 1))
+    if zero == "row":
+        dense[at] = 0
+    elif zero == "column":
+        dense[:, at] = 0
+    if draw(st.booleans()):
+        dense = dense[rng.permutation(n)]
+    if zero is None:
+        inv = oracles.exact_inverse(dense)
+        assume(inv is not None)
+        inv_norm = max(sum(abs(x) for x in col) for col in zip(*inv))
+        assume(np.abs(dense).sum(axis=0).max() * inv_norm < 1e4)
+    return dense
+
+
+@settings(deadline=None, max_examples=150)
+@given(integer_banded_windows(), st.sampled_from([1.0, math.inf]), st.data())
+def test_inverse_norm_and_codim_one_match_an_exact_inverse(dense, p, data):
+    # the references invert in fractions and call no locop code, so they
+    # pin the band LU itself, row order included
+    n = dense.shape[0]
+    s = IndexSet.integer_range(0, n - 1)
+    j = data.draw(st.integers(0, n - 1))
+    A = LocalizedMatrix.from_dense(s, s, dense.astype(float))
+    est = lower_constant(A, p)
+    lower, inner = _square_inverse_lower(A, p, j)
+    exact_inner = oracles.exact_codim_one_lower(dense, j, p)
+    if exact_inner is None:
+        assert est.value == 0.0 and (lower, inner) == (0.0, None)
+        return
+    exact = float(oracles.exact_inverse_norm_lower(dense, p))
+    assert est.method == "inverse-norm"
+    assert est.value == pytest.approx(exact, rel=1e-12) and lower == est.value
+    assert inner == pytest.approx(float(exact_inner), rel=1e-12)
+
+
+def test_inverse_decay_of_permuted_rows_matches_the_dense_inverse():
+    # the band LU factors the rows in their own band order; its solves
+    # must answer in the window's row order, or the profile's cells move
+    A = corpus.permuted_rows(toeplitz([1, 3, 1], 64), seed=9)
+    res = inverse_decay_profile(A, margin=16)
+    B = LocalizedMatrix.from_dense(A.cols, A.rows, np.linalg.inv(A.dense()))
+    keep = np.isin(B.i, stability.interior_column_indices(A, 16))
+    ref = offset_profile(LocalizedMatrix(B.rows, B.cols, B.i[keep], B.j[keep],
+                                         B.values[keep]))
+    assert np.array_equal(res.profile.cells, ref.cells)
+    np.testing.assert_allclose(res.profile.sups, ref.sups, rtol=0, atol=1e-13)
+
+
+def test_band_lu_solves_in_the_windows_own_row_order():
+    A = corpus.permuted_rows(toeplitz([1, 3, 1], 40), seed=21)
+    solve = stability._square_lu(40, A.i, A.j, A.values)
+    b = np.random.default_rng(0).standard_normal((40, 3))
+    for trans, D in (("N", A.dense()), ("T", A.dense().T)):
+        np.testing.assert_allclose(solve(b, trans), np.linalg.solve(D, b),
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_row_permuted_band_factors_in_its_own_band(monkeypatch):
+    import scipy.linalg.lapack as lapack
+    dgbtrf, bands = lapack.dgbtrf, []
+
+    def recording(ab, kl, ku, **kwargs):
+        bands.append(kl + ku)
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgbtrf", recording)
+    A = corpus.banded_random(1280, band=1)
+    P = corpus.permuted_rows(A, seed=3)
+    assert lower_constant_interior(A, math.inf).method == "codim-one"
+    want = _square_inverse_lower(A, math.inf, 0)
+    got = _square_inverse_lower(P, math.inf, 0)
+    assert max(bands) <= 2 and len(bands) == 3
+    assert got == pytest.approx(want, rel=1e-15)
 
 
 @st.composite
