@@ -15,10 +15,12 @@ the window and its interior share one band LU and one pass over it.
 A one-column window has the exact constant ||a||_p at every p.  Tall
 windows at p in {1, inf} with few columns solve one linear program, the
 dual of the least-norm left inverse problem, and certify the left inverse
-L read from its multipliers by (1 - ||LA - I||_p) / ||L||_p; intermediate
-p and larger tall windows use a projected descent from
-two deterministic starts, the p = 2 minimizer and the best column of the
-Gram inverse (A^T A)^-1.  Upper constants are closed-form at p in {1, inf},
+L read from its multipliers by (1 - ||LA - I||_p) / ||L||_p; the window's
+zero rows are dropped first, and a centrosymmetric window's LP is folded
+to half its rows and variables, like the p = 2 centrosymmetric split.
+Intermediate p and larger tall windows use a projected descent from two
+deterministic starts, the p = 2 minimizer and the best column of the Gram
+inverse (A^T A)^-1.  Upper constants are closed-form at p in {1, inf},
 spectral at p = 2, and interpolation bounds in between.  No path draws a
 random number.  Window ladders aggregate the per-window constants into
 stabilization / degeneration verdicts.
@@ -467,9 +469,10 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _left_inverse_lower(A: LocalizedMatrix, p: float) -> float:
-    """Lower constant (1 - ||LA - I||_p) / ||L||_p, with the left inverse L
-    read from the multipliers of one linear program.
+def _left_inverse(A: LocalizedMatrix, p: float) -> np.ndarray | None:
+    """The left inverse L (m x n, columns in A's row order) of least
+    ||L||_p, p in {1, inf}, read from the multipliers of one linear
+    program; None when A has no left inverse.
 
     Every left inverse L (LA = I) gives ||c||_p <= ||L||_p ||Ac||_p, and
     the least ||L||_p, the largest column (p = 1) or row (p = inf) abs-sum
@@ -481,40 +484,95 @@ def _left_inverse_lower(A: LocalizedMatrix, p: float) -> float:
     the row k (p = inf) of L that (j, k) belongs to.  It has m^2 + n (or
     m^2 + m) variables where the primal over L = P - N has 2mn + 1.  The
     multipliers mu+ and mu- of the two |.| <= s rows of (j, k) give
-    L[k, j] = mu+ - mu-.  At p = inf the optimum is exactly
-    1 / (lower constant), since l-inf is injective; at p = 1 it is a
-    certified lower bound.  The solver's residual LA - I counts against
-    the bound, so a bad solve raises NumericalError instead of certifying.
-    Y = 0 is feasible, so an unbounded LP means A has no left inverse: 0.
+    L[k, j] = mu+ - mu-.  Y = 0 is feasible, so an unbounded LP means A
+    has no left inverse.
+
+    A's zero rows are dropped first: their columns of L are 0 and the
+    optimum does not change.  When the rest, B, is centrosymmetric (B = J B
+    J exactly, J the order reversal, as synthesis windows are), the LP is
+    invariant under vec(Y) index t -> m^2 - 1 - t (Y -> J Y J), s_g ->
+    s_(G-1-g) and row (j, k) -> (n-1-j, m-1-k) within each +- block.  It is
+    convex, so it has a mirror-invariant optimum, and it is solved folded
+    to the invariant points, like the p = 2 centrosymmetric split: one
+    variable per mirror orbit, with the coefficients of mirrored columns
+    summed, and one row per mirrored pair of rows.  Each row of a pair
+    takes half the folded multiplier (a row that is its own mirror all of
+    it), which satisfies the full LP's dual and so is optimal for it; L =
+    J L J exactly.  Any other B takes the full LP: every mirror below is the
+    identity.
     """
     import scipy.sparse as sp
-    n, m = A.shape
-    mn = m * n
+    m = A.shape[1]
+    # the nonzero rows: stored entries are nonzero
+    rows, i = np.unique(A.i, return_inverse=True)
+    n = rows.size
+    B = np.zeros((n, m))
+    B[i, A.j] = A.values
+    centro = np.array_equal(B, B[::-1, ::-1])
+
+    def mirror(size: int) -> tuple[np.ndarray, int]:
+        """Each index's orbit under the mirror, numbered 0, 1, ... from the
+        low end, and the number of orbits."""
+        t = np.arange(size)
+        if not centro:
+            return t, size
+        return np.minimum(t, size - 1 - t), (size + 1) // 2
+
     groups = n if p == 1.0 else m
-    # row j * m + k of kron(A, I_m) gives (Y a_j)_k, with vec(Y) in
-    # column-major order; s_g is column m^2 + g
-    K = sp.kron(A.csr(), sp.identity(m), format="coo")
-    r = np.arange(mn)
-    g = m * m + (r // m if p == 1.0 else r % m)
-    rows = np.concatenate([K.row, K.row + mn, r, r + mn, np.full(groups, 2 * mn)])
-    cols = np.concatenate([K.col, K.col, g, g, m * m + np.arange(groups)])
-    vals = np.concatenate([K.data, -K.data, -np.ones(2 * mn), np.ones(groups)])
-    A_ub = sp.csr_matrix((vals, (rows, cols)), shape=(2 * mn + 1, m * m + groups))
-    b_ub = np.zeros(2 * mn + 1)
+    y_orbit, ny = mirror(m * m)
+    s_orbit, ns = mirror(groups)
+    r_orbit, nr = mirror(m * n)
+    # entry (j, c) of B gives (Y a_j)_k its coefficient at row j * m + k and
+    # vec(Y) column c * m + k (column-major); row r is kept when it is its
+    # orbit's first, r < nr, and s_g is column ny + orbit of g
+    k = np.arange(m)
+    r = (i[:, None] * m + k).ravel()
+    t = (A.j[:, None] * m + k).ravel()
+    v = np.repeat(A.values, m)
+    keep = r < nr
+    r, t, v = r[keep], y_orbit[t[keep]], v[keep]
+    own = np.arange(nr)
+    g = ny + s_orbit[own // m if p == 1.0 else own % m]
+    A_ub = sp.csr_matrix(
+        (np.concatenate([v, -v, -np.ones(2 * nr), np.ones(groups)]),
+         (np.concatenate([r, r + nr, own, own + nr, np.full(groups, 2 * nr)]),
+          np.concatenate([t, t, g, g, ny + s_orbit]))),
+        shape=(2 * nr + 1, ny + ns))
+    b_ub = np.zeros(2 * nr + 1)
     b_ub[-1] = 1.0
-    c_obj = np.concatenate([-np.eye(m).ravel(), np.zeros(groups)])
-    bounds = [(None, None)] * (m * m) + [(0, None)] * groups
+    c_obj = np.zeros(ny + ns)
+    c_obj[:ny] = -np.bincount(y_orbit[k * (m + 1)], minlength=ny)
+    bounds = [(None, None)] * ny + [(0, None)] * ns
     res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     # scipy reports HiGHS's "unbounded or infeasible" as status 4
     if res.status == 3 or (res.status == 4 and "unbounded or infeasible" in res.message):
-        return 0.0
+        return None
     if res.status != 0:
         raise NumericalError(f"left-inverse linear program failed: {res.message}")
-    # the marginals of a minimization's <= rows are the multipliers negated
-    mu = -res.ineqlin.marginals
-    L = (mu[:mn] - mu[mn:2 * mn]).reshape(n, m).T
+    # the marginals of a minimization's <= rows are the multipliers negated;
+    # each orbit's multiplier is shared evenly by its rows
+    mu = res.ineqlin.marginals[nr:2 * nr] - res.ineqlin.marginals[:nr]
+    L = np.zeros((m, A.shape[0]))
+    L[:, rows] = (mu[r_orbit] / np.bincount(r_orbit)[r_orbit]).reshape(n, m).T
+    return L
+
+
+def _left_inverse_lower(A: LocalizedMatrix, p: float) -> float:
+    """Lower constant (1 - ||LA - I||_p) / ||L||_p, with L the left inverse
+    of ``_left_inverse``: one linear program, on a centrosymmetric window
+    (once its zero rows are dropped) folded to half its rows and variables.
+
+    At p = inf the least ||L||_p is exactly 1 / (lower constant), since l-inf
+    is injective; at p = 1 it gives a certified lower bound.  The solver's
+    residual LA - I, against the whole window, counts against the bound, so
+    a bad solve raises NumericalError instead of certifying.  A window with
+    no left inverse has constant 0.
+    """
+    L = _left_inverse(A, p)
+    if L is None:
+        return 0.0
     axis = 0 if p == 1.0 else 1
-    resid = float(np.abs((A.csr().T @ L.T).T - np.eye(m)).sum(axis=axis).max())
+    resid = float(np.abs(L @ A.dense() - np.eye(A.shape[1])).sum(axis=axis).max())
     if not resid < 1.0:
         raise NumericalError(
             f"left-inverse linear program residual {resid:.3e} is not below 1")

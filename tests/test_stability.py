@@ -660,26 +660,81 @@ def test_failing_left_inverse_lp_is_numerical_error(p, monkeypatch):
 @pytest.mark.parametrize("p", [1.0, math.inf])
 @pytest.mark.parametrize("name,A", _tall_lp_windows())
 def test_left_inverse_lp_dual_matches_primal(name, A, p, monkeypatch):
-    results = []
+    calls, inverses = [], []
 
     def spy(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        results.append(res)
-        return res
+        calls.append(kwargs)
+        return linprog(*args, **kwargs)
 
+    def keep(*args):
+        inverses.append(left_inverse(*args))
+        return inverses[-1]
+
+    left_inverse = stability._left_inverse
     monkeypatch.setattr(stability, "linprog", spy)
+    monkeypatch.setattr(stability, "_left_inverse", keep)
     value = _left_inverse_lower(A, p)
-    assert len(results) == 1
-    # L[k, j] = mu+ - mu- from the multipliers of the (j, k) rows
-    n, m = A.shape
-    mu = -results[0].ineqlin.marginals
-    L = (mu[:m * n] - mu[m * n:2 * m * n]).reshape(n, m).T
+    assert len(calls) == 1
+    L, = inverses
     axis = 0 if p == 1.0 else 1
-    resid = float(np.abs(L @ A.dense() - np.eye(m)).sum(axis=axis).max())
+    resid = float(np.abs(L @ A.dense() - np.eye(A.shape[1])).sum(axis=axis).max())
     assert resid <= 1e-8
     assert value == pytest.approx(
         (1.0 - resid) / float(np.abs(L).sum(axis=axis).max()), rel=1e-12)
     assert value >= oracles.left_inverse_primal(A, p) * (1.0 - 1e-6)
+
+
+@st.composite
+def centrosymmetric_tall_windows(draw):
+    """An integer B = J B J with m from 2 to 9 columns and n - m from 1 to
+    12 more rows (odd and even sizes, so rows and variables that are their
+    own mirror occur), with or without a mirrored pair of zero rows."""
+    m = draw(st.integers(2, 9))
+    n = m + draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    H = rng.integers(-3, 4, (n, m)).astype(float)
+    if draw(st.booleans()):
+        z = draw(st.integers(0, n - 1))
+        H[[z, n - 1 - z]] = 0.0
+    return H + H[::-1, ::-1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(centrosymmetric_tall_windows(), st.sampled_from([1.0, math.inf]))
+def test_centrosymmetric_left_inverse_lp_is_folded(dense, p):
+    n, m = dense.shape
+    rows, cols = IndexSet.integer_range(0, n - 1), IndexSet.integer_range(0, m - 1)
+    A = LocalizedMatrix.from_dense(rows, cols, dense)
+    assume(np.linalg.matrix_rank(dense) == m)
+    kept = int(np.count_nonzero(dense.any(axis=1)))
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["A_ub"].shape[0])
+        return linprog(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "linprog", spy)
+        L = stability._left_inverse(A, p)
+        value = _left_inverse_lower(A, p)
+        assert calls[0] == 2 * ((m * kept + 1) // 2) + 1
+        # one entry 1 ulp off the mirror takes the full LP
+        nudged = dense.copy()
+        r, c = np.argwhere(dense)[0]
+        nudged[r, c] = np.nextafter(nudged[r, c], math.inf)
+        _left_inverse_lower(LocalizedMatrix.from_dense(rows, cols, nudged), p)
+        assert calls[2] == 2 * m * kept + 1
+    primal = oracles.left_inverse_primal(A, p)
+    assert value == pytest.approx(primal, rel=1e-6)
+    # B's zero rows are mirrored too, so all of L is centrosymmetric
+    assert np.array_equal(L, L[::-1, ::-1])
+    axis = 0 if p == 1.0 else 1
+    assert float(np.abs(L @ dense - np.eye(m)).sum(axis=axis).max()) <= 1e-8
+    # B + BJ is centrosymmetric with columns c and m - 1 - c equal
+    deficient = dense + dense[:, ::-1]
+    if deficient.any():
+        D = LocalizedMatrix.from_dense(rows, cols, deficient)
+        assert _left_inverse_lower(D, p) == 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
